@@ -408,8 +408,8 @@ def cmd_boundary(args) -> int:
     if echo["kind"] != "function":
         raise ParseError(f"{args.input}: expected kind 'function'", field="kind")
     fs = funcspace_mod.validate_function_space(echo["_vectors"])
-    result = funcspace_mod.boundary(fs, tol=args.tol)
     cross = funcspace_mod.crosscheck_diagonal(fs, seed=args.seed, tol=args.tol)
+    result = cross["lp_result"]
     body = {
         "boundary": {
             "classes": [list(c) for c in result.classes],
@@ -434,7 +434,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest_mod.run_suite(args.suite, seed=args.seed, jobs=args.jobs)
+    results = selftest_mod.run_suite(args.suite, seed=args.seed)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -496,8 +496,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="run the property suites")
     sp.add_argument("--suite", choices=["quick", "full"], default="quick")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="thread pool size for independent instances")
     sp.set_defaults(func=cmd_selftest)
     return p
 

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from ncshilov import matcore
-from ncshilov.errors import BadProgram, ShapeMismatch
+from ncshilov.errors import BadProgram, InconclusiveAtTolerance, ShapeMismatch
 from ncshilov.matcore import (
     amplify,
     herm_to_rvec,
@@ -390,7 +390,8 @@ def minimize_opnorm(target, subspace_basis, tol: float = 1e-8,
     Standard epigraph form: one Hermitian block [[t I, R], [R*, t I]] >= 0
     with R pinned to target - span, minimizing t.  Returns
     ``(value, coeffs)``; the value is recomputed directly from the returned
-    coefficients, so it is always attained by them.
+    coefficients, so it is always attained by them.  Raises
+    InconclusiveAtTolerance when the solve is not Feasible.
 
     ``real_coeffs`` restricts to real combinations (minimization over the
     selfadjoint part of a space).
@@ -431,8 +432,9 @@ def minimize_opnorm(target, subspace_basis, tol: float = 1e-8,
 
     prog = ConicProgram([n], constraints, objective=[np.eye(n, dtype=np.complex128) / n])
     out = solve_feasibility(prog, tol=max(tol, 1e-9), max_iter=max_iter)
-    if out.status != FEASIBLE or out.primal_point is None:
-        return op_norm(t0), np.zeros(d, dtype=np.complex128)
+    if out.status != FEASIBLE:
+        raise InconclusiveAtTolerance(f"norm minimization solve {out.status}: "
+                                      f"{out.diagnostics}")
     r = out.primal_point[0][:p, p:]
     x_opt = (t0 - r).reshape(-1)
     flat = stack.reshape(d, -1).T
@@ -779,10 +781,9 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
             rng_seed: int = 0) -> CcResult:
     """Decide whether the map is completely contractive.
 
-    Maps into the scalars are exact: the cb-norm of a functional is its
-    norm, one linear maximization over the domain ball.  Otherwise the
-    largest admissible scaling s of the CP-extension program over the 2x2
-    system is found by an interior-point solve, and the returned point is
+    The largest admissible scaling s of the CP-extension program over the
+    2x2 system is found by an interior-point solve (maps into the scalars,
+    q = 1, included), and the returned point is
     checked afresh: with the Choi matrix shifted to be PSD (its computed
     smallest eigenvalue is lifted to a margin above eigvalsh's rounding
     error), and the agreement residuals R_a recomputed there, the cb-norm
@@ -805,9 +806,6 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
         return CcResult(verdict=CC_NO, cb_estimate=value, level=level,
                         violating_coeffs=coeffs, violation_norm=value,
                         diagnostics="violation found by sampling")
-
-    if map_spec.q == 1:
-        return _cc_test_functional(map_spec, tol, rng_seed)
 
     gens, y0, y1, support = _paulsen_family(map_spec)
     prog = ChoiAgreementProgram(gens, y0, y1, support)
@@ -870,41 +868,6 @@ def _certified_cb_bound(prog: ChoiAgreementProgram, x, s):
     eps = float(g_trace_norms @ r_norms)
     bound = (1.0 + 2.0 * eps) / s if s > 0 else np.inf
     return bound, float(r_norms.max())
-
-
-def _cc_test_functional(map_spec: LinearMapSpec, tol, rng_seed):
-    """Exact path for maps into the scalars: cb-norm = functional norm =
-    max Re of the image over the domain unit ball (phases absorb into the
-    ball), computed as one small conic program."""
-    g = np.asarray([[[img[0, 0] for img in map_spec.on_images]]],
-                   dtype=np.complex128)
-    coeffs, objective, residual = _max_linear_over_ball(map_spec, 1, g,
-                                                        with_value=True)
-    if coeffs is None:
-        return CcResult(verdict=CC_MARGINAL, cb_estimate=np.inf,
-                        diagnostics="functional-norm solve failed")
-    nrm = op_norm(map_spec.element_level(coeffs))
-    lower = 0.0
-    if nrm > 1e-12:
-        coeffs = coeffs / nrm
-        lower = float(np.abs(map_spec.apply_level(coeffs)[0, 0]))
-    upper = max(-objective, lower) + 10 * residual + 1e-12
-    if lower > 1.0 + max(tol, 1e-9):
-        return CcResult(verdict=CC_NO, cb_estimate=lower, level=1,
-                        violating_coeffs=coeffs, violation_norm=lower,
-                        residual=residual,
-                        diagnostics="functional norm exceeds one")
-    if upper <= 1.0 + max(tol, 1e-9):
-        confirm = sampled_cb_lower_bound(map_spec, max_level=2, samples=200,
-                                         seed=rng_seed + 1)
-        if confirm <= 1.0 + 10 * tol:
-            return CcResult(verdict=CC_YES, cb_estimate=upper, residual=residual,
-                            diagnostics=f"functional norm {upper:.9f} at most one")
-        return CcResult(verdict=CC_MARGINAL, cb_estimate=max(upper, confirm),
-                        residual=residual,
-                        diagnostics="functional bound and sampler disagree")
-    return CcResult(verdict=CC_MARGINAL, cb_estimate=upper, residual=residual,
-                    diagnostics=f"functional norm in the band ({lower:.9f}, {upper:.9f})")
 
 
 def _sample_coeffs(map_spec, k, rng, haar):
@@ -987,7 +950,7 @@ def _conditional_gradient_witness(map_spec, k, start, rounds=8):
     return val, c
 
 
-def _max_linear_over_ball(map_spec, k, grad, with_value=False):
+def _max_linear_over_ball(map_spec, k, grad):
     """argmax Re<grad, coeffs> over level-k elements of the domain with
     operator norm at most one, via the 2x2 epigraph block at fixed scale."""
     p = map_spec.p
@@ -1018,14 +981,12 @@ def _max_linear_over_ball(map_spec, k, grad, with_value=False):
     prog = ConicProgram([n], constraints, objective=[obj])
     out = solve_feasibility(prog, tol=1e-8, max_iter=20_000)
     if out.status != FEASIBLE or out.primal_point is None:
-        return (None, np.inf, np.inf) if with_value else None
+        return None
     y = out.primal_point[0][:kp, kp:]
     coeffs = np.empty((k, k, map_spec.dim), dtype=np.complex128)
     for i in range(k):
         for j in range(k):
             coeffs[i, j] = map_spec.coeffs_of(y[i * p : (i + 1) * p, j * p : (j + 1) * p])
-    if with_value:
-        return coeffs, float(out.objective_value), float(out.residual)
     return coeffs
 
 

@@ -12,6 +12,9 @@ The inverse map splits over the central projection as x = x p + x(e - p)
 with orthogonal ranges, so its cb-norm is max(1, cb-norm of the completion
 map X(e - p) -> X p); only the completion is tested, against the
 multiplicity-stripped copy of the block, which keeps Choi variables small.
+The inverse of the final embedding x -> x q is the composition of the
+per-step inverses, so the product of max(1, cb_i) over the removed blocks
+certifies it; no further solve is made.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ class LoosenessVerdict:
     witness_level: int | None = None
     witness_coeffs: np.ndarray | None = None
     witness_gap: float | None = None
+    residual: float | None = None
 
 
 @dataclass
@@ -68,6 +72,8 @@ class EnvelopePresentation:
     coords* M coords.  ``embedded_basis`` are the images x_t q in original
     coordinates, ``compressed_basis`` the same in range(q) coordinates, and
     ``algebra`` is the compressed envelope algebra with its block data.
+    The embedding certificate is the product of the removed steps' cb
+    bounds (``embedding_cb``).
     """
 
     source: MatrixSpace
@@ -79,8 +85,6 @@ class EnvelopePresentation:
     blocks: blockdecomp.BlockDecomposition
     source_unit: np.ndarray | None = None
     trace: list[EliminationStep] = field(default_factory=list)
-    embedding_cb: float = 1.0
-    embedding_residual: float = 0.0
     seed: int = 0
     tol: float = 1e-7
 
@@ -109,6 +113,20 @@ class EnvelopePresentation:
 
     def eliminations(self) -> int:
         return sum(1 for s in self.trace if s.removed)
+
+    @property
+    def embedding_cb(self) -> float:
+        """Certified bound on the cb-norm of the inverse of x -> x q: the
+        product of max(1, cb_i) over the removed blocks' bounds (1.0 when
+        nothing is removed)."""
+        return float(np.prod([max(1.0, s.verdict.cb_estimate)
+                              for s in self.trace if s.removed]))
+
+    @property
+    def embedding_residual(self) -> float:
+        """The largest agreement residual among the removed blocks'
+        certificates."""
+        return max((s.verdict.residual for s in self.trace if s.removed), default=0.0)
 
 
 def _completion_map(space_basis, keep_proj, block: blockdecomp.BlockInfo):
@@ -157,7 +175,8 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
     res = conesolver.cc_test(lam, tol=tol, rng_seed=rng_seed)
     if res.verdict == CC_YES:
         return LoosenessVerdict(status=LOOSE, block_rank=block.rank, block_k=block.k,
-                                reason=res.diagnostics, cb_estimate=res.cb_estimate)
+                                reason=res.diagnostics, cb_estimate=res.cb_estimate,
+                                residual=res.residual)
     if res.verdict == CC_NO:
         coeffs = np.einsum("ijt,ts->ijs", res.violating_coeffs,
                            _domain_to_space(lam, x, kept))
@@ -166,9 +185,10 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
                                 reason="norm violation under compression",
                                 cb_estimate=res.cb_estimate,
                                 witness_level=res.level, witness_coeffs=coeffs,
-                                witness_gap=gap)
+                                witness_gap=gap, residual=res.residual)
     return LoosenessVerdict(status=MARGINAL, block_rank=block.rank, block_k=block.k,
-                            reason=res.diagnostics, cb_estimate=res.cb_estimate)
+                            reason=res.diagnostics, cb_estimate=res.cb_estimate,
+                            residual=res.residual)
 
 
 def _domain_to_space(lam: LinearMapSpec, x: MatrixSpace, kept):
@@ -196,9 +216,11 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
 
     Removes one loose block per pass and recomputes the algebra, the block
     decomposition and every verdict from scratch, since looseness is not
-    stable under removals.  Raises ConeDoesNotSpan when the positive cone
-    does not span (the recipe's hypothesis) and InconclusiveAtTolerance
-    when some block's verdict is Marginal at the working tolerance."""
+    stable under removals.  No solve certifies the embedding afterwards:
+    its bound ``embedding_cb`` is composed from the removed steps'
+    verdicts.  Raises ConeDoesNotSpan when the positive cone does not span (the recipe's
+    hypothesis) and InconclusiveAtTolerance when some block's verdict is
+    Marginal at the working tolerance."""
     if require_spanning:
         stargen.require_spanning_cone(x, tol=tol, seed=seed)
     n = x.ambient_dim
@@ -262,31 +284,8 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
                                embedded_basis=embedded, compressed_basis=compressed,
                                algebra=alg, blocks=dec, source_unit=source_unit,
                                trace=trace, seed=seed, tol=tol)
-    _certify_inverse(env, tol)
     _check_generation(env)
     return env
-
-
-def _certify_inverse(env: EnvelopePresentation, tol):
-    """Certify that the inverse of x -> xq is completely contractive.
-
-    With nothing eliminated the inverse is the identity; otherwise the
-    completion map X q -> X(e - q) must pass the cc oracle."""
-    cut = matcore.hermitize(env.source_unit - env.q)
-    cut_rank = int(round(float(np.real(np.trace(cut)))))
-    if cut_rank == 0:
-        env.embedding_cb = 1.0
-        return
-    w, u = matcore.herm_eig(cut)
-    cutc = u[:, :cut_rank]
-    dom = list(env.compressed_basis)
-    imgs = [cutc.conj().T @ b @ cutc for b in env.source.basis]
-    res = conesolver.cc_test(LinearMapSpec(dom, imgs), tol=tol, rng_seed=env.seed + 7)
-    if res.verdict != CC_YES:
-        raise InconclusiveAtTolerance(
-            f"final embedding certificate failed: {res.verdict} ({res.diagnostics})")
-    env.embedding_cb = max(1.0, res.cb_estimate)
-    env.embedding_residual = res.residual
 
 
 def _check_generation(env: EnvelopePresentation, tol: float = 1e-8):

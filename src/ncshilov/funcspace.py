@@ -201,7 +201,10 @@ def _point_sup(fs: FunctionSpace, vals, idx, others, tol):
     Real spans: two exact LPs.  Complex spans: a phase grid on both the
     objective and the constraint disks gives an upper bound (outer polygon)
     and a rescaled feasible point gives a lower bound; disagreement across
-    the decision band is inconclusive."""
+    the decision band is inconclusive.  f = 0 is feasible in every LP here,
+    so an "infeasible" status (HiGHS reports some unbounded LPs that way
+    when presolve is on) is read as unbounded; any other failed LP makes
+    the verdict inconclusive."""
     if fs.is_real:
         obj_row = vals[idx].real  # f(idx) = coeffs . obj_row, real coefficients
         rows = np.stack([vals[o].real for o in others])
@@ -211,10 +214,11 @@ def _point_sup(fs: FunctionSpace, vals, idx, others, tol):
                           A_ub=np.concatenate([rows, -rows]),
                           b_ub=np.ones(2 * len(others)),
                           bounds=[(None, None)] * fs.dim, method="highs")
-            if res.success:
-                best = max(best, -res.fun)
-            elif res.status == 3:
+            if res.status in (2, 3):
                 return np.inf, "essential"
+            if not res.success:
+                return np.nan, "inconclusive"
+            best = max(best, -res.fun)
         sup = best
         if sup <= 1.0 + tol:
             return sup, "loose"
@@ -242,9 +246,11 @@ def _point_sup(fs: FunctionSpace, vals, idx, others, tol):
         c = -np.concatenate([r.real, -r.imag])
         res = linprog(c=c, A_ub=a_ub, b_ub=b_ub,
                       bounds=[(None, None)] * (2 * d), method="highs")
-        if res.status == 3:
+        if res.status in (2, 3):
             return np.inf, "essential"
-        if res.success and -res.fun > best_upper:
+        if not res.success:
+            return np.nan, "inconclusive"
+        if -res.fun > best_upper:
             best_upper = -res.fun
             best_vec = res.x
     # polygon outer-approximates the disks, so best_upper >= true sup;
@@ -271,7 +277,8 @@ def diagonal_embedding(fs: FunctionSpace) -> stargen.MatrixSpace:
 def crosscheck_diagonal(fs: FunctionSpace, seed: int = 0, tol: float = 1e-7) -> dict:
     """Run the matrix pipeline on the diagonal embedding and compare with
     the LP boundary: surviving blocks must be size one and match the
-    surviving point classes exactly."""
+    surviving point classes exactly.  The LP :class:`BoundaryResult` is
+    returned under ``"lp_result"``."""
     lp = boundary(fs, tol=tol)
     x = diagonal_embedding(fs)
     env = envelope_mod.compute_envelope(x, seed=seed, tol=tol)
@@ -294,4 +301,5 @@ def crosscheck_diagonal(fs: FunctionSpace, seed: int = 0, tol: float = 1e-7) -> 
         "lp_points": sorted(lp_points),
         "all_blocks_size_one": all_size_one,
         "matches": bool(all_size_one and retained_points == lp_points),
+        "lp_result": lp,
     }

@@ -114,10 +114,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.sum(mb.conj() * ma))
 
 
-def hs_norm(a) -> float:
-    return float(np.linalg.norm(as_cmatrix(a)))
-
-
 def amplify(coeffs, basis) -> np.ndarray:
     """Assemble a level-k element of the space spanned by ``basis``.
 
@@ -140,11 +136,6 @@ def amplify(coeffs, basis) -> np.ndarray:
     n = stack.shape[1]
     blocks = np.einsum("ijt,tab->iajb", c, stack)
     return blocks.reshape(k * n, k * n)
-
-
-def block_entry(big, i, j, n) -> np.ndarray:
-    """Extract the (i, j) n x n block of a level-k matrix."""
-    return np.array(big[i * n : (i + 1) * n, j * n : (j + 1) * n])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ matches the acceptance-scale instance counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,24 +156,18 @@ def random_unitized_element(rng, env, positives, level=None) -> unitize.Unitized
 # ---------------------------------------------------------------------------
 
 
-def suite_theorem_b(seed=0, instances=40, jobs=1) -> SuiteResult:
+def suite_theorem_b(seed=0, instances=40) -> SuiteResult:
     """Generated TRO equals generated algebra on spanning-cone spaces."""
     rng = np.random.default_rng(seed)
     specs = [(int(rng.integers(3, 9)), int(rng.integers(2, 7)), rng.integers(2**31))
              for _ in range(instances)]
-
-    def one(spec):
-        n, g, s = spec
-        x = random_spanning_space(np.random.default_rng(s), n, g)
-        return stargen.tro_equals_algebra(x)
-
-    results = _map(one, specs, jobs)
-    bad = results.count(False)
+    bad = sum(not stargen.tro_equals_algebra(
+        random_spanning_space(np.random.default_rng(s), n, g)) for n, g, s in specs)
     return SuiteResult("theorem_b_tro_equals_algebra", bad == 0,
                        f"{instances - bad}/{instances} instances")
 
 
-def suite_cone_inclusion(seed=0, instances=6, elements=20, jobs=1) -> SuiteResult:
+def suite_cone_inclusion(seed=0, instances=6, elements=20) -> SuiteResult:
     """Karn-cone membership implies X1-cone membership; eps monotonicity by
     witness transport; level-0 consistency of the Karn formula."""
     rng = np.random.default_rng(seed)
@@ -240,7 +233,7 @@ def suite_cone_inclusion(seed=0, instances=6, elements=20, jobs=1) -> SuiteResul
                        f"{inconclusive} inconclusive")
 
 
-def suite_lemma_note(seed=0, extra_instances=8, jobs=1) -> SuiteResult:
+def suite_lemma_note(seed=0, extra_instances=8) -> SuiteResult:
     """Exactly one of d(X, 1) = 1 or a dominating element exists."""
     rng = np.random.default_rng(seed)
     cases = []
@@ -289,7 +282,7 @@ def suite_lemma_note(seed=0, extra_instances=8, jobs=1) -> SuiteResult:
                           f" spanning_fail={spanning_fail}"))
 
 
-def suite_prop1_inequality(seed=0, pairs=200, jobs=1) -> SuiteResult:
+def suite_prop1_inequality(seed=0, pairs=200) -> SuiteResult:
     """Differences of positive contractions have norm at most one."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -306,7 +299,7 @@ def suite_prop1_inequality(seed=0, pairs=200, jobs=1) -> SuiteResult:
                        f"{pairs} pairs, max norm {worst:.12f}")
 
 
-def suite_oracle_crosscheck(seed=0, instances=10, jobs=1) -> SuiteResult:
+def suite_oracle_crosscheck(seed=0, instances=10) -> SuiteResult:
     """Function-space LP boundary equals the diagonal matrix pipeline."""
     rng = np.random.default_rng(seed)
     worked = [
@@ -318,19 +311,13 @@ def suite_oracle_crosscheck(seed=0, instances=10, jobs=1) -> SuiteResult:
     for _ in range(instances):
         fs = random_function_space(rng)
         specs.append(fs.basis.real)
-
-    def one(gens):
-        fs = funcspace_mod.validate_function_space(gens)
-        rep = funcspace_mod.crosscheck_diagonal(fs, seed=seed)
-        return rep["matches"]
-
-    results = _map(one, specs, jobs)
-    bad = results.count(False)
+    bad = sum(not funcspace_mod.crosscheck_diagonal(
+        funcspace_mod.validate_function_space(gens), seed=seed)["matches"] for gens in specs)
     return SuiteResult("commutative_oracle_crosscheck", bad == 0,
                        f"{len(specs) - bad}/{len(specs)} agree")
 
 
-def suite_envelope_certificates(seed=0, instances=6, jobs=1) -> SuiteResult:
+def suite_envelope_certificates(seed=0, instances=6) -> SuiteResult:
     """Envelope embeddings certify: cc oracle passes and sampled norms match."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -351,14 +338,7 @@ def suite_envelope_certificates(seed=0, instances=6, jobs=1) -> SuiteResult:
                        f"{instances} envelopes, max discrepancy {worst:.2e}")
 
 
-def _map(fn, items, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
-
-
-def run_suite(profile: str = "quick", seed: int = 0, jobs: int = 1) -> list[SuiteResult]:
+def run_suite(profile: str = "quick", seed: int = 0) -> list[SuiteResult]:
     if profile == "quick":
         sizes = dict(theorem_b=25, cone_instances=4, cone_elements=10,
                      lemma_extra=4, prop1=200, crosscheck=8, envelopes=4)
@@ -368,11 +348,11 @@ def run_suite(profile: str = "quick", seed: int = 0, jobs: int = 1) -> list[Suit
     else:
         raise ValueError(f"unknown suite profile {profile!r}")
     return [
-        suite_theorem_b(seed=seed, instances=sizes["theorem_b"], jobs=jobs),
+        suite_theorem_b(seed=seed, instances=sizes["theorem_b"]),
         suite_cone_inclusion(seed=seed + 1, instances=sizes["cone_instances"],
-                             elements=sizes["cone_elements"], jobs=jobs),
-        suite_lemma_note(seed=seed + 2, extra_instances=sizes["lemma_extra"], jobs=jobs),
-        suite_prop1_inequality(seed=seed + 3, pairs=sizes["prop1"], jobs=jobs),
-        suite_oracle_crosscheck(seed=seed + 4, instances=sizes["crosscheck"], jobs=jobs),
-        suite_envelope_certificates(seed=seed + 5, instances=sizes["envelopes"], jobs=jobs),
+                             elements=sizes["cone_elements"]),
+        suite_lemma_note(seed=seed + 2, extra_instances=sizes["lemma_extra"]),
+        suite_prop1_inequality(seed=seed + 3, pairs=sizes["prop1"]),
+        suite_oracle_crosscheck(seed=seed + 4, instances=sizes["crosscheck"]),
+        suite_envelope_certificates(seed=seed + 5, instances=sizes["envelopes"]),
     ]

@@ -17,6 +17,7 @@ from ncshilov import conesolver, matcore
 from ncshilov.errors import (
     BadProgram,
     ConeDoesNotSpan,
+    InconclusiveAtTolerance,
     ShapeMismatch,
     UnitNotInAlgebra,
     ZeroSpace,
@@ -265,7 +266,7 @@ def _max_direction_positive(x: MatrixSpace, w, tol):
     n = x.ambient_dim
     hb = x.hermitian_basis()
     constraints = [([np.eye(n, dtype=np.complex128)], 1.0)]
-    for f in _selfadjoint_complement(hb, n):
+    for f in matcore.herm_complement(hb, n):
         constraints.append(([f], 0.0))
     prog = conesolver.ConicProgram([n], constraints, objective=[-hermitize(w)])
     try:
@@ -283,10 +284,6 @@ def _max_direction_positive(x: MatrixSpace, w, tol):
     return None, out.status == conesolver.MARGINAL
 
 
-def _selfadjoint_complement(hb, n):
-    return matcore.herm_complement(hb, n)
-
-
 def tro_equals_algebra(x: MatrixSpace, tol: float = 1e-8) -> bool:
     """True iff the generated *-TRO and *-algebra spans coincide."""
     tro = generate_tro(x)
@@ -302,7 +299,14 @@ def tro_equals_algebra(x: MatrixSpace, tol: float = 1e-8) -> bool:
 
 
 def require_spanning_cone(x: MatrixSpace, tol: float = 1e-7, seed: int = 0) -> ConeSpanResult:
+    """The cone_spans result, or ConeDoesNotSpan when it conclusively does
+    not span; a probe solve without a certificate raises
+    InconclusiveAtTolerance instead."""
     result = cone_spans(x, tol=tol, seed=seed)
+    if result.inconclusive and not result.spans:
+        raise InconclusiveAtTolerance(
+            f"positive cone spans at least {result.span_dim} of {x.dim} dimensions; "
+            "a probe solve was marginal")
     if not result.spans:
         raise ConeDoesNotSpan(
             f"positive cone spans only {result.span_dim} of {x.dim} dimensions"

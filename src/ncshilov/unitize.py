@@ -140,8 +140,10 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
     No immediately when A has an eigenvalue below -tol; otherwise one
     feasibility solve per scheduled eps for u in M_k(X) with 0 <= u <=
     (1 - delta) and v + (A + eps)^(1/2) u (A + eps)^(1/2) >= 0.  Yes needs
-    every scheduled eps feasible (witnesses re-verified); No needs a dual
-    certificate at some eps; Marginal solves surface as Inconclusive."""
+    every scheduled eps feasible (witnesses re-verified) and v + A ⊗ 1 >= 0,
+    the limit of v + (A + eps) ⊗ 1 >= 0, which every eps > 0 implies; No
+    needs a dual certificate at some eps, or a vector on which v + A ⊗ 1
+    is negative; Marginal solves surface as Inconclusive."""
     eps_schedule = tuple(eps_schedule)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
         raise ShapeMismatch("eps schedule must be positive")
@@ -197,6 +199,14 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
             return ConeVerdict(member=MEMBER_INCONCLUSIVE,
                                certificate={"eps": eps, "reason": out.diagnostics},
                                eps_schedule_used=eps_schedule, delta=delta, tol=tol)
+    # the schedule stops at a positive eps, so an element just outside the
+    # cone can be feasible at every scheduled eps
+    limit = psd_check(hermitize(v + np.kron(a, unit), rtol=1e-8), tol=tol)
+    if not limit.positive:
+        return ConeVerdict(member=MEMBER_NO,
+                           certificate={"limit_min_eig": limit.min_eig,
+                                        "witness_vector": limit.witness},
+                           eps_schedule_used=eps_schedule, delta=delta, tol=tol)
     return ConeVerdict(member=MEMBER_YES, certificate={"witness_u": witnesses},
                        eps_schedule_used=eps_schedule, delta=delta, tol=tol)
 
@@ -260,7 +270,8 @@ def _level_herm_basis(hb, k):
 
 def _equality_pairings(n, target):
     """Hermitian pairing rows reading off every real degree of freedom of an
-    n x n Hermitian block, with the rhs values of ``target``."""
+    n x n Hermitian block, with the rhs values of ``target``: each pair
+    (f, rhs) has Re tr(f target) = rhs."""
     target = hermitize(target, rtol=1e-8)
     out = []
     for i in range(n):
@@ -272,8 +283,8 @@ def _equality_pairings(n, target):
             fr[i, j] = fr[j, i] = 0.5
             out.append((fr, float(target[i, j].real)))
             fi = np.zeros((n, n), dtype=np.complex128)
-            fi[i, j] = -0.5j
-            fi[j, i] = 0.5j
+            fi[i, j] = 0.5j
+            fi[j, i] = -0.5j
             out.append((fi, float(target[i, j].imag)))
     return out
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ncshilov import cli
+from ncshilov import cli, stargen
 from ncshilov.cli import (
     EXIT_CONE,
+    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_PARSE,
     canonical_json,
@@ -115,6 +116,17 @@ def test_envelope_command_and_determinism(tmp_path):
             assert "cb_estimate" in step
 
 
+def test_envelope_exit_code_inconclusive_cone(tmp_path, monkeypatch):
+    # a cone-span probe without a certificate is not "the cone does not span"
+    def inconclusive(x, tol=1e-7, seed=0):
+        return stargen.ConeSpanResult(spans=False, positive_basis=np.zeros((1, 3, 3)),
+                                      span_dim=1, inconclusive=True)
+
+    monkeypatch.setattr(stargen, "cone_spans", inconclusive)
+    inp = _write(tmp_path, "space.json", DIAG_HALF)
+    assert main(["envelope", "--input", inp]) == EXIT_INCONCLUSIVE
+
+
 def test_envelope_report_echo_reparses(tmp_path):
     inp = _write(tmp_path, "space.json", DIAG_HALF)
     out = str(tmp_path / "r.json")
@@ -212,7 +224,7 @@ def test_selftest_detects_broken_tolerance(monkeypatch):
     # sanity of the harness: a corrupted check must be reported as failure
     from ncshilov import selftest
 
-    def broken(seed=0, pairs=50, jobs=1):
+    def broken(seed=0, pairs=50):
         return selftest.SuiteResult("positive_contraction_difference", False,
                                     "tolerance corrupted to 1e-1")
 

@@ -250,10 +250,12 @@ def test_cc_yes_implies_sampler_bounded():
 
 def test_choi_solve_bounds_known_cb_norms():
     # the certified bound is an upper bound, tight at the optimum: cb-norm
-    # 2 for the transpose on M_2 and 1/2 for half the identity
+    # 2 for the transpose on M_2, 1/2 for half the identity and 1 for the
+    # functional trace/2
     basis = _m2_basis()
     for images, cb in (([b.T.copy() for b in basis], 2.0),
-                       ([0.5 * b for b in basis], 0.5)):
+                       ([0.5 * b for b in basis], 0.5),
+                       ([np.array([[np.trace(b) / 2]]) for b in basis], 1.0)):
         gens, y0, y1, support = _paulsen_family(LinearMapSpec(basis, images))
         prog = ChoiAgreementProgram(gens, y0, y1, support)
         sol = _hkm_max_scale(*prog.rows())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncshilov import blockdecomp, matcore, stargen
+from ncshilov.conesolver import CC_YES, LinearMapSpec, cc_test, sampled_cb_lower_bound
 from ncshilov.envelope import (
     ESSENTIAL,
     LOOSE,
@@ -121,6 +122,49 @@ def test_planted_cb_one_instance_is_decided_in_both_scan_orders():
     iso = induced_isomorphism(env, env_rev, np.eye(x.dim))
     assert iso.found
     assert iso.residual <= 1e-6
+
+
+def test_real_loose_block_of_size_one_is_decided():
+    # a real planted space g ⊕ v^T g v whose loose block has size 1, so its
+    # completion map goes into the scalars; the cb-norm is exactly 1
+    rng = np.random.default_rng(50)
+
+    def orthogonal(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        return q * np.sign(np.diagonal(r))
+
+    v = orthogonal(3)[:, :1]
+    u = orthogonal(4)
+    gens = []
+    for _ in range(3):
+        g = rng.standard_normal((3, 3))
+        g = g @ g.T
+        big = np.zeros((4, 4))
+        big[:3, :3] = g
+        big[3:, 3:] = v.T @ g @ v
+        gens.append(u @ big @ u.T)
+    x = validate_space(gens)
+    for seed in range(3):
+        env = compute_envelope(x, seed=seed)
+        assert env.abstract_blocks == (3,)
+        assert env.embedding_cb <= 1.0 + 1e-6
+
+
+def test_composed_embedding_bound_covers_the_direct_certificate():
+    # criterion 4's instance 0 has two eliminations; the reference is the
+    # direct certificate of the completion map X q -> X(e - q)
+    rng = np.random.default_rng(404)
+    gens = loose_instance(rng, a=int(rng.integers(2, 4)), b=int(rng.integers(1, 3)),
+                          extra_blocks=int(rng.integers(0, 2)))
+    env = compute_envelope(validate_space(gens), seed=0)
+    assert env.eliminations() >= 2
+    cut = matcore.hermitize(env.source_unit - env.q)
+    _, u = matcore.herm_eig(cut)
+    cut_coords = u[:, :int(round(float(np.real(np.trace(cut)))))]
+    direct = LinearMapSpec(list(env.compressed_basis),
+                           [cut_coords.conj().T @ b @ cut_coords for b in env.source.basis])
+    assert cc_test(direct, rng_seed=env.seed + 7).verdict == CC_YES
+    assert sampled_cb_lower_bound(direct, max_level=3, samples=300, seed=1) <= env.embedding_cb
 
 
 def test_per_elimination_norm_conservation():

@@ -101,6 +101,15 @@ def test_crosscheck_single_point():
     assert rep["matches"]
 
 
+def test_lp_reported_infeasible_is_read_as_unbounded():
+    # f = 0 is feasible in every point LP, yet HiGHS reports one of this
+    # space's unbounded LPs as infeasible; point 1 is essential
+    fs = validate_function_space(
+        random_function_space(np.random.default_rng(2), m=4, d=3).basis.real)
+    assert boundary(fs).boundary_points == [(0,), (1,), (2,)]
+    assert crosscheck_diagonal(fs, seed=0)["matches"]
+
+
 def test_crosscheck_random_fuzz():
     rng = np.random.default_rng(3)
     for trial in range(6):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ncshilov import matcore
+from ncshilov import conesolver, matcore
 from ncshilov.envelope import compute_envelope
-from ncshilov.errors import ShapeMismatch
+from ncshilov.errors import InconclusiveAtTolerance, ShapeMismatch
 from ncshilov.matcore import amplify, op_norm
 from ncshilov.selftest import (
     compressed_positives,
@@ -18,6 +18,7 @@ from ncshilov.unitize import (
     UNIT_AMBIENT,
     UNIT_ENVELOPE,
     UnitizedElement,
+    _equality_pairings,
     build_x1,
     check_envelope_of_unitization,
     distance_to_unit,
@@ -111,6 +112,13 @@ def test_x1_rejects_non_selfadjoint():
 # ---------------------------------------------------------------------------
 
 
+def test_equality_pairings_read_off_the_target():
+    rng = np.random.default_rng(0)
+    t = matcore.random_hermitian(rng, 4)
+    for f, rhs in _equality_pairings(4, t):
+        assert np.real(np.trace(f @ t)) == pytest.approx(rhs, abs=1e-12)
+
+
 def test_karn_positive_v_zero_scalar():
     _, env, g1, _ = _c3_env()
     elem = UnitizedElement(level=1, v_coords=_coords(env, g1),
@@ -162,6 +170,17 @@ def test_karn_infeasible_with_dual_witness():
     r = xplus_cone_member(env, elem)
     assert r.member == MEMBER_NO
     assert "dual_witness" in r.certificate
+
+
+def test_karn_feasible_at_every_scheduled_eps_outside_the_limit_is_no():
+    # u = c g1 / (1 + eps) is feasible at every scheduled eps, but
+    # v + A ⊗ 1 = 1 - c g1 has the eigenvalue 1 - c < 0, which no eps > 0 allows
+    _, env, g1, _ = _c3_env()
+    elem = UnitizedElement(level=1, v_coords=-1.0005 * _coords(env, g1),
+                           scalar_part=np.eye(1))
+    r = xplus_cone_member(env, elem)
+    assert r.member == MEMBER_NO
+    assert r.certificate["limit_min_eig"] == pytest.approx(-5e-4, abs=1e-9)
 
 
 def test_karn_level_zero_consistency():
@@ -236,6 +255,18 @@ def test_distance_ambient_e11():
     d, coeffs = distance_to_unit(x, unit=UNIT_AMBIENT)
     assert d == pytest.approx(1.0, abs=1e-7)
     assert not dominating_element(x, unit=UNIT_AMBIENT).found
+
+
+def test_distance_raises_when_the_norm_solve_fails(monkeypatch):
+    # a solver failure must not come back as the answer d(X, 1) = 1
+    def marginal(program, tol=1e-7, max_iter=conesolver.MAX_ITER):
+        return conesolver.SolveOutcome(status=conesolver.MARGINAL, diagnostics="forced")
+
+    monkeypatch.setattr(conesolver, "solve_feasibility", marginal)
+    e11 = np.zeros((2, 2), dtype=complex)
+    e11[0, 0] = 1.0
+    with pytest.raises(InconclusiveAtTolerance):
+        distance_to_unit(validate_space([e11]), unit=UNIT_AMBIENT)
 
 
 def test_distance_c3_is_one_fifth():
