@@ -220,6 +220,10 @@ def _trace_payload(trace):
         }
         if v.cb_estimate is not None:
             entry["cb_estimate"] = v.cb_estimate
+        if v.iterations is not None:
+            entry["iterations"] = v.iterations
+        if v.residual is not None:
+            entry["residual"] = v.residual
         if v.witness_level is not None:
             entry["witness_level"] = v.witness_level
             entry["witness_coeffs"] = v.witness_coeffs
@@ -360,7 +364,22 @@ def cmd_unitize(args) -> int:
     return EXIT_OK
 
 
+def _parse_eps(text):
+    """The ``--eps`` schedule: comma-separated finite numbers."""
+    schedule = []
+    for tok in text.split(","):
+        try:
+            val = float(tok)
+        except ValueError:
+            raise ParseError(f"--eps: {tok!r} is not a number", field="eps") from None
+        if not np.isfinite(val):
+            raise ParseError(f"--eps: {tok!r} is not finite", field="eps")
+        schedule.append(val)
+    return tuple(schedule)
+
+
 def cmd_cone(args) -> int:
+    eps = _parse_eps(args.eps)
     echo, x = _load_matrix_space(args.input)
     env = envelope_mod.compute_envelope(x, seed=args.seed, tol=args.tol)
     with open(args.element) as fh:
@@ -368,7 +387,6 @@ def cmd_cone(args) -> int:
     if args.kind == "x1":
         verdict = unitize_mod.x1_cone_member(env, elem, tol=args.tol)
     else:
-        eps = tuple(float(t) for t in args.eps.split(","))
         verdict = unitize_mod.xplus_cone_member(env, elem, eps_schedule=eps,
                                                 delta=args.delta, tol=args.tol)
     body = {"cone": {"kind": args.kind, "verdict": _cone_verdict_payload(verdict)}}

@@ -27,7 +27,9 @@ on the returned point the Choi matrix is shifted to be PSD, with a margin
 that covers the rounding error of its computed eigenvalues, and the
 agreement residuals are recomputed; from these and s follows an upper
 bound on the cb-norm (:func:`_certified_cb_bound`), which must be at most
-1 + tol.
+1 + tol.  Otherwise the same solve supplies the answer No: its dual slack
+yields a level-q element y of the domain (:func:`_dual_witness`), and
+||psi_q(y)|| / ||y||, recomputed directly from y, must exceed 1 + tol.
 """
 
 from __future__ import annotations
@@ -466,7 +468,9 @@ def _offdiag_complement_rows(stack, p, q, real=False):
 
 
 def _herm_units(n, i, j):
-    """Hermitian matrices reading off Re and Im of the (i, j) entry."""
+    """Hermitian matrices reading off Re X_ij and -Im X_ij: paired with X,
+    the second gives Re tr(f X) = -Im X_ij.  Every caller pins the pairing
+    to 0, where the sign does not matter."""
     fr = np.zeros((n, n), dtype=np.complex128)
     fr[i, j] = fr[j, i] = 0.5
     fi = np.zeros((n, n), dtype=np.complex128)
@@ -589,12 +593,14 @@ class ChoiAgreementProgram:
 
 @dataclass
 class ScaleSolve:
-    """Last iterate of :func:`_hkm_max_scale`: the PSD block ``x`` and the
-    scaling ``s``, with the solver status, iteration count, and the
-    relative duality gap and primal / dual infeasibilities at that point."""
+    """Last iterate of :func:`_hkm_max_scale`: the PSD block ``x``, the
+    scaling ``s`` and the dual slack ``z`` (PSD, same size as ``x``), with
+    the solver status, iteration count, and the relative duality gap and
+    primal / dual infeasibilities at that point."""
 
     x: np.ndarray
     s: float
+    z: np.ndarray
     status: str
     iterations: int
     gap: float
@@ -705,7 +711,7 @@ def _hkm_max_scale(f, a, b) -> ScaleSolve:
         ad = min(1.0, 0.98 * min(_max_step(lz, dz), _max_step(zs, dzs)))
         x, xs = herm(x + ap * dx), xs + ap * dxs
         y, z, zs = y + ad * dy, herm(z + ad * dz), zs + ad * dzs
-    return ScaleSolve(x=x, s=xs, status=status, iterations=it, gap=gap,
+    return ScaleSolve(x=x, s=xs, z=z, status=status, iterations=it, gap=gap,
                       primal_infeasibility=pinf, dual_infeasibility=dinf)
 
 
@@ -791,21 +797,13 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
     ``(1 + 2 sum_a ||g_a||_1 ||R_a||) / s`` (see :func:`_certified_cb_bound`).
     CompletelyContractive is returned only when that bound is at most
     ``1 + tol`` and the sampler finds nothing above it; the bound is the
-    reported ``cb_estimate``.  A Not verdict carries an explicit element y
-    with ||y|| <= 1 and ||psi_k(y)|| > 1 + tol.  Anything else is Marginal,
-    with the solver's status in the diagnostics.
+    reported ``cb_estimate``.  A Not verdict carries a level-q element y
+    read from the dual point (:func:`_dual_witness`), with ||y|| = 1 and
+    ||psi_q(y)|| > 1 + tol both recomputed directly.  Anything else is
+    Marginal, with the solver's status in the diagnostics.
     """
-    rng = np.random.default_rng(rng_seed)
     if all(np.abs(y).max(initial=0.0) < 1e-14 for y in map_spec.on_images):
         return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map")
-
-    witness = _search_violation(map_spec, tol, rng,
-                                levels=range(1, min(map_spec.q, 2) + 1), tries=16)
-    if witness is not None:
-        level, coeffs, value = witness
-        return CcResult(verdict=CC_NO, cb_estimate=value, level=level,
-                        violating_coeffs=coeffs, violation_norm=value,
-                        diagnostics="violation found by sampling")
 
     gens, y0, y1, support = _paulsen_family(map_spec)
     prog = ChoiAgreementProgram(gens, y0, y1, support)
@@ -827,18 +825,49 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
                         diagnostics=f"certified bound {bound:.9f} contradicts the "
                                     f"sampled lower bound {confirm:.9f}")
 
-    witness = _search_violation(map_spec, tol, rng,
-                                levels=range(1, min(map_spec.q, 4) + 1), tries=24,
-                                escalate=True)
-    if witness is not None:
-        level, coeffs, value = witness
-        return CcResult(verdict=CC_NO, cb_estimate=max(bound, value), level=level,
+    coeffs, value = _dual_witness(map_spec, sol.z)
+    if value > 1.0 + max(tol, 1e-9):
+        return CcResult(verdict=CC_NO, cb_estimate=max(bound, value), level=map_spec.q,
                         violating_coeffs=coeffs, violation_norm=value,
-                        residual=residual, iterations=sol.iterations)
+                        residual=residual, iterations=sol.iterations,
+                        diagnostics=f"dual witness at level {map_spec.q}, "
+                                    f"||psi(y)|| = {value:.9f}")
     return CcResult(verdict=CC_MARGINAL, cb_estimate=bound, residual=residual,
                     iterations=sol.iterations,
                     diagnostics=f"{solver}; certified cb bound {bound:.9f} exceeds "
-                                f"1 + {tol:.0e} and no witness found")
+                                f"1 + {tol:.0e}, dual witness reaches {value:.9f}")
+
+
+def _dual_witness(map_spec: LinearMapSpec, z):
+    """Level-q element of the domain read off the dual slack ``z`` of the
+    scaling program; returns ``(coeffs, ||psi_q(y)||)`` with ||y|| = 1.
+
+    On the support, whose first pq indices are the (k < p, b < q) corner,
+    z = [[Z11, Z12], [Z12*, Z22]] >= 0, so T = Z11^-1/2 Z12 Z22^-1/2
+    (pseudo-inverse roots) has ||T|| <= 1.  At the optimum conj(T), read as
+    a level-q element of the domain, attains the cb-norm 1/s (Paulsen's
+    off-diagonal argument run backwards; Smith's lemma makes level q
+    enough).  Both norms are recomputed from the returned coefficients, so
+    the value is attained whatever the quality of z.
+    """
+    p, q = map_spec.p, map_spec.q
+    pq = p * q
+    t = (_pinv_sqrt(z[:pq, :pq]) @ z[:pq, pq:] @ _pinv_sqrt(z[pq:, pq:])).reshape(p, q, p, q)
+    coeffs = np.einsum("tkl,kblc->bct", map_spec.on_domain.conj(), t.conj())
+    nrm = op_norm(map_spec.element_level(coeffs))
+    if nrm < 1e-14:
+        return coeffs, 0.0
+    coeffs /= nrm
+    return coeffs, op_norm(map_spec.apply_level(coeffs))
+
+
+def _pinv_sqrt(h):
+    """Pseudo-inverse square root of a PSD matrix."""
+    w, u = np.linalg.eigh(h)
+    keep = w > 1e-14 * max(float(w[-1]), 0.0)
+    r = np.zeros_like(w)
+    r[keep] = 1.0 / np.sqrt(w[keep])
+    return (u * r) @ u.conj().T
 
 
 def _certified_cb_bound(prog: ChoiAgreementProgram, x, s):
@@ -887,147 +916,6 @@ def _sample_coeffs(map_spec, k, rng, haar):
         for j in range(k):
             c[i, j] = map_spec.coeffs_of(q[i * p : (i + 1) * p, j * p : (j + 1) * p])
     return c
-
-
-def _search_violation(map_spec, tol, rng, levels, tries, escalate=False):
-    """Polished random search for y with ||y|| <= 1 and ||psi_k(y)|| > 1 + tol.
-
-    With ``escalate`` the search follows up with conditional-gradient steps
-    whose linear subproblems (maximize a linear functional over the unit
-    ball of the domain at level k) are solved exactly as small conic
-    programs; this resolves near-boundary violations that defeat local
-    ascent."""
-    best = None
-    for k in levels:
-        best_cand = None
-        for trial in range(tries):
-            c = _sample_coeffs(map_spec, k, rng, haar=trial % 2 == 1)
-            val, c = _polish_witness(map_spec, c, iters=60)
-            if best_cand is None or val > best_cand[1]:
-                best_cand = (c, val)
-            if val > 1.0 + max(tol, 1e-9):
-                if best is None or val > best[2]:
-                    best = (k, c, val)
-                if val > 1.0 + 100 * max(tol, 1e-9):
-                    return best
-        if best is not None:
-            return best
-        if escalate and best_cand is not None:
-            val, c = _conditional_gradient_witness(map_spec, k, best_cand[0])
-            if val > 1.0 + max(tol, 1e-9):
-                return (k, c, val)
-    return best
-
-
-def _conditional_gradient_witness(map_spec, k, start, rounds=8):
-    """Maximize ||psi_k(y)|| by alternating the top singular pair of the
-    image with an exact linear maximization over the domain unit ball."""
-    c = start.copy()
-    nrm = op_norm(map_spec.element_level(c))
-    if nrm < 1e-14:
-        return 0.0, c
-    c /= nrm
-    val = op_norm(map_spec.apply_level(c))
-    for _ in range(rounds):
-        try:
-            u, _s, vh = np.linalg.svd(map_spec.apply_level(c))
-        except np.linalg.LinAlgError:
-            break
-        eta = u[:, 0].reshape(k, map_spec.q)
-        xi = vh[0].conj().reshape(k, map_spec.q)
-        grad = np.einsum("ia,tab,jb->ijt", eta.conj(), map_spec.on_images, xi)
-        cand = _max_linear_over_ball(map_spec, k, grad)
-        if cand is None:
-            break
-        nrm = op_norm(map_spec.element_level(cand))
-        if nrm < 1e-14:
-            break
-        cand /= max(nrm, 1.0)
-        cand_val = op_norm(map_spec.apply_level(cand))
-        if cand_val <= val + 1e-12:
-            break
-        c, val = cand, cand_val
-    return val, c
-
-
-def _max_linear_over_ball(map_spec, k, grad):
-    """argmax Re<grad, coeffs> over level-k elements of the domain with
-    operator norm at most one, via the 2x2 epigraph block at fixed scale."""
-    p = map_spec.p
-    kp = k * p
-    n = 2 * kp
-    fy = amplify(grad.conj(), map_spec.on_domain)
-    level_basis = np.stack([
-        np.kron(_unit_matrix(k, i, j), w)
-        for i in range(k) for j in range(k) for w in map_spec.on_domain])
-    constraints = []
-    for f in _offdiag_complement_rows(level_basis, kp, kp, real=False):
-        big = np.zeros((n, n), dtype=np.complex128)
-        big[:kp, kp:] = 0.5 * f
-        big[kp:, :kp] = 0.5 * f.conj().T
-        constraints.append(([big], 0.0))
-    for i in range(n):
-        f = np.zeros((n, n), dtype=np.complex128)
-        f[i, i] = 1.0
-        constraints.append(([f], 1.0))
-        for j in range(i + 1, n):
-            if i < kp and j >= kp:
-                continue  # the off-diagonal block stays free
-            for f2 in _herm_units(n, i, j):
-                constraints.append(([f2], 0.0))
-    obj = np.zeros((n, n), dtype=np.complex128)
-    obj[:kp, kp:] = -0.5 * fy
-    obj[kp:, :kp] = -0.5 * fy.conj().T
-    prog = ConicProgram([n], constraints, objective=[obj])
-    out = solve_feasibility(prog, tol=1e-8, max_iter=20_000)
-    if out.status != FEASIBLE or out.primal_point is None:
-        return None
-    y = out.primal_point[0][:kp, kp:]
-    coeffs = np.empty((k, k, map_spec.dim), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            coeffs[i, j] = map_spec.coeffs_of(y[i * p : (i + 1) * p, j * p : (j + 1) * p])
-    return coeffs
-
-
-def _unit_matrix(n, i, j):
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[i, j] = 1.0
-    return m
-
-
-def _polish_witness(map_spec, coeffs, iters=60):
-    """Projected-gradient ascent of ||psi_k(y)|| over the unit ball of the
-    domain at level k.  Returns (value, normalized coefficients)."""
-    k = coeffs.shape[0]
-    c = coeffs.copy()
-    nrm = op_norm(map_spec.element_level(c))
-    if nrm < 1e-14:
-        return 0.0, c
-    c /= nrm
-    val = op_norm(map_spec.apply_level(c))
-    step = 0.5
-    for _ in range(iters):
-        try:
-            u, _s, vh = np.linalg.svd(map_spec.apply_level(c))
-        except np.linalg.LinAlgError:
-            break
-        eta = u[:, 0].reshape(k, map_spec.q)
-        xi = vh[0].conj().reshape(k, map_spec.q)
-        grad = np.einsum("ia,tab,jb->ijt", eta.conj(), map_spec.on_images, xi)
-        cand = c + step * grad.conj()
-        nrm = op_norm(map_spec.element_level(cand))
-        if nrm < 1e-14:
-            break
-        cand /= nrm
-        cand_val = op_norm(map_spec.apply_level(cand))
-        if cand_val > val + 1e-12:
-            c, val = cand, cand_val
-        else:
-            step *= 0.5
-            if step < 1e-4:
-                break
-    return val, c
 
 
 def sampled_cb_lower_bound(map_spec: LinearMapSpec, max_level: int, samples: int,

@@ -48,6 +48,7 @@ class LoosenessVerdict:
     witness_coeffs: np.ndarray | None = None
     witness_gap: float | None = None
     residual: float | None = None
+    iterations: int | None = None
 
 
 @dataclass
@@ -157,8 +158,11 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
 
     Loose requires the compression x -> x(e - p) injective on X and the
     completion map back onto the block completely contractive.  Essential
-    verdicts carry either a kernel witness or a level-k element whose norm
-    drops under the compression (gap re-verified numerically)."""
+    verdicts carry either a kernel witness or a level-q element, q the
+    stripped block size, read from the dual point of the Choi solve, whose
+    norm drops under the compression (gap re-verified numerically).  Every
+    verdict that rests on the Choi solve records its iteration count and
+    agreement residual."""
     p = block.projection
     keep = alg.unit - p
     keep_rank = int(round(float(np.real(np.trace(keep)))))
@@ -176,7 +180,7 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
     if res.verdict == CC_YES:
         return LoosenessVerdict(status=LOOSE, block_rank=block.rank, block_k=block.k,
                                 reason=res.diagnostics, cb_estimate=res.cb_estimate,
-                                residual=res.residual)
+                                residual=res.residual, iterations=res.iterations)
     if res.verdict == CC_NO:
         coeffs = np.einsum("ijt,ts->ijs", res.violating_coeffs,
                            _domain_to_space(lam, x, kept))
@@ -185,10 +189,11 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
                                 reason="norm violation under compression",
                                 cb_estimate=res.cb_estimate,
                                 witness_level=res.level, witness_coeffs=coeffs,
-                                witness_gap=gap, residual=res.residual)
+                                witness_gap=gap, residual=res.residual,
+                                iterations=res.iterations)
     return LoosenessVerdict(status=MARGINAL, block_rank=block.rank, block_k=block.k,
                             reason=res.diagnostics, cb_estimate=res.cb_estimate,
-                            residual=res.residual)
+                            residual=res.residual, iterations=res.iterations)
 
 
 def _domain_to_space(lam: LinearMapSpec, x: MatrixSpace, kept):
@@ -205,7 +210,6 @@ def _domain_to_space(lam: LinearMapSpec, x: MatrixSpace, kept):
 def _witness_gap(x: MatrixSpace, keep_proj, coeffs) -> float:
     """||y|| - ||y (1 ⊗ keep)|| for a level-k coefficient tensor over X."""
     y = amplify(coeffs, x.basis)
-    k = coeffs.shape[0]
     return op_norm(y) - op_norm(y @ np.kron(np.eye(coeffs.shape[0]), keep_proj))
 
 

@@ -58,7 +58,6 @@ class UnitizedElement:
 
 def realize(elem: UnitizedElement, basis, unit) -> np.ndarray:
     """Concrete matrix of v + A.1 over a given basis and unit."""
-    k = elem.level
     v = amplify(elem.v_coords, basis)
     return v + np.kron(elem.scalar_part, unit)
 

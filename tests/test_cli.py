@@ -114,6 +114,9 @@ def test_envelope_command_and_determinism(tmp_path):
         assert step["status"] in ("loose", "essential")
         if step["status"] == "loose":
             assert "cb_estimate" in step
+        if step["removed"]:
+            assert isinstance(step["iterations"], int) and step["iterations"] >= 1
+            assert step["residual"] <= 1e-8
 
 
 def test_envelope_exit_code_inconclusive_cone(tmp_path, monkeypatch):
@@ -141,6 +144,23 @@ def test_exit_code_parse_error(tmp_path):
     bad["oops"] = True
     inp = _write(tmp_path, "bad.json", bad)
     assert main(["envelope", "--input", inp]) == EXIT_PARSE
+
+
+def test_cone_rejects_malformed_eps(tmp_path, capsys, monkeypatch):
+    # a bad schedule is a parse error, reported before any envelope solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("envelope computed before --eps was parsed")
+
+    monkeypatch.setattr(cli.envelope_mod, "compute_envelope", no_solve)
+    inp = _write(tmp_path, "space.json", DIAG_HALF)
+    elem = {"format_version": "1", "level": 1,
+            "v_coords": [[[_cpx(1), _cpx(0)]]], "scalar_part": [[_cpx(1)]]}
+    epath = _write(tmp_path, "elem.json", elem)
+    for bad in ("1e-1,abc", "nan"):
+        capsys.readouterr()
+        assert main(["cone", "--input", inp, "--element", epath, "--kind", "xplus",
+                     "--eps", bad]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
 
 
 def test_exit_code_cone_does_not_span(tmp_path):

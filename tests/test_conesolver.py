@@ -164,10 +164,12 @@ def test_cc_identity_map():
 
 def test_cc_doubling_map():
     basis = _m2_basis()
-    res = cc_test(LinearMapSpec(basis, [2 * b for b in basis]), tol=1e-7)
+    spec = LinearMapSpec(basis, [2 * b for b in basis])
+    res = cc_test(spec, tol=1e-7)
     assert res.verdict == CC_NO
-    assert res.level == 1
-    assert res.violation_norm > 1.9
+    assert res.level == 2
+    assert matcore.op_norm(spec.element_level(res.violating_coeffs)) <= 1.0 + 1e-12
+    assert matcore.op_norm(spec.apply_level(res.violating_coeffs)) >= 2.0 - 1e-8
 
 
 def test_cc_transpose_level_two():
@@ -224,6 +226,43 @@ def test_cc_functional_exact():
     res = cc_test(full, tol=1e-7)
     assert res.verdict == CC_NO
     assert res.violation_norm == pytest.approx(2.0, abs=1e-5)
+
+
+def _witness_ratio(spec, res):
+    """||psi_k(y)|| / ||y|| recomputed from a CC_NO witness."""
+    y = spec.element_level(res.violating_coeffs)
+    return matcore.op_norm(spec.apply_level(res.violating_coeffs)) / matcore.op_norm(y)
+
+
+@pytest.mark.parametrize("c", [0.55, 0.7, 0.9])
+def test_cc_dual_witness_attains_transpose_cb_norm(c):
+    # the transpose on M_2 has cb-norm 2, so c times it has cb-norm 2c
+    basis = _m2_basis()
+    spec = LinearMapSpec(basis, [c * b.T.copy() for b in basis])
+    res = cc_test(spec, tol=1e-7)
+    assert res.verdict == CC_NO
+    assert res.level == 2
+    assert _witness_ratio(spec, res) == pytest.approx(2 * c, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cc_planted_excess_is_decided_at_level_q(seed):
+    # a random map M_4 -> M_3 scaled so that its cb-norm is 1 + 1e-5, far
+    # outside the tolerance band: the answer is No, with a level-3 witness
+    # that attains the cb-norm
+    rng = np.random.default_rng(seed)
+    dom = [matcore.random_complex(rng, (4, 4)) for _ in range(4)]
+    img = [matcore.random_complex(rng, (3, 3)) for _ in range(4)]
+    gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
+    prog = ChoiAgreementProgram(gens, y0, y1, support)
+    sol = _hkm_max_scale(*prog.rows())
+    bound, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    target = 1.0 + 1e-5
+    spec = LinearMapSpec(dom, [target / bound * y for y in img])
+    res = cc_test(spec, tol=1e-7)
+    assert res.verdict == CC_NO
+    assert res.level == 3
+    assert _witness_ratio(spec, res) == pytest.approx(target, abs=1e-8)
 
 
 def test_cc_not_implies_sampler_with_witness_seed():
