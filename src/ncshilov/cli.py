@@ -217,6 +217,7 @@ def _trace_payload(trace):
             "block_size": v.block_k,
             "removed": step.removed,
             "reason": v.reason,
+            "route": v.route,
         }
         if v.cb_estimate is not None:
             entry["cb_estimate"] = v.cb_estimate

@@ -1,20 +1,23 @@
-"""Conic feasibility and norm minimization over products of PSD cones.
+"""Conic feasibility and optimization over products of PSD cones.
 
-Two program shapes, each with its own engine:
+Every conic program here is solved by one engine, :func:`_hkm`: a dense
+primal-dual interior-point method (HKM direction, Mehrotra
+predictor-corrector steps) over a product of Hermitian PSD blocks with a
+linear objective, a scalar variable being a 1 x 1 block.  Two program
+shapes feed it:
 
 * :class:`ConicProgram` holds scalar pairing constraints
   ``sum_v Re<F_jv, X_v> = rhs_j`` against Hermitian variable blocks, with an
-  optional real-linear objective.  It is solved by a first-order engine
-  (ADMM / Douglas-Rachford splitting between the affine subspace and the
-  PSD-cone product); the affine projection comes from a one-time
-  orthonormalization of the constraint rows.
+  optional real-linear objective.  Without an objective,
+  :func:`solve_feasibility` poses a phase-I margin program (maximize
+  lambda with X_v - lambda I >= 0): an iterate with lambda > 0 gives a
+  strictly PSD point, and otherwise the dual multipliers give the
+  separating functional, both checked afresh.
 
 * :class:`ChoiAgreementProgram` is the structured program behind the
   complete-contractivity oracle: a Choi variable constrained to agree, as a
   linear map, with a given map on a Hermitian orthonormal family, plus one
-  scalar scaling variable.  Its largest admissible scaling is found by a
-  dense primal-dual interior-point method (HKM direction, Mehrotra
-  predictor-corrector steps).
+  scalar scaling variable, whose largest admissible value is sought.
 
 The complete-contractivity test reduces, as usual, to complete positivity
 of the associated unital map on the 2x2 operator system over the map's
@@ -51,8 +54,6 @@ from ncshilov.matcore import (
     rvec_to_herm,
 )
 
-MAX_ITER = 50_000
-
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 MARGINAL = "marginal"
@@ -60,6 +61,15 @@ MARGINAL = "marginal"
 CC_YES = "completely_contractive"
 CC_NO = "not_completely_contractive"
 CC_MARGINAL = "marginal"
+
+# How a cc verdict was reached.
+ROUTE_ZERO_MAP = "zero map"
+ROUTE_CHOI_BOUND = "choi bound"
+ROUTE_DUAL_WITNESS = "dual witness"
+
+# An objective program counts as solved at this relative gap and
+# infeasibility.
+OBJECTIVE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -96,86 +106,67 @@ class ConicProgram:
             raise BadProgram("objective coefficient count != block count")
 
     def prepare(self):
-        dims = self.block_dims
-        offsets = np.cumsum([0] + [n * n for n in dims])
-        total = int(offsets[-1])
-        m = len(self.constraints)
-        a = np.zeros((m, total))
-        b = np.zeros(m)
-        for j, (coeffs, rhs) in enumerate(self.constraints):
-            b[j] = rhs
-            for v, c in enumerate(coeffs):
-                if c is None:
-                    continue
-                a[j, offsets[v] : offsets[v + 1]] = herm_to_rvec(matcore.hermitize(c))
-        cvec = np.zeros(total)
-        if self.objective is not None:
-            for v, c in enumerate(self.objective):
-                if c is not None:
-                    cvec[offsets[v] : offsets[v + 1]] = herm_to_rvec(matcore.hermitize(c))
-        return _DensePrepared(dims, list(offsets), a, b, cvec)
+        def vec(coeffs):
+            return np.concatenate([np.zeros(n * n) if c is None else herm_to_rvec(matcore.hermitize(c))
+                                   for c, n in zip(coeffs, self.block_dims)])
+
+        total = sum(n * n for n in self.block_dims)
+        a = np.array([vec(coeffs) for coeffs, _ in self.constraints]).reshape(-1, total)
+        b = np.array([rhs for _, rhs in self.constraints], dtype=float)
+        cvec = vec(self.objective or [None] * len(self.block_dims))
+        return _DensePrepared(self.block_dims, a, b, cvec)
 
 
 class _DensePrepared:
-    """Orthonormalized dense form of a ConicProgram.
+    """Orthonormalized dense form of a ConicProgram: ``f`` holds the
+    orthonormal constraint rows as one stack of Hermitian matrices per
+    block, ``rhs`` their right-hand sides, ``c`` the objective blocks (None
+    without an objective) and ``x_particular`` the least-norm affine point.
 
     When the affine system itself is inconsistent the program is infeasible
     outright; the certificate is the component of the right-hand side
     orthogonal to the constraint range (a combination of constraints whose
     coefficient matrix vanishes while its rhs does not)."""
 
-    def __init__(self, dims, offsets, a, b, cvec):
+    def __init__(self, dims, a, b, cvec):
         self.dims = dims
-        self.offsets = offsets
-        self.cvec = cvec if np.any(cvec) else None
+        self.offsets = list(np.cumsum([0] + [n * n for n in dims]))
         self.inconsistent_y = None
-        m = a.shape[0]
-        if m:
+        if a.shape[0]:
             u, s, vh = np.linalg.svd(a, full_matrices=False)
             top = s[0] if s.size and s[0] > 0 else 1.0
             keep = s > 1e-12 * top
             rank = int(np.sum(keep))
             self.rows = vh[:rank]
             self.rhs = (u[:, :rank].T @ b) / s[:rank]
-            x0 = self.rows.T @ self.rhs
-            gap = a @ x0 - b
+            gap = a @ (self.rows.T @ self.rhs) - b
             if np.linalg.norm(gap) > 1e-7 * (1.0 + np.linalg.norm(b)):
                 y = -gap  # A^T y ~ 0 and <b, y> = ||gap||^2 > 0
                 self.inconsistent_y = (y, float(b @ y),
                                        float(np.linalg.norm(a.T @ y)))
         else:
-            self.rows = np.zeros((0, offsets[-1]))
+            self.rows = np.zeros((0, self.offsets[-1]))
             self.rhs = np.zeros(0)
-        self.x_particular = self.rows.T @ self.rhs
-
-    @property
-    def total_dim(self):
-        return self.offsets[-1]
-
-    def project_affine(self, x):
-        if self.rows.shape[0] == 0:
-            return x
-        return x - self.rows.T @ (self.rows @ x - self.rhs)
-
-    def affine_residual(self, x):
-        if self.rows.shape[0] == 0:
-            return 0.0
-        return float(np.linalg.norm(self.rows @ x - self.rhs, ord=np.inf))
-
-    def project_cone(self, x):
-        out = np.empty_like(x)
-        for v, n in enumerate(self.dims):
-            h = rvec_to_herm(x[self.offsets[v] : self.offsets[v + 1]], n)
-            w, u = np.linalg.eigh(h)
-            wc = np.clip(w, 0.0, None)
-            out[self.offsets[v] : self.offsets[v + 1]] = herm_to_rvec((u * wc) @ u.conj().T)
-        return out
+        self.f = self.blocks_of(self.rows)
+        self.c = self.blocks_of(cvec) if np.any(cvec) else None
+        self.x_particular = self.blocks_of(self.rows.T @ self.rhs)
 
     def blocks_of(self, x):
-        return [
-            rvec_to_herm(x[self.offsets[v] : self.offsets[v + 1]], n)
-            for v, n in enumerate(self.dims)
-        ]
+        """Hermitian blocks of a vector, or stacks of them for a stack."""
+        return [rvec_to_herm(x[..., self.offsets[v] : self.offsets[v + 1]], n)
+                for v, n in enumerate(self.dims)]
+
+    def polish(self, blocks):
+        """Correct a point onto the affine set, then project it onto the
+        cone; returns the exactly-PSD blocks and their affine residual."""
+        x = np.concatenate([herm_to_rvec(h) for h in blocks])
+        x = x - self.rows.T @ (self.rows @ x - self.rhs)
+        out = []
+        for h in self.blocks_of(x):
+            w, u = np.linalg.eigh(h)
+            out.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
+        x = np.concatenate([herm_to_rvec(h) for h in out])
+        return out, float(np.abs(self.rows @ x - self.rhs).max(initial=0.0))
 
 
 @dataclass
@@ -203,137 +194,198 @@ class SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
-# The splitting engine
+# The interior-point engine
 # ---------------------------------------------------------------------------
 
 
-def _admm(prog, tol, max_iter=MAX_ITER, alpha=1.6):
-    """ADMM / Douglas-Rachford loop over a prepared :class:`ConicProgram`
-    (its optional linear objective is ``prog.cvec``).  Returns (z, info).
+@dataclass
+class IpmSolve:
+    """Last iterate of :func:`_hkm`: primal blocks ``x`` and dual slack
+    blocks ``z``, with the solver status, iteration count, and the relative
+    duality gap and primal / dual infeasibilities there.
+    ``stopped`` is what the caller's stop test returned when it ended the
+    solve."""
+
+    x: list
+    z: list
+    status: str
+    iterations: int
+    gap: float
+    primal_infeasibility: float
+    dual_infeasibility: float
+    stopped: object = None
+
+
+IPM_OPTIMAL = "optimal"
+IPM_ITERATION_CAP = "iteration cap"
+IPM_NUMERICAL_FAILURE = "numerical failure"
+IPM_STOPPED = "stopped"
+IPM_TOL = 1e-10
+IPM_MAX_ITER = 60
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _hkm(f, b, c, stop=None) -> IpmSolve:
+    """Minimize ``sum_v Re<C_v, X_v>`` over
+    ``{X_v >= 0 : sum_v Re<F_iv, X_v> = b_i}``.
+
+    ``f`` holds one stack of Hermitian rows per block (a scalar variable is
+    a 1 x 1 block), orthonormal across the blocks, and ``c`` one Hermitian
+    matrix per block.  Dense infeasible-start primal-dual path following
+    with the HKM search direction (Helmberg, Rendl, Vanderbei & Wolkowicz
+    1996) and Mehrotra predictor-corrector steps.  The Schur matrix
+    ``M_ij = sum_v Re tr(F_iv X_v F_jv Z_v^-1)`` falls back to least
+    squares once it stops being numerically positive definite, which
+    happens close to the optimum, and each primal step is projected back
+    onto the linearized constraints so that a lossy solve cannot build up
+    primal infeasibility.  Stops at relative gap and infeasibilities below
+    ``IPM_TOL``, after ``IPM_MAX_ITER`` iterations, when a factor fails or
+    the iterates overflow, or when ``stop(x, A^T y, worst)``, called on every iterate with the largest
+    of the three measures, returns something other than None; the last
+    iterate is returned in every case.
     """
-    n = prog.total_dim
-    cvec = prog.cvec
-    rho = 1.0
-    z = np.zeros(n)
-    z = prog.project_cone(prog.project_affine(z))
-    u = np.zeros(n)
-    r_primal = r_dual = np.inf
-    prev_obj = None
-    steady = 0
-    stall = 0
-    last_aff = np.inf
-    gap_direction = None
-    for it in range(1, max_iter + 1):
-        t = z - u
-        if cvec is not None:
-            t = t - cvec / rho
-        x = prog.project_affine(t)
-        x_rel = alpha * x + (1.0 - alpha) * z
-        z_new = prog.project_cone(x_rel + u)
-        u = u + x_rel - z_new
-        r_primal = float(np.linalg.norm(x - z_new) / np.sqrt(n))
-        r_dual = float(rho * np.linalg.norm(z_new - z) / np.sqrt(n))
-        z = z_new
-        if it % 25 == 0:
-            aff = prog.affine_residual(z)
-            ok = aff <= tol and r_primal <= 10 * tol
-            if cvec is not None:
-                obj = float(cvec @ z)
-                drift = abs(obj - prev_obj) if prev_obj is not None else np.inf
-                prev_obj = obj
-                steady = steady + 1 if (ok and drift <= tol * max(1.0, abs(obj))) else 0
-                done = steady >= 4
-            else:
-                done = ok
-            if done:
-                return z, _info(it, aff, r_primal, r_dual, cvec, z, True, None)
-            # divergence bookkeeping for pure feasibility runs: the affine
-            # residual of the cone-projected iterate stalls strictly above
-            # tol only when the sets do not meet (objective runs plateau
-            # while chasing the objective, so they are exempt)
-            if cvec is None and aff > 50 * tol:
-                if abs(aff - last_aff) <= 1e-3 * max(aff, 1e-300):
-                    stall += 1
-                    gap_direction = x - z
-                else:
-                    stall = 0
-                if stall >= 40:
-                    return z, _info(it, aff, r_primal, r_dual, cvec, z, False, gap_direction)
-            last_aff = aff
-            # residual balancing
-            if it % 500 == 0 and r_dual > 0 and r_primal > 0:
-                if r_primal > 10 * r_dual and rho < 1e4:
-                    rho *= 2.0
-                    u /= 2.0
-                elif r_dual > 10 * r_primal and rho > 1e-4:
-                    rho /= 2.0
-                    u *= 2.0
-    aff = prog.affine_residual(z)
-    return z, _info(max_iter, aff, r_primal, r_dual, cvec, z,
-                    aff <= tol and cvec is None, gap_direction if aff > 50 * tol else None)
+    m = b.size
+    dims = [fv.shape[1] for fv in f]
+    flat = [fv.reshape(m, n * n) for fv, n in zip(f, dims)]
+    ft = [fv.transpose(0, 2, 1).reshape(m, n * n) for fv, n in zip(f, dims)]
+
+    def op(xs):
+        return sum((t @ xv.reshape(-1)).real for t, xv in zip(ft, xs))
+
+    def adj(v):
+        return [(v @ fl).reshape(n, n) for fl, n in zip(flat, dims)]
+
+    def herm(mat):
+        return 0.5 * (mat + mat.conj().T)
+
+    nu = sum(dims)
+    bnorm = 1.0 + np.linalg.norm(b)
+    cnorm = 1.0 + np.sqrt(sum(np.linalg.norm(cv) ** 2 for cv in c))
+    x = [np.eye(n, dtype=np.complex128) for n in dims]
+    z = [np.eye(n, dtype=np.complex128) for n in dims]
+    y = np.zeros(m)
+    status, stopped = IPM_ITERATION_CAP, None
+    it = 0
+    while True:
+        aty = adj(y)
+        rp = b - op(x)
+        rd = [cv - av - zv for cv, av, zv in zip(c, aty, z)]
+        pobj = sum(np.vdot(cv, xv).real for cv, xv in zip(c, x))
+        dobj = float(b @ y)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        pinf = float(np.linalg.norm(rp) / bnorm)
+        dinf = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd)) / cnorm)
+        worst = max(gap, pinf, dinf)
+        if stop is not None:
+            stopped = stop(x, aty, worst)
+            if stopped is not None:
+                status = IPM_STOPPED
+                break
+        if worst <= IPM_TOL:
+            status = IPM_OPTIMAL
+            break
+        if not np.isfinite(worst):  # diverged, as on an infeasible objective program
+            status = IPM_NUMERICAL_FAILURE
+            break
+        if it == IPM_MAX_ITER:
+            break
+        try:
+            lx = [_inv_chol(xv) for xv in x]
+            lz = [_inv_chol(zv) for zv in z]
+            it += 1
+            zinv = [lv.conj().T @ lv for lv in lz]
+            mu = sum(np.vdot(zv, xv).real for xv, zv in zip(x, z)) / nu
+            schur = sum(((fv @ xv).reshape(m, n * n)
+                         @ (fv @ zi).transpose(0, 2, 1).reshape(m, n * n).T).real
+                        for fv, xv, zi, n in zip(f, x, zinv, dims))
+            schur = 0.5 * (schur + schur.T)
+            try:
+                factor = scipy.linalg.cho_factor(schur)
+            except np.linalg.LinAlgError:
+                factor = None
+            h_rd = [herm(xv @ r @ zi) for xv, r, zi in zip(x, rd, zinv)]
+
+            def solve(r):
+                if factor is None:
+                    return np.linalg.lstsq(schur, r, rcond=None)[0]
+                return scipy.linalg.cho_solve(factor, r)
+
+            def direction(g):
+                dy = solve(rp - op([gv - hv for gv, hv in zip(g, h_rd)]))
+                dz = [r - av for r, av in zip(rd, adj(dy))]
+                dx = [gv - herm(xv @ dzv @ zi) for gv, xv, dzv, zi in zip(g, x, dz, zinv)]
+                # the rows are orthonormal, so this restores A dx = rp exactly
+                # when the Schur solve has lost accuracy
+                miss = adj(rp - op(dx))
+                return [dv + mv for dv, mv in zip(dx, miss)], dy, dz
+
+            def step(factors, d):
+                return min(_max_step(lv, dv) for lv, dv in zip(factors, d))
+
+            dx, dy, dz = direction([-xv for xv in x])
+            ap, ad = min(1.0, step(lx, dx)), min(1.0, step(lz, dz))
+            mu_aff = sum(np.vdot(zv + ad * dzv, xv + ap * dxv).real
+                         for xv, dxv, zv, dzv in zip(x, dx, z, dz)) / nu
+            sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
+            dx, dy, dz = direction([sigma * mu * zi - xv - herm(dxv @ dzv @ zi)
+                                    for xv, dxv, dzv, zi in zip(x, dx, dz, zinv)])
+            ap, ad = min(1.0, 0.98 * step(lx, dx)), min(1.0, 0.98 * step(lz, dz))
+            x = [herm(xv + ap * dxv) for xv, dxv in zip(x, dx)]
+            y = y + ad * dy
+            z = [herm(zv + ad * dzv) for zv, dzv in zip(z, dz)]
+        except np.linalg.LinAlgError:
+            status = IPM_NUMERICAL_FAILURE
+            break
+    return IpmSolve(x=x, z=z, status=status, iterations=it, gap=gap,
+                    primal_infeasibility=pinf, dual_infeasibility=dinf, stopped=stopped)
 
 
-def _info(it, aff, rp, rd, cvec, z, converged, gap):
-    return {
-        "iterations": it,
-        "affine_residual": aff,
-        "primal_residual": rp,
-        "dual_residual": rd,
-        "objective": float(cvec @ z) if cvec is not None else 0.0,
-        "converged": converged,
-        "gap_direction": gap,
-    }
+def _inv_chol(h):
+    """Inverse L^-1 of the Cholesky factor of a positive definite matrix;
+    LinAlgError when it is not positive definite."""
+    if h.shape[0] == 1:
+        v = h[0, 0].real
+        if not v > 0:
+            raise np.linalg.LinAlgError("not positive definite")
+        return np.array([[1.0 / np.sqrt(v)]], dtype=np.complex128)
+    return np.linalg.inv(np.linalg.cholesky(h))
 
 
-def _verify_separating(prepared, direction, tol):
-    """Polish a gap direction into a separating functional and verify it.
-
-    Returns (blocks, margin, cone_residual) or None.  Alternates between the
-    blockwise negative-semidefinite cone and the constraint row space; the
-    final iterate lies exactly in the row space, so its pairing is constant
-    on the affine set.  Acceptance is deliberately stringent: the positive
-    spectral leak wmax must be tiny in absolute terms AND dominated by the
-    margin with a large safety factor (a feasible point z could pair up to
-    wmax * trace(z), so a loose wmax would let boundary-thin feasible
-    programs masquerade as infeasible).
-    """
-    if direction is None:
-        return None
-    v = direction.copy()
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return None
-    v /= nv
-    for _ in range(200):
-        v = -prepared.project_cone(-v)
-        if prepared.rows.shape[0]:
-            v = prepared.rows.T @ (prepared.rows @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-13:
-            return None
-        v /= nv
-    margin = float(v @ prepared.x_particular)
-    if margin < 0:
-        v = -v
-        margin = -margin
-    wmax = 0.0
-    for h in prepared.blocks_of(v):
-        w = np.linalg.eigvalsh(h)
-        wmax = max(wmax, float(w[-1]))
-    scale = max(1.0, float(np.linalg.norm(prepared.rhs, ord=np.inf)) if prepared.rhs.size else 1.0)
-    if wmax <= 1e-9 * scale and margin > max(1e5 * wmax, 100 * tol * scale):
-        return prepared.blocks_of(v), margin, wmax
-    return None
+def _max_step(lv, dv):
+    """Largest t keeping L L* + t dv PSD, given the inverse Cholesky factor
+    ``lv`` = L^-1 of the current point."""
+    if lv.shape[0] == 1:
+        w = (lv[0, 0] * dv[0, 0] * lv[0, 0].conj()).real
+    else:
+        w = np.linalg.eigvalsh(lv @ dv @ lv.conj().T)[0]
+    return -1.0 / w if w < 0 else np.inf
 
 
-def solve_feasibility(program: ConicProgram, tol: float = 1e-7,
-                      max_iter: int = MAX_ITER) -> SolveOutcome:
-    """Decide feasibility of ``{X >= 0 blockwise} ∩ {affine constraints}``.
+def _pairing(a, b):
+    """sum_v Re<A_v, B_v> over blocks."""
+    return float(sum(np.vdot(av, bv).real for av, bv in zip(a, b)))
 
-    Feasible outcomes return an exactly-PSD primal point whose affine
-    residual is below ``tol``; infeasible outcomes return a verified
-    separating functional; anything razor-thin comes back Marginal for the
-    caller to widen tolerances or treat as inconclusive.
+
+# ---------------------------------------------------------------------------
+# Feasibility and objective solves
+# ---------------------------------------------------------------------------
+
+
+def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
+    """Decide feasibility of ``{X >= 0 blockwise} ∩ {affine constraints}``,
+    or minimize the program's objective over that set.
+
+    Without an objective this is the phase-I margin solve of
+    :func:`_phase_one`: Feasible outcomes return an exactly-PSD primal
+    point whose affine residual is below ``tol``, Infeasible outcomes a
+    separating functional checked afresh, and anything razor-thin comes
+    back Marginal for the caller to treat as inconclusive.  With an
+    objective the program is solved in standard form; the outcome is
+    Feasible at the first iterate with relative gap and infeasibilities
+    below ``OBJECTIVE_TOL`` that, corrected onto the affine set and
+    projected onto the cone, meets the constraints within ``tol``.  When
+    no iterate does, a phase-I solve may still prove the constraints
+    infeasible, and the outcome is Marginal when it does not.
     """
     if not (1e-10 <= tol <= 1e-3):
         raise BadProgram(f"tol {tol} outside [1e-10, 1e-3]")
@@ -342,42 +394,107 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7,
         y, margin, cone_res = prepared.inconsistent_y
         return SolveOutcome(
             status=INFEASIBLE,
-            dual_witness=prepared.blocks_of(np.zeros(prepared.total_dim)),
-            residual=np.inf,
+            dual_witness=prepared.blocks_of(np.zeros(prepared.offsets[-1])),
             witness_margin=margin,
             witness_cone_residual=cone_res,
             diagnostics="affine constraints are inconsistent",
         )
-    z, info = _admm(prepared, tol, max_iter=max_iter)
-    if info["converged"]:
+    if prepared.c is None:
+        return _phase_one(prepared, tol)
+
+    def stop(x, _aty, worst):
+        if worst <= OBJECTIVE_TOL:
+            point, residual = prepared.polish(x)
+            if residual <= tol:
+                return SolveOutcome(status=FEASIBLE, primal_point=point, residual=residual,
+                                    objective_value=_pairing(prepared.c, point))
+        return None
+
+    sol = _hkm(prepared.f, prepared.rhs, prepared.c, stop=stop)
+    out = sol.stopped or _phase_one(prepared, tol)
+    out.iterations += sol.iterations
+    if out.status == FEASIBLE and sol.stopped is None:
         return SolveOutcome(
-            status=FEASIBLE,
-            primal_point=prepared.blocks_of(z),
-            residual=info["affine_residual"],
-            objective_value=info["objective"] if prepared.cvec is not None else None,
-            iterations=info["iterations"],
-        )
-    cert = _verify_separating(prepared, info["gap_direction"], tol)
-    if cert is not None:
-        blocks, margin, cone_res = cert
-        return SolveOutcome(
-            status=INFEASIBLE,
-            dual_witness=blocks,
-            residual=info["affine_residual"],
-            witness_margin=margin,
-            witness_cone_residual=cone_res,
-            iterations=info["iterations"],
-        )
+            status=MARGINAL, iterations=out.iterations,
+            diagnostics=(f"objective solve {sol.status} after {sol.iterations} "
+                         f"iterations (gap {sol.gap:.1e}, infeasibility "
+                         f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})"))
+    return out
+
+
+def _phase_one(prepared: _DensePrepared, tol) -> SolveOutcome:
+    """Maximize lambda subject to X_v - lambda I >= 0 and the constraints.
+
+    With X_v = Y_v + lambda I and lambda = s - c0, where c0 exceeds the
+    norm of the least-norm affine point (so that the program is strictly
+    feasible), this is: maximize s over Y >= 0, s >= 0 with
+    A(Y) + s A(I) = b + c0 A(I).  The solve stops at the first iterate with
+    lambda > 0 whose point X, corrected onto the affine set and projected
+    onto the cone, meets the constraints within ``tol``: Feasible, even
+    when lambda is unbounded.  Otherwise, at each iterate, phi = A^T y on
+    the Y blocks lies in the row space, so it pairs with every affine point
+    as with the least-norm one; Infeasible as soon as it passes
+    :func:`_separating`, Marginal when no iterate gives either answer.
+    """
+    dims = prepared.dims
+    xp = prepared.x_particular
+    c0 = 1.0 + max(np.linalg.norm(h) for h in xp)
+    t = sum(np.trace(fv, axis1=1, axis2=2).real for fv in prepared.f)  # A(I)
+    # the rows [F, t] are orthonormal again after (I + t t^T)^-1/2,
+    # which is I - kappa t t^T
+    tt = float(t @ t)
+    kappa = (1.0 - 1.0 / np.sqrt(1.0 + tt)) / tt if tt > 0 else 0.0
+    f = [fv - kappa * np.multiply.outer(t, np.tensordot(t, fv, axes=1)) for fv in prepared.f]
+    f.append(((1.0 - kappa * tt) * t).astype(np.complex128)[:, None, None])
+    rhs = prepared.rhs + c0 * t
+    rhs = rhs - kappa * t * (t @ rhs)
+    c = [np.zeros((n, n), dtype=np.complex128) for n in dims] + [-np.ones((1, 1))]
+    scale = max(1.0, float(np.abs(prepared.rhs).max(initial=0.0)))
+
+    def stop(x, aty, _worst):
+        lam = x[-1][0, 0].real - c0
+        if lam > 0:
+            point, residual = prepared.polish(
+                [xv + lam * np.eye(n) for xv, n in zip(x[:-1], dims)])
+            if residual <= tol:
+                return SolveOutcome(status=FEASIBLE, primal_point=point, residual=residual)
+        return _separating(aty[:-1], xp, tol, scale)
+
+    sol = _hkm(f, rhs, c, stop=stop)
+    if sol.stopped is not None:
+        sol.stopped.iterations = sol.iterations
+        return sol.stopped
     return SolveOutcome(
-        status=MARGINAL,
-        residual=info["affine_residual"],
-        objective_value=info["objective"] if prepared.cvec is not None else None,
-        iterations=info["iterations"],
-        diagnostics=(
-            f"no certificate within {info['iterations']} iterations; "
-            f"affine residual {info['affine_residual']:.2e}"
-        ),
+        status=MARGINAL, iterations=sol.iterations,
+        diagnostics=(f"no certificate: phase-I solve {sol.status} after "
+                     f"{sol.iterations} iterations at margin "
+                     f"{sol.x[-1][0, 0].real - c0:.2e}"),
     )
+
+
+def _separating(phi, x_particular, tol, scale):
+    """Infeasible outcome from a functional ``phi`` in the row space, or
+    None.
+
+    At unit norm, phi's pairing with the least-norm affine point is the
+    margin.  Acceptance is deliberately stringent: the positive spectral
+    leak wmax must be tiny in absolute terms AND dominated by the margin
+    with a large safety factor (a feasible point X could pair up to
+    wmax * trace(X), so a loose wmax would let boundary-thin feasible
+    programs masquerade as infeasible).
+    """
+    nrm = np.sqrt(sum(np.linalg.norm(p) ** 2 for p in phi))
+    if nrm == 0:
+        return None
+    margin = _pairing(phi, x_particular) / nrm
+    if margin <= 100 * tol * scale:
+        return None
+    phi = [p / nrm for p in phi]
+    wmax = max(0.0, *(float(np.linalg.eigvalsh(p)[-1]) for p in phi))
+    if wmax <= 1e-9 * scale and margin > 1e5 * wmax:
+        return SolveOutcome(status=INFEASIBLE, dual_witness=phi, witness_margin=margin,
+                            witness_cone_residual=wmax)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +503,15 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7,
 
 
 def minimize_opnorm(target, subspace_basis, tol: float = 1e-8,
-                    real_coeffs: bool = False, max_iter: int = 30_000):
+                    real_coeffs: bool = False):
     """Minimize ``||target - x||`` over x in the span of ``subspace_basis``.
 
     Standard epigraph form: one Hermitian block [[t I, R], [R*, t I]] >= 0
-    with R pinned to target - span, minimizing t.  Returns
-    ``(value, coeffs)``; the value is recomputed directly from the returned
-    coefficients, so it is always attained by them.  Raises
-    InconclusiveAtTolerance when the solve is not Feasible.
+    with R pinned to target - span, minimizing t, solved as an objective
+    program of :func:`solve_feasibility`.  Returns ``(value, coeffs)``; the
+    value is recomputed directly from the returned coefficients, so it is
+    always attained by them.  Raises InconclusiveAtTolerance when the solve
+    is not Feasible.
 
     ``real_coeffs`` restricts to real combinations (minimization over the
     selfadjoint part of a space).
@@ -414,26 +532,19 @@ def minimize_opnorm(target, subspace_basis, tol: float = 1e-8,
         big[:p, p:] = 0.5 * f
         big[p:, :p] = 0.5 * f.conj().T
         constraints.append(([big], float(np.real(hs_inner(t0, f)))))
-    # diagonal blocks must equal t * identity
-    for i in range(p):
-        for j in range(i + 1, p):
-            for f in _herm_units(n, i, j):
-                constraints.append(([f], 0.0))
-    for i in range(q):
-        for j in range(i + 1, q):
-            for f in _herm_units(n, p + i, p + j):
-                constraints.append(([f], 0.0))
-    for i in range(1, p):
-        f = np.zeros((n, n), dtype=np.complex128)
-        f[0, 0], f[i, i] = 1.0, -1.0
-        constraints.append(([f], 0.0))
-    for i in range(q):
-        f = np.zeros((n, n), dtype=np.complex128)
-        f[0, 0], f[p + i, p + i] = 1.0, -1.0
-        constraints.append(([f], 0.0))
+    # diagonal blocks must equal t * identity: their traceless parts vanish
+    # and their normalized traces agree
+    for k, lo in ((p, 0), (q, p)):
+        for h in matcore.herm_complement(np.eye(k)[None], k):
+            f = np.zeros((n, n), dtype=np.complex128)
+            f[lo : lo + k, lo : lo + k] = h
+            constraints.append(([f], 0.0))
+    f = np.zeros((n, n), dtype=np.complex128)
+    f[:p, :p], f[p:, p:] = np.eye(p) / p, -np.eye(q) / q
+    constraints.append(([f], 0.0))
 
     prog = ConicProgram([n], constraints, objective=[np.eye(n, dtype=np.complex128) / n])
-    out = solve_feasibility(prog, tol=max(tol, 1e-9), max_iter=max_iter)
+    out = solve_feasibility(prog, tol=max(tol, 1e-9))
     if out.status != FEASIBLE:
         raise InconclusiveAtTolerance(f"norm minimization solve {out.status}: "
                                       f"{out.diagnostics}")
@@ -467,18 +578,6 @@ def _offdiag_complement_rows(stack, p, q, real=False):
     return (comp[:, : p * q] + 1j * comp[:, p * q :]).reshape(-1, p, q)
 
 
-def _herm_units(n, i, j):
-    """Hermitian matrices reading off Re X_ij and -Im X_ij: paired with X,
-    the second gives Re tr(f X) = -Im X_ij.  Every caller pins the pairing
-    to 0, where the sign does not matter."""
-    fr = np.zeros((n, n), dtype=np.complex128)
-    fr[i, j] = fr[j, i] = 0.5
-    fi = np.zeros((n, n), dtype=np.complex128)
-    fi[i, j] = -0.5j
-    fi[j, i] = 0.5j
-    return [fr, fi]
-
-
 # ---------------------------------------------------------------------------
 # Linear maps between matrix subspaces, and the cc oracle
 # ---------------------------------------------------------------------------
@@ -488,8 +587,7 @@ class LinearMapSpec:
     """A linear map from a matrix subspace W of M_p into M_q.
 
     Given by a linearly independent spanning family of W and the image of
-    each member; orthonormalized internally (images transformed along), the
-    Gram condition number of the input family is recorded.
+    each member; orthonormalized internally (images transformed along).
     """
 
     def __init__(self, domain_basis, images):
@@ -506,7 +604,6 @@ class LinearMapSpec:
         w = np.linalg.eigvalsh(gram)
         if w[0] <= 1e-12 * max(w[-1], 1.0):
             raise ShapeMismatch("domain family is numerically dependent")
-        self.gram_condition = float(w[-1] / w[0])
         on, _ = orthonormalize(dom)
         if on.shape[0] != d:
             raise ShapeMismatch("domain family is numerically dependent")
@@ -520,9 +617,6 @@ class LinearMapSpec:
     @property
     def dim(self):
         return self.on_domain.shape[0]
-
-    def apply_coeffs(self, coeffs):
-        return np.einsum("t,tab->ab", np.asarray(coeffs, dtype=np.complex128), self.on_images)
 
     def apply_level(self, coeffs):
         """Entrywise application at level k; coeffs has shape (k, k, dim)."""
@@ -592,137 +686,25 @@ class ChoiAgreementProgram:
 
 
 @dataclass
-class ScaleSolve:
-    """Last iterate of :func:`_hkm_max_scale`: the PSD block ``x``, the
-    scaling ``s`` and the dual slack ``z`` (PSD, same size as ``x``), with
-    the solver status, iteration count, and the relative duality gap and
-    primal / dual infeasibilities at that point."""
+class ScaleSolve(IpmSolve):
+    """:class:`IpmSolve` of the scaling program: ``x`` and ``z`` are its
+    Choi blocks and ``s`` the scaling."""
 
-    x: np.ndarray
-    s: float
-    z: np.ndarray
-    status: str
-    iterations: int
-    gap: float
-    primal_infeasibility: float
-    dual_infeasibility: float
-
-
-IPM_OPTIMAL = "optimal"
-IPM_ITERATION_CAP = "iteration cap"
-IPM_NUMERICAL_FAILURE = "numerical failure"
-IPM_TOL = 1e-10
-IPM_MAX_ITER = 60
+    s: float = 0.0
 
 
 def _hkm_max_scale(f, a, b) -> ScaleSolve:
-    """Maximize s over ``{X >= 0, s >= 0 : Re<F_i, X> + a_i s = b_i}``.
-
-    Dense infeasible-start primal-dual path following with the HKM search
-    direction (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and Mehrotra
-    predictor-corrector steps.  The rows are orthonormalized first.  The
-    Schur matrix ``M_ij = Re tr(F_i X F_j Z^-1) + a_i a_j s / z_s`` falls
-    back to least squares once it stops being numerically positive
-    definite, which happens close to the optimum, and each primal step is
-    projected back onto the linearized constraints so that a lossy solve
-    cannot build up primal infeasibility.  Stops at relative gap and
-    infeasibilities below ``IPM_TOL``, after ``IPM_MAX_ITER`` iterations,
-    or when a factor fails; the last iterate is returned in every case.
-    """
+    """Maximize s over ``{X >= 0, s >= 0 : Re<F_i, X> + a_i s = b_i}``: the
+    two-block case [X, s] of :func:`_hkm`, with objective -s, after the
+    rows are orthonormalized."""
     n = f.shape[1]
-    rows = np.stack([np.concatenate([herm_to_rvec(fi), [ai]]) for fi, ai in zip(f, a)])
-    u, sv, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = sv > 1e-12 * sv[0]
-    b = (u[:, keep].T @ b) / sv[keep]
-    f = np.stack([rvec_to_herm(r[:-1], n) for r in vh[keep]])
-    a = vh[keep, -1]
-    m = f.shape[0]
-    ft = f.transpose(0, 2, 1).reshape(m, -1)
-
-    def op(mat):
-        return (ft @ mat.reshape(-1)).real
-
-    def adj(v):
-        return np.einsum("i,iab->ab", v, f)
-
-    def herm(mat):
-        return 0.5 * (mat + mat.conj().T)
-
-    eye = np.eye(n, dtype=np.complex128)
-    x, xs, z, zs = eye.copy(), 1.0, eye.copy(), 1.0
-    y = np.zeros(m)
-    status = IPM_ITERATION_CAP
-    it = 0
-    while True:
-        rp = b - op(x) - a * xs
-        rd = -adj(y) - z
-        rds = -1.0 - a @ y - zs
-        pobj, dobj = -xs, float(b @ y)
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pinf = float(np.linalg.norm(rp) / (1.0 + np.linalg.norm(b)))
-        dinf = float(np.hypot(np.linalg.norm(rd), rds) / 2.0)  # 1 + ||c|| = 2
-        if max(gap, pinf, dinf) <= IPM_TOL:
-            status = IPM_OPTIMAL
-            break
-        if it == IPM_MAX_ITER:
-            break
-        try:
-            lx = np.linalg.inv(np.linalg.cholesky(x))
-            lz = np.linalg.inv(np.linalg.cholesky(z))
-        except np.linalg.LinAlgError:
-            status = IPM_NUMERICAL_FAILURE
-            break
-        it += 1
-        zinv = lz.conj().T @ lz
-        mu = (float(np.trace(x @ z).real) + xs * zs) / (n + 1)
-        schur = ((f @ x).reshape(m, -1) @ (f @ zinv).transpose(0, 2, 1).reshape(m, -1).T).real
-        schur = 0.5 * (schur + schur.T) + np.outer(a, a) * (xs / zs)
-        try:
-            factor = scipy.linalg.cho_factor(schur)
-        except np.linalg.LinAlgError:
-            factor = None
-        h_rd = herm(x @ rd @ zinv)
-
-        def solve(r):
-            if factor is None:
-                return np.linalg.lstsq(schur, r, rcond=None)[0]
-            return scipy.linalg.cho_solve(factor, r)
-
-        def direction(g_mat, rc_s):
-            dy = solve(rp - op(g_mat - h_rd) - a * (rc_s / zs - xs / zs * rds))
-            dz = rd - adj(dy)
-            dzs = rds - a @ dy
-            dx, dxs = g_mat - herm(x @ dz @ zinv), (rc_s - xs * dzs) / zs
-            # the rows are orthonormal, so this restores A dx = rp exactly
-            # when the Schur solve has lost accuracy
-            miss = rp - op(dx) - a * dxs
-            return dx + adj(miss), dxs + a @ miss, dy, dz, dzs
-
-        dx, dxs, dy, dz, dzs = direction(-x, -xs * zs)
-        ap = min(1.0, _max_step(lx, dx), _max_step(xs, dxs))
-        ad = min(1.0, _max_step(lz, dz), _max_step(zs, dzs))
-        mu_aff = (float(np.trace((x + ap * dx) @ (z + ad * dz)).real)
-                  + (xs + ap * dxs) * (zs + ad * dzs)) / (n + 1)
-        sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
-        dx, dxs, dy, dz, dzs = direction(
-            sigma * mu * zinv - x - herm(dx @ dz @ zinv),
-            sigma * mu - xs * zs - dxs * dzs)
-        ap = min(1.0, 0.98 * min(_max_step(lx, dx), _max_step(xs, dxs)))
-        ad = min(1.0, 0.98 * min(_max_step(lz, dz), _max_step(zs, dzs)))
-        x, xs = herm(x + ap * dx), xs + ap * dxs
-        y, z, zs = y + ad * dy, herm(z + ad * dz), zs + ad * dzs
-    return ScaleSolve(x=x, s=xs, z=z, status=status, iterations=it, gap=gap,
-                      primal_infeasibility=pinf, dual_infeasibility=dinf)
-
-
-def _max_step(v, dv):
-    """Largest t keeping a cone point in the cone along ``dv``: for a
-    scalar ``v`` the point is v itself; for a matrix, ``v`` is the inverse
-    Cholesky factor L^-1 of the PSD point L L*."""
-    if np.ndim(v) == 0:
-        return -v / dv if dv < 0 else np.inf
-    w = np.linalg.eigvalsh(v @ dv @ v.conj().T)[0]
-    return -1.0 / w if w < 0 else np.inf
+    rows = np.concatenate([herm_to_rvec(f), np.asarray(a)[:, None]], axis=1)
+    cvec = np.zeros(n * n + 1)
+    cvec[-1] = -1.0
+    prepared = _DensePrepared([n, 1], rows, np.asarray(b, dtype=float), cvec)
+    sol = _hkm(prepared.f, prepared.rhs, prepared.c)
+    return ScaleSolve(**{**vars(sol), "x": sol.x[0], "z": sol.z[0],
+                         "s": float(sol.x[1][0, 0].real)})
 
 
 def _paulsen_family(map_spec: LinearMapSpec):
@@ -773,6 +755,10 @@ def _paulsen_family(map_spec: LinearMapSpec):
 
 @dataclass
 class CcResult:
+    """A cc verdict with its certificate data; ``route`` says what decided
+    it: the zero map, the certified Choi bound (Yes and Marginal) or the
+    dual witness (No)."""
+
     verdict: str
     cb_estimate: float
     level: int | None = None
@@ -781,6 +767,7 @@ class CcResult:
     residual: float = 0.0
     iterations: int = 0
     diagnostics: str = ""
+    route: str = ROUTE_CHOI_BOUND
 
 
 def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
@@ -803,7 +790,8 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
     Marginal, with the solver's status in the diagnostics.
     """
     if all(np.abs(y).max(initial=0.0) < 1e-14 for y in map_spec.on_images):
-        return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map")
+        return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map",
+                        route=ROUTE_ZERO_MAP)
 
     gens, y0, y1, support = _paulsen_family(map_spec)
     prog = ChoiAgreementProgram(gens, y0, y1, support)
@@ -831,7 +819,8 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
                         violating_coeffs=coeffs, violation_norm=value,
                         residual=residual, iterations=sol.iterations,
                         diagnostics=f"dual witness at level {map_spec.q}, "
-                                    f"||psi(y)|| = {value:.9f}")
+                                    f"||psi(y)|| = {value:.9f}",
+                        route=ROUTE_DUAL_WITNESS)
     return CcResult(verdict=CC_MARGINAL, cb_estimate=bound, residual=residual,
                     iterations=sol.iterations,
                     diagnostics=f"{solver}; certified cb bound {bound:.9f} exceeds "

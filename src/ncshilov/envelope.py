@@ -33,6 +33,10 @@ LOOSE = "loose"
 ESSENTIAL = "essential"
 MARGINAL = "marginal"
 
+# An Essential verdict read off a kernel of the compression; the cc
+# oracle's routes are in conesolver.
+ROUTE_KERNEL = "kernel"
+
 SCAN_DESCENDING_RANK = "descending_rank"
 SCAN_ASCENDING_RANK = "ascending_rank"
 
@@ -49,6 +53,7 @@ class LoosenessVerdict:
     witness_gap: float | None = None
     residual: float | None = None
     iterations: int | None = None
+    route: str = ROUTE_KERNEL
 
 
 @dataclass
@@ -161,7 +166,8 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
     verdicts carry either a kernel witness or a level-q element, q the
     stripped block size, read from the dual point of the Choi solve, whose
     norm drops under the compression (gap re-verified numerically).  Every
-    verdict that rests on the Choi solve records its iteration count and
+    verdict records its route (a kernel, or the cc oracle's route), and
+    every one that rests on the Choi solve its iteration count and
     agreement residual."""
     p = block.projection
     keep = alg.unit - p
@@ -180,7 +186,8 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
     if res.verdict == CC_YES:
         return LoosenessVerdict(status=LOOSE, block_rank=block.rank, block_k=block.k,
                                 reason=res.diagnostics, cb_estimate=res.cb_estimate,
-                                residual=res.residual, iterations=res.iterations)
+                                residual=res.residual, iterations=res.iterations,
+                                route=res.route)
     if res.verdict == CC_NO:
         coeffs = np.einsum("ijt,ts->ijs", res.violating_coeffs,
                            _domain_to_space(lam, x, kept))
@@ -190,10 +197,11 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
                                 cb_estimate=res.cb_estimate,
                                 witness_level=res.level, witness_coeffs=coeffs,
                                 witness_gap=gap, residual=res.residual,
-                                iterations=res.iterations)
+                                iterations=res.iterations, route=res.route)
     return LoosenessVerdict(status=MARGINAL, block_rank=block.rank, block_k=block.k,
                             reason=res.diagnostics, cb_estimate=res.cb_estimate,
-                            residual=res.residual, iterations=res.iterations)
+                            residual=res.residual, iterations=res.iterations,
+                            route=res.route)
 
 
 def _domain_to_space(lam: LinearMapSpec, x: MatrixSpace, kept):

@@ -245,33 +245,37 @@ def _triu_cache(n):
 
 
 def herm_to_rvec(h) -> np.ndarray:
+    """Vectorize a Hermitian matrix, or each of a stack along the last axes."""
     m = np.asarray(h, dtype=np.complex128)
-    n = m.shape[0]
+    n = m.shape[-1]
     iu = _triu_cache(n)
-    return np.concatenate([m.diagonal().real,
-                           np.sqrt(2.0) * m[iu].real,
-                           np.sqrt(2.0) * m[iu].imag])
+    upper = m[..., iu[0], iu[1]]
+    return np.concatenate([m.diagonal(axis1=-2, axis2=-1).real,
+                           np.sqrt(2.0) * upper.real,
+                           np.sqrt(2.0) * upper.imag], axis=-1)
 
 
 def rvec_to_herm(v, n) -> np.ndarray:
+    """Inverse of :func:`herm_to_rvec`; a stack of vectors gives a stack."""
     v = np.asarray(v, dtype=np.float64)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[np.diag_indices(n)] = v[:n]
+    m = np.zeros(v.shape[:-1] + (n, n), dtype=np.complex128)
+    d = np.arange(n)
+    m[..., d, d] = v[..., :n]
     iu = _triu_cache(n)
     k = len(iu[0])
-    upper = (v[n : n + k] + 1j * v[n + k : n + 2 * k]) / np.sqrt(2.0)
-    m[iu] = upper
-    m[(iu[1], iu[0])] = upper.conj()
+    upper = (v[..., n : n + k] + 1j * v[..., n + k : n + 2 * k]) / np.sqrt(2.0)
+    m[..., iu[0], iu[1]] = upper
+    m[..., iu[1], iu[0]] = upper.conj()
     return m
 
 
 def herm_complement(hb, n) -> list:
     """Hermitian pairing rows spanning the real orthocomplement of the span
     of ``hb`` inside the Hermitian n x n matrices."""
-    rows = np.stack([herm_to_rvec(h) for h in hb]) if len(hb) else np.zeros((0, n * n))
+    rows = herm_to_rvec(hb) if len(hb) else np.zeros((0, n * n))
     _, s, vh = np.linalg.svd(rows, full_matrices=True) if rows.size else (None, np.zeros(0), np.eye(n * n))
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    return [rvec_to_herm(r, n) for r in vh[rank:]]
+    return list(rvec_to_herm(vh[rank:], n))
 
 
 def random_complex(rng, shape) -> np.ndarray:

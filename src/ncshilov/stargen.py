@@ -66,13 +66,6 @@ class MatrixSpace:
     def contains(self, m, tol: float = 1e-8) -> bool:
         return span_residual(self.basis, m) <= tol
 
-    def random_selfadjoint(self, rng, level: int = 1) -> np.ndarray:
-        hb = self.hermitian_basis()
-        c = rng.standard_normal((level, level, hb.shape[0]))
-        c = c + 1j * rng.standard_normal((level, level, hb.shape[0]))
-        c = 0.5 * (c + c.conj().transpose(1, 0, 2))
-        return matcore.amplify(c, hb)
-
 
 @dataclass
 class AlgebraPresentation:
@@ -205,7 +198,10 @@ def cone_spans(x: MatrixSpace, tol: float = 1e-7, seed: int = 0) -> ConeSpanResu
     positives found so far; look for a positive unit-trace element of X with
     a component outside S by maximizing random +/- directions of the
     orthocomplement of S (confirmed with a full basis sweep before giving
-    up).  Each probe is a small PSD program with a linear objective.
+    up).  Each probe is a small PSD program with a linear objective, an
+    objective solve of :func:`conesolver.solve_feasibility`; a Marginal
+    probe makes a negative answer inconclusive, while an Infeasible one
+    (no positive trace-one element at all) is conclusive.
     """
     hb = x.hermitian_basis()
     d = hb.shape[0]
@@ -270,7 +266,7 @@ def _max_direction_positive(x: MatrixSpace, w, tol):
         constraints.append(([f], 0.0))
     prog = conesolver.ConicProgram([n], constraints, objective=[-hermitize(w)])
     try:
-        out = conesolver.solve_feasibility(prog, tol=min(tol, 1e-7), max_iter=20_000)
+        out = conesolver.solve_feasibility(prog, tol=min(tol, 1e-7))
     except BadProgram:
         # the affine system is empty (e.g. the space has no trace-1 element),
         # so there is certainly no positive candidate in this direction

@@ -225,12 +225,7 @@ def _karn_feasibility(hb, n, k, v, big_root, delta, tol):
     eye = np.eye(kn, dtype=np.complex128)
     constraints = []
     # U in M_k(X): pin each (i, j) entry block to the real span structure.
-    level_basis = _level_herm_basis(hb, k)
-    rows = np.stack([matcore.herm_to_rvec(h) for h in level_basis])
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    for r in vh[rank:]:
-        f = matcore.rvec_to_herm(r, kn)
+    for f in matcore.herm_complement(_level_herm_basis(hb, k), kn):
         constraints.append(([f, None, None], 0.0))
     # S1 + U = (1 - delta) I
     for f, rhs in _equality_pairings(kn, eye * (1.0 - delta)):
@@ -240,7 +235,7 @@ def _karn_feasibility(hb, n, k, v, big_root, delta, tol):
         transported = hermitize(big_root @ f @ big_root, rtol=1e-8)
         constraints.append(([(-1.0) * transported, None, f], rhs))
     prog = ConicProgram([kn, kn, kn], constraints)
-    return solve_feasibility(prog, tol=min(tol, 1e-7), max_iter=30_000)
+    return solve_feasibility(prog, tol=min(tol, 1e-7))
 
 
 def _level_herm_basis(hb, k):
@@ -373,8 +368,11 @@ def dominating_element(x: MatrixSpace, unit: str = UNIT_AMBIENT, env=None,
                        tol: float = 1e-7) -> DominationResult:
     """Find selfadjoint v in X with v >= unit, or report that none exists.
 
-    One feasibility solve: S = v - unit over the shifted selfadjoint span;
-    Found witnesses are re-verified PSD-dominant."""
+    One feasibility solve: S = v - unit over the shifted selfadjoint span.
+    The solve's point lies deep inside the cone, so a found v is scaled
+    down to v / lambda_min(v), which just dominates the unit (the unit is
+    the identity of the space's coordinates in both unit modes); Found
+    witnesses are re-verified PSD-dominant."""
     unit_matrix, space = _resolve_unit(x, unit, env)
     n = space.ambient_dim
     hb = space.hermitian_basis()
@@ -382,12 +380,15 @@ def dominating_element(x: MatrixSpace, unit: str = UNIT_AMBIENT, env=None,
     for f in matcore.herm_complement(hb, n):
         constraints.append(([f], -float(np.real(matcore.hs_inner(unit_matrix, f)))))
     prog = ConicProgram([n], constraints)
-    out = solve_feasibility(prog, tol=min(tol, 1e-7), max_iter=30_000)
+    out = solve_feasibility(prog, tol=min(tol, 1e-7))
     if out.status == conesolver.FEASIBLE:
         s = out.primal_point[0]
         v = s + unit_matrix
         coeffs = np.einsum("tab,ab->t", hb.conj(), v).real
         v_fit = np.einsum("t,tab->ab", coeffs, hb)
+        lowest = float(np.linalg.eigvalsh(v_fit)[0])
+        if lowest > 1.0:
+            coeffs, v_fit = coeffs / lowest, v_fit / lowest
         chk = psd_check(hermitize(v_fit - unit_matrix, rtol=1e-6), tol=10 * tol)
         if chk.positive and matcore.span_residual(hb, v) < 1e-6:
             return DominationResult(found=True, coeffs=coeffs, min_eig=chk.min_eig)

@@ -112,6 +112,7 @@ def test_envelope_command_and_determinism(tmp_path):
     # every eliminated step carries a certificate or witness
     for step in report["envelope"]["trace"]:
         assert step["status"] in ("loose", "essential")
+        assert step["route"] in ("kernel", "zero map", "choi bound", "dual witness")
         if step["status"] == "loose":
             assert "cb_estimate" in step
         if step["removed"]:

@@ -302,3 +302,21 @@ def test_choi_solve_bounds_known_cb_norms():
         bound, residual = _certified_cb_bound(prog, sol.x, sol.s)
         assert cb - 1e-12 <= bound <= cb + 1e-8
         assert residual <= 1e-10
+
+
+def test_two_block_objective_program_reaches_the_smaller_eigenvalue():
+    # min Re tr(C1 X1) + Re tr(C2 X2) subject to tr X1 + tr X2 = 1 puts all
+    # the weight on the smallest eigenvalue of either block
+    rng = np.random.default_rng(17)
+    for n1, n2 in ((2, 3), (3, 1), (4, 2)):
+        c1, c2 = matcore.random_hermitian(rng, n1), matcore.random_hermitian(rng, n2)
+        prog = ConicProgram([n1, n2], [([np.eye(n1, dtype=complex), np.eye(n2, dtype=complex)],
+                                         1.0)], objective=[c1, c2])
+        out = solve_feasibility(prog, 1e-8)
+        assert out.status == FEASIBLE
+        best = min(np.linalg.eigvalsh(c1)[0], np.linalg.eigvalsh(c2)[0])
+        assert out.objective_value == pytest.approx(best, abs=1e-7)
+        x1, x2 = out.primal_point
+        assert np.trace(x1).real + np.trace(x2).real == pytest.approx(1.0, abs=1e-8)
+        assert matcore.psd_check(x1, tol=1e-12).positive
+        assert matcore.psd_check(x2, tol=1e-12).positive

@@ -3,6 +3,7 @@ import pytest
 
 from ncshilov import matcore
 from ncshilov.errors import RankAmbiguous, UnitNotInAlgebra, ZeroSpace
+from ncshilov.selftest import loose_instance
 from ncshilov.stargen import (
     cone_spans,
     generate_star_algebra,
@@ -159,12 +160,42 @@ def test_cone_spans_offdiagonal_fails():
     assert r.span_dim == 0
 
 
+def test_cone_spans_without_positive_elements_is_conclusive():
+    # a diag(1, -2, .5) + b diag(0, 1, -3) >= 0 forces a = b = 0, yet the
+    # trace-one probe programs are affinely consistent: their infeasibility
+    # must come back as an answer, not as a marginal solve
+    r = cone_spans(validate_space([np.diag([1.0, -2.0, 0.5]).astype(complex),
+                                   np.diag([0.0, 1.0, -3.0]).astype(complex)]))
+    assert not r.spans
+    assert r.span_dim == 0
+    assert not r.inconclusive
+
+
 def test_cone_spans_wedge_example():
     g1 = np.diag([1, 0, 0.75]).astype(complex)
     g2 = np.diag([0, 1, -0.75]).astype(complex)
     r = cone_spans(validate_space([g1, g2]))
     assert r.spans
     assert r.span_dim == 2
+
+
+def test_cone_spans_decides_criterion_8_instance_5():
+    # the sixth space of acceptance criterion 8, rebuilt in its draw order;
+    # its cone spans, and a probe that ends near the cone's boundary must
+    # still count
+    rng = np.random.default_rng(808)
+    for i in range(6):
+        if i % 3 == 0:
+            gens = loose_instance(rng, a=int(rng.integers(2, 4)), b=1)
+        elif i % 3 == 1:
+            n = int(rng.integers(2, 5))
+            gens = [matcore.random_psd(rng, n) for _ in range(3)]
+        else:
+            n = int(rng.integers(2, 4))
+            gens = [matcore.random_psd(rng, n) for _ in range(2)]
+    r = cone_spans(validate_space(gens), seed=5)
+    assert r.spans
+    assert not r.inconclusive
 
 
 def test_rank_ambiguous_closure():

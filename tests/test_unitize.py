@@ -172,6 +172,59 @@ def test_karn_infeasible_with_dual_witness():
     assert "dual_witness" in r.certificate
 
 
+def _karn_separation_slack(cert, v, a, k, hb, n, delta):
+    """Slack of a Karn No certificate, re-checked from (v, A, eps, delta).
+
+    The program at eps: U in the selfadjoint part of M_k(X), U >= 0,
+    S1 = (1 - delta) - U >= 0, S2 = v + R U R >= 0.  A functional
+    phi = (P_U, P_1, P_2) pairs with an affine point as c + <G, U> with
+    c = (1 - delta) tr P_1 + <P_2, v> and G = P_U - P_1 + R P_2 R.  Any
+    feasible point has tr U, tr S1 <= kn and tr S2 <= tr+ v + ||R||^2 kn,
+    so a positive slack proves infeasibility."""
+    kn = k * n
+    pu, p1, p2 = (matcore.hermitize(np.asarray(b), rtol=1e-8) for b in cert["dual_witness"])
+    w, u = np.linalg.eigh(a + cert["eps"] * np.eye(k))
+    r = np.kron((u * np.sqrt(w)) @ u.conj().T, np.eye(n))
+    c = (1.0 - delta) * np.trace(p1).real + np.vdot(p2, v).real
+    g = pu - p1 + r @ p2 @ r
+    level = []
+    for i in range(k):
+        for j in range(i, k):
+            if i == j:
+                e = np.zeros((k, k), dtype=complex)
+                e[i, i] = 1.0
+                level.extend(np.kron(e, h) for h in hb)
+                continue
+            e = np.zeros((k, k), dtype=complex)
+            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
+            level.extend(np.kron(e, h) for h in hb)
+            f = np.zeros((k, k), dtype=complex)
+            f[i, j], f[j, i] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+            level.extend(np.kron(f, h) for h in hb)
+    proj = np.linalg.norm(np.einsum("bxy,xy->b", np.asarray(level).conj(), g).real)
+    gain = [max(0.0, np.linalg.eigvalsh(p)[-1]) for p in (pu, p1, p2)]
+    tr_s2 = max(0.0, np.trace(v).real) + op_norm(r) ** 2 * kn
+    return c - proj * np.sqrt(kn) - kn * (gain[0] + gain[1]) - gain[2] * tr_s2
+
+
+@pytest.mark.parametrize("k, c", [(1, 2.0), (1, 1.5), (2, 2.0), (2, 3.0)])
+def test_karn_no_certificate_passes_the_separation_recheck(k, c):
+    # v = -c (1 ⊗ g1) with scalar part 1 needs u >= c g1 / (1 + eps), which
+    # no u of norm below 1 satisfies at any scheduled eps
+    _, env, g1, _ = _c3_env()
+    coords = np.zeros((k, k, env.compressed_basis.shape[0]), dtype=complex)
+    for i in range(k):
+        coords[i, i] = -c * _coords(env, g1).reshape(-1)
+    elem = UnitizedElement(level=k, v_coords=coords, scalar_part=np.eye(k))
+    r = xplus_cone_member(env, elem)
+    assert r.member == MEMBER_NO
+    hb = matcore.hermitian_part_basis(env.compressed_basis)
+    v = amplify(elem.v_coords, env.compressed_basis)
+    slack = _karn_separation_slack(r.certificate, v, np.eye(k), k, hb,
+                                   env.envelope_dim, r.delta)
+    assert slack > 0
+
+
 def test_karn_feasible_at_every_scheduled_eps_outside_the_limit_is_no():
     # u = c g1 / (1 + eps) is feasible at every scheduled eps, but
     # v + A ⊗ 1 = 1 - c g1 has the eigenvalue 1 - c < 0, which no eps > 0 allows
@@ -259,7 +312,7 @@ def test_distance_ambient_e11():
 
 def test_distance_raises_when_the_norm_solve_fails(monkeypatch):
     # a solver failure must not come back as the answer d(X, 1) = 1
-    def marginal(program, tol=1e-7, max_iter=conesolver.MAX_ITER):
+    def marginal(program, tol=1e-7):
         return conesolver.SolveOutcome(status=conesolver.MARGINAL, diagnostics="forced")
 
     monkeypatch.setattr(conesolver, "solve_feasibility", marginal)
@@ -279,6 +332,42 @@ def test_distance_c3_is_one_fifth():
     v = np.einsum("t,tab->ab", dom.coeffs.astype(complex), hb)
     assert matcore.psd_check(matcore.hermitize(v - env.unit(), rtol=1e-6),
                              tol=1e-5).positive
+
+
+def _assert_tight_witness(dom, hb, unit):
+    assert dom.found and not dom.inconclusive
+    w = np.einsum("t,tab->ab", dom.coeffs.astype(complex), hb)
+    assert np.linalg.eigvalsh(w - unit)[0] <= 1e-9
+    assert not matcore.psd_check(matcore.hermitize(0.5 * w - unit, rtol=1e-6),
+                                 tol=1e-7).positive
+
+
+def test_dominating_witness_just_dominates_the_unit():
+    _, env, _, _ = _c3_env()
+    space = env.compressed_space()
+    dom = dominating_element(space, unit=UNIT_ENVELOPE, env=env)
+    _assert_tight_witness(dom, space.hermitian_basis(), env.unit())
+    rng = np.random.default_rng(21)
+    x = validate_space([matcore.random_psd(rng, 3) for _ in range(3)])
+    dom = dominating_element(x, unit=UNIT_AMBIENT)
+    _assert_tight_witness(dom, x.hermitian_basis(), np.eye(3))
+
+
+def test_dominating_element_on_an_unbounded_program():
+    # a diag(1, .5) dominates 1 for every a >= 2, whatever the sigma_x part
+    x = validate_space([np.diag([1.0, 0.5]).astype(complex),
+                        np.array([[0, 1], [1, 0]], dtype=complex)])
+    dom = dominating_element(x, unit=UNIT_AMBIENT)
+    _assert_tight_witness(dom, x.hermitian_basis(), np.eye(2))
+
+
+@pytest.mark.parametrize("diagonals", [[(1.0, 0.0)], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]])
+def test_no_dominating_element_is_conclusive(diagonals):
+    # every element vanishes on the last coordinate, so none dominates 1
+    x = validate_space([np.diag(d).astype(complex) for d in diagonals])
+    dom = dominating_element(x, unit=UNIT_AMBIENT)
+    assert not dom.found
+    assert not dom.inconclusive
 
 
 def test_distance_zero_when_unit_inside():
