@@ -49,6 +49,7 @@ from ncshilov.matcore import (
     herm_to_rvec,
     hs_inner,
     op_norm,
+    op_norms,
     orthonormalize,
     random_complex,
     rvec_to_herm,
@@ -106,14 +107,19 @@ class ConicProgram:
             raise BadProgram("objective coefficient count != block count")
 
     def prepare(self):
-        def vec(coeffs):
-            return np.concatenate([np.zeros(n * n) if c is None else herm_to_rvec(matcore.hermitize(c))
-                                   for c, n in zip(coeffs, self.block_dims)])
+        def rows(per_row):
+            """One pairing row per list of per-block coefficients; each
+            block's matrices are validated and vectorized as one stack."""
+            blocks = []
+            for v, n in enumerate(self.block_dims):
+                stack = np.array([np.zeros((n, n)) if c[v] is None else c[v] for c in per_row],
+                                 dtype=np.complex128).reshape(-1, n, n)
+                blocks.append(herm_to_rvec(matcore.hermitize(stack)))
+            return np.concatenate(blocks, axis=1)
 
-        total = sum(n * n for n in self.block_dims)
-        a = np.array([vec(coeffs) for coeffs, _ in self.constraints]).reshape(-1, total)
+        a = rows([coeffs for coeffs, _ in self.constraints])
         b = np.array([rhs for _, rhs in self.constraints], dtype=float)
-        cvec = vec(self.objective or [None] * len(self.block_dims))
+        cvec = rows([self.objective or [None] * len(self.block_dims)])[0]
         return _DensePrepared(self.block_dims, a, b, cvec)
 
 
@@ -124,9 +130,10 @@ class _DensePrepared:
     without an objective) and ``x_particular`` the least-norm affine point.
 
     When the affine system itself is inconsistent the program is infeasible
-    outright; the certificate is the component of the right-hand side
-    orthogonal to the constraint range (a combination of constraints whose
-    coefficient matrix vanishes while its rhs does not)."""
+    outright; the certificate ``inconsistent_y`` = (y, <b, y>, ||A^T y||)
+    holds the unit component y of the right-hand side orthogonal to the
+    constraint range (a combination of constraints whose coefficient
+    matrix vanishes while its rhs does not)."""
 
     def __init__(self, dims, a, b, cvec):
         self.dims = dims
@@ -141,7 +148,7 @@ class _DensePrepared:
             self.rhs = (u[:, :rank].T @ b) / s[:rank]
             gap = a @ (self.rows.T @ self.rhs) - b
             if np.linalg.norm(gap) > 1e-7 * (1.0 + np.linalg.norm(b)):
-                y = -gap  # A^T y ~ 0 and <b, y> = ||gap||^2 > 0
+                y = -gap / np.linalg.norm(gap)  # A^T y ~ 0 and <b, y> = ||gap|| > 0
                 self.inconsistent_y = (y, float(b @ y),
                                        float(np.linalg.norm(a.T @ y)))
         else:
@@ -179,12 +186,18 @@ class SolveOutcome:
     matrix per block, unit HS norm): phi is negative semidefinite blockwise
     within ``witness_cone_residual`` (hence nonpositive on the cone) while
     its pairing with every point of the affine set equals ``witness_margin``
-    which is strictly positive.
+    which is strictly positive.  When the affine constraints are
+    inconsistent by themselves, the certificate is ``affine_multiplier``
+    instead and ``dual_witness`` is None: a unit vector y, one entry per
+    constraint, whose combination ``sum_j y_j F_j`` of the coefficient
+    matrices has HS norm ``witness_cone_residual`` (zero up to rounding)
+    while ``sum_j y_j rhs_j`` = ``witness_margin`` is strictly positive.
     """
 
     status: str
     primal_point: list | None = None
     dual_witness: list | None = None
+    affine_multiplier: np.ndarray | None = None
     residual: float = np.inf
     witness_margin: float = 0.0
     witness_cone_residual: float = np.inf
@@ -394,7 +407,7 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
         y, margin, cone_res = prepared.inconsistent_y
         return SolveOutcome(
             status=INFEASIBLE,
-            dual_witness=prepared.blocks_of(np.zeros(prepared.offsets[-1])),
+            affine_multiplier=y,
             witness_margin=margin,
             witness_cone_residual=cone_res,
             diagnostics="affine constraints are inconsistent",
@@ -881,30 +894,11 @@ def _certified_cb_bound(prog: ChoiAgreementProgram, x, s):
     if w[0] < delta:
         x = x + (delta - w[0]) * np.eye(n)
     r = prog.contract(prog.embed(x)) - prog.y0 - s * prog.y1
-    r_norms = np.array([op_norm(ra) for ra in r])
+    r_norms = op_norms(r)
     g_trace_norms = np.abs(np.linalg.eigvalsh(prog.g)).sum(axis=1)
     eps = float(g_trace_norms @ r_norms)
     bound = (1.0 + 2.0 * eps) / s if s > 0 else np.inf
     return bound, float(r_norms.max())
-
-
-def _sample_coeffs(map_spec, k, rng, haar):
-    """Random level-k coefficient tensor: complex Gaussian, or the HS
-    projection of a Haar unitary of M_{kp} into M_k(W) (unitaries are the
-    extreme points of the ball, so their projections probe the boundary
-    much better than Gaussians)."""
-    if not haar:
-        return random_complex(rng, (k, k, map_spec.dim))
-    g = random_complex(rng, (k * map_spec.p, k * map_spec.p))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    p = map_spec.p
-    c = np.empty((k, k, map_spec.dim), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            c[i, j] = map_spec.coeffs_of(q[i * p : (i + 1) * p, j * p : (j + 1) * p])
-    return c
 
 
 def sampled_cb_lower_bound(map_spec: LinearMapSpec, max_level: int, samples: int,
@@ -912,23 +906,52 @@ def sampled_cb_lower_bound(map_spec: LinearMapSpec, max_level: int, samples: int
     """Monte-Carlo lower bound for the cb-norm: max of ||psi_k(y)|| over
     sampled unit-ball elements at levels 1..max_level.  Deterministic given
     the seed; ``extra_coeff_samples`` may add (level, coeffs) pairs, e.g. a
-    witness returned by :func:`cc_test`."""
+    witness returned by :func:`cc_test`.
+
+    Each level makes ``max(1, samples // max_level)`` trials that alternate
+    between a complex Gaussian coefficient tensor, drawn as
+    ``random_complex(rng, (k, k, dim))``, and the HS projection into M_k(W)
+    of a Haar unitary of M_{kp}, made from ``random_complex(rng, (kp, kp))``
+    (unitaries are the extreme points of the ball, so their projections
+    probe the boundary much better than Gaussians).  The draws are made
+    trial by trial in that order, and only then is the level evaluated as
+    one stack (:func:`matcore.op_norms`), so the bound for a given seed is
+    bit for bit the one a per-trial loop returns.
+    """
     if max_level < 1:
         raise ShapeMismatch("max_level must be >= 1")
     rng = np.random.default_rng(seed)
-    best = 0.0
+    p, dim = map_spec.p, map_spec.dim
     per_level = max(1, samples // max_level)
+    best = 0.0
     for k in range(1, max_level + 1):
-        for trial in range(per_level):
-            c = _sample_coeffs(map_spec, k, rng, haar=trial % 2 == 1)
-            nrm = op_norm(map_spec.element_level(c))
-            if nrm < 1e-14:
-                continue
-            best = max(best, op_norm(map_spec.apply_level(c / nrm)))
-    if extra_coeff_samples:
-        for k, c in extra_coeff_samples:
-            c = np.asarray(c, dtype=np.complex128)
-            nrm = op_norm(map_spec.element_level(c))
-            if nrm >= 1e-14:
-                best = max(best, op_norm(map_spec.apply_level(c / nrm)))
+        draws = [random_complex(rng, (k * p, k * p) if trial % 2 else (k, k, dim))
+                 for trial in range(per_level)]
+        gauss = np.array(draws[0::2])
+        haar = np.array(draws[1::2], dtype=np.complex128).reshape(-1, k * p, k * p)
+        best = max(best, _max_norm_ratio(map_spec, gauss),
+                   _max_norm_ratio(map_spec, _haar_coeffs(map_spec, k, haar)))
+    for k, c in extra_coeff_samples or ():
+        best = max(best, _max_norm_ratio(map_spec, np.asarray(c, dtype=np.complex128)[None]))
     return best
+
+
+def _haar_coeffs(map_spec: LinearMapSpec, k, g):
+    """Level-k coefficient tensors (S, k, k, dim) of the HS projections into
+    M_k(W) of the Haar unitaries that the QR factorizations of a stack of
+    complex Gaussian (kp, kp) matrices give."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    p = map_spec.p
+    return np.einsum("tab,siajb->sijt", map_spec.on_domain.conj(), q.reshape(-1, k, p, k, p))
+
+
+def _max_norm_ratio(map_spec: LinearMapSpec, coeffs) -> float:
+    """Largest ||psi_k(y)|| over the elements y of a stack of level-k
+    coefficient tensors (S, k, k, dim), each scaled to ||y|| = 1 first;
+    elements with ||y|| < 1e-14 are skipped."""
+    nrm = op_norms(map_spec.element_level(coeffs))
+    keep = nrm >= 1e-14
+    unit = coeffs[keep] / nrm[keep, None, None, None]
+    return float(op_norms(map_spec.apply_level(unit)).max(initial=0.0))

@@ -30,13 +30,17 @@ RANK_CUTOFF = 1e-8
 RANK_BAND = (1e-10, 1e-6)
 
 
+def _require_finite(m):
+    if not np.isfinite(m).all():
+        raise NonFinite("matrix has NaN or Inf entries")
+
+
 def as_cmatrix(a) -> np.ndarray:
     """Validate and coerce to a finite 2-d complex128 array."""
     m = np.array(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise NonFinite("matrix has NaN or Inf entries")
+    _require_finite(m)
     return m
 
 
@@ -44,18 +48,24 @@ def hermitize(a, rtol: float = 1e-12) -> np.ndarray:
     """Validate Hermitian-ness and return the exactly symmetrized matrix.
 
     The deviation ||M - M*|| must not exceed ``rtol * ||M||`` (with the
-    absolute floor); the returned matrix is (M + M*)/2.
+    absolute floor); the returned matrix is (M + M*)/2.  A stack of shape
+    (..., n, n) is validated matrix by matrix, each against its own scale,
+    and symmetrized as a whole.
     """
-    m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"Hermitian matrix must be square, got {m.shape}")
-    scale = max(np.abs(m).max(initial=0.0), 1.0)
-    dev = np.abs(m - m.conj().T).max(initial=0.0)
-    if dev > rtol * scale + ABS_FLOOR:
+    m = np.array(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ShapeMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
+    _require_finite(m)
+    if m.shape[-2] != m.shape[-1]:
+        raise ShapeMismatch(f"Hermitian matrix must be square, got {m.shape[-2:]}")
+    mh = m.conj().swapaxes(-2, -1)
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1), initial=0.0), 1.0)
+    dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    if (dev > rtol * scale + ABS_FLOOR).any():
         raise ShapeMismatch(
-            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {rtol:.1e} * scale"
+            f"matrix is not Hermitian: deviation {dev.max():.3e} exceeds {rtol:.1e} * scale"
         )
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
 
 
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -72,10 +82,26 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 def op_norm(m) -> float:
     """Largest singular value."""
-    a = as_cmatrix(m)
+    return float(op_norms(as_cmatrix(m)))
+
+
+def op_norms(stack) -> np.ndarray:
+    """Largest singular value of every matrix of a stack (..., p, q), from
+    one batched SVD; the result has the stack's leading shape.
+
+    Each value is bit for bit the :func:`op_norm` of that matrix (LAPACK
+    sees the same matrix either way), so a sampler that draws its elements
+    in the order a per-sample loop would, and takes their norms here,
+    returns exactly what that loop returned.  NaN or Inf entries raise
+    NonFinite; a matrix without entries has norm 0.
+    """
+    a = np.asarray(stack, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ShapeMismatch(f"expected a stack of matrices, got ndim={a.ndim}")
+    _require_finite(a)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -118,24 +144,26 @@ def amplify(coeffs, basis) -> np.ndarray:
     """Assemble a level-k element of the space spanned by ``basis``.
 
     ``coeffs`` has shape (k, k, d); the result is the kn x kn matrix whose
-    (i, j) block is sum_t coeffs[i, j, t] * basis[t].
+    (i, j) block is sum_t coeffs[i, j, t] * basis[t].  A stack of
+    coefficient tensors (S, k, k, d) gives the stack of S elements, each
+    bit for bit the one assembled alone.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     stack = np.asarray(basis, dtype=np.complex128)
     if stack.ndim == 2:
         stack = stack[None]
-    if c.ndim != 3 or c.shape[0] != c.shape[1]:
-        raise ShapeMismatch(f"coeffs must have shape (k, k, d), got {c.shape}")
+    if c.ndim not in (3, 4) or c.shape[-3] != c.shape[-2]:
+        raise ShapeMismatch(f"coeffs must have shape (k, k, d) or (S, k, k, d), got {c.shape}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ShapeMismatch("basis elements must be square and share shape")
-    if c.shape[2] != stack.shape[0]:
+    if c.shape[-1] != stack.shape[0]:
         raise ShapeMismatch(
-            f"coefficient depth {c.shape[2]} does not match basis size {stack.shape[0]}"
+            f"coefficient depth {c.shape[-1]} does not match basis size {stack.shape[0]}"
         )
-    k = c.shape[0]
+    k = c.shape[-2]
     n = stack.shape[1]
-    blocks = np.einsum("ijt,tab->iajb", c, stack)
-    return blocks.reshape(k * n, k * n)
+    blocks = np.einsum("sijt,tab->siajb", c.reshape((-1,) + c.shape[-3:]), stack)
+    return blocks.reshape(c.shape[:-3] + (k * n, k * n))
 
 
 # ---------------------------------------------------------------------------

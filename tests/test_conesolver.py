@@ -13,6 +13,8 @@ from ncshilov.conesolver import (
     ConicProgram,
     LinearMapSpec,
     _certified_cb_bound,
+    _DensePrepared,
+    _haar_coeffs,
     _hkm_max_scale,
     _paulsen_family,
     cc_test,
@@ -20,7 +22,7 @@ from ncshilov.conesolver import (
     sampled_cb_lower_bound,
     solve_feasibility,
 )
-from ncshilov.errors import BadProgram
+from ncshilov.errors import BadProgram, NonFinite, ShapeMismatch
 
 
 def _m2_basis():
@@ -77,6 +79,73 @@ def test_bad_program_shapes():
         ConicProgram([2], [([np.eye(3, dtype=complex)], 0.0)])
     with pytest.raises(BadProgram):
         solve_feasibility(ConicProgram([2], []), tol=1e-2)
+
+
+def _hermitize_one(m, rtol=1e-12):
+    """The per-matrix validation that ConicProgram.prepare once made."""
+    m = np.array(m, dtype=np.complex128)
+    scale = max(np.abs(m).max(initial=0.0), 1.0)
+    assert np.abs(m - m.conj().T).max(initial=0.0) <= rtol * scale + 1e-12
+    return 0.5 * (m + m.conj().T)
+
+
+def test_prepare_rows_equal_the_per_matrix_rows():
+    rng = np.random.default_rng(31)
+    dims = [3, 1, 2]
+
+    def coefficient(n):
+        if rng.random() < 0.3:
+            return None
+        h = 10.0 ** rng.integers(-2, 4) * matcore.random_hermitian(rng, n)
+        return h + 1e-14 * matcore.random_complex(rng, (n, n))  # Hermitian within rtol
+
+    constraints = [([coefficient(n) for n in dims], float(rng.standard_normal()))
+                   for _ in range(9)]
+    objective = [coefficient(n) for n in dims]
+
+    def vec(coeffs):
+        return np.concatenate([np.zeros(n * n) if c is None
+                               else matcore.herm_to_rvec(_hermitize_one(c))
+                               for c, n in zip(coeffs, dims)])
+
+    for obj in (None, objective):
+        got = ConicProgram(dims, constraints, objective=obj).prepare()
+        want = _DensePrepared(dims, np.array([vec(c) for c, _ in constraints]),
+                              np.array([rhs for _, rhs in constraints]),
+                              vec(obj or [None] * len(dims)))
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.rhs, want.rhs)
+        assert (got.c is None) == (want.c is None) == (obj is None)
+        for g, w in zip(got.c or [], want.c or []):
+            assert np.array_equal(g, w)
+
+
+def test_prepare_rejects_non_hermitian_and_nonfinite_coefficients():
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ShapeMismatch, match="not Hermitian"):
+        ConicProgram([1, 2], [([None, np.eye(2)], 1.0), ([None, skew], 0.0)]).prepare()
+    with pytest.raises(ShapeMismatch, match="not Hermitian"):
+        ConicProgram([2], [([np.eye(2)], 1.0)], objective=[skew]).prepare()
+    nan = np.eye(2, dtype=complex)
+    nan[0, 0] = np.nan
+    with pytest.raises(NonFinite):
+        ConicProgram([2], [([nan], 1.0)]).prepare()
+
+
+def test_inconsistent_program_carries_its_unit_multiplier():
+    # tr X = 1 and tr X = 2: y = (-1, 1) / sqrt 2 combines the constraints
+    # into 0 = 1 / sqrt 2
+    i2 = np.eye(2, dtype=complex)
+    out = solve_feasibility(ConicProgram([2], [([i2], 1.0), ([i2], 2.0)]))
+    assert out.status == INFEASIBLE
+    assert out.dual_witness is None and out.primal_point is None
+    y = out.affine_multiplier
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-14)
+    assert out.witness_cone_residual == pytest.approx(np.linalg.norm((y[0] + y[1]) * i2),
+                                                      abs=1e-15)
+    assert out.witness_cone_residual <= 1e-14
+    assert out.witness_margin == pytest.approx(y[0] * 1.0 + y[1] * 2.0, abs=1e-15)
+    assert out.witness_margin == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
 
 def test_never_contradictory_certificates():
@@ -273,6 +342,70 @@ def test_cc_not_implies_sampler_with_witness_seed():
     lb = sampled_cb_lower_bound(spec, res.level, 50, seed=9,
                                 extra_coeff_samples=[(res.level, res.violating_coeffs)])
     assert lb > 1.0 + 5e-8
+
+
+def _reference_haar_coeffs(spec, k, g):
+    """Coefficients of a Haar trial from its Gaussian g, block by block."""
+    p = spec.p
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    c = np.empty((k, k, spec.dim), dtype=np.complex128)
+    for i in range(k):
+        for j in range(k):
+            c[i, j] = spec.coeffs_of(q[i * p : (i + 1) * p, j * p : (j + 1) * p])
+    return c
+
+
+def _reference_sampled_cb_lower_bound(spec, max_level, samples, seed, extra=()):
+    """The per-trial loop that sampled_cb_lower_bound replaced: same draws,
+    one element and one norm at a time."""
+    def element(c, basis):
+        k, n = c.shape[0], basis.shape[1]
+        return np.einsum("ijt,tab->iajb", c, basis).reshape(k * n, k * n)
+
+    def ratio(c):
+        nrm = float(np.linalg.norm(element(c, spec.on_domain), 2))
+        if nrm < 1e-14:
+            return 0.0
+        return float(np.linalg.norm(element(c / nrm, spec.on_images), 2))
+
+    rng = np.random.default_rng(seed)
+    p = spec.p
+    best = 0.0
+    for k in range(1, max_level + 1):
+        for trial in range(max(1, samples // max_level)):
+            if trial % 2 == 0:
+                c = matcore.random_complex(rng, (k, k, spec.dim))
+            else:
+                c = _reference_haar_coeffs(spec, k, matcore.random_complex(rng, (k * p, k * p)))
+            best = max(best, ratio(c))
+    for _k, c in extra:
+        best = max(best, ratio(np.asarray(c, dtype=np.complex128)))
+    return best
+
+
+@pytest.mark.parametrize("max_level, samples", [(1, 7), (2, 10), (3, 15), (3, 2)])
+def test_sampler_equals_the_per_trial_loop(max_level, samples):
+    # p = 4 != q = 3; per-level counts 7, 5, 5 and 1 are odd, so a level
+    # ends on a Gaussian trial, and the last case has no Haar trial at all
+    rng = np.random.default_rng(37)
+    dom = [matcore.random_complex(rng, (4, 4)) for _ in range(3)]
+    img = [0.5 * matcore.random_complex(rng, (3, 3)) for _ in range(3)]
+    spec = LinearMapSpec(dom, img)
+    extra = [(2, matcore.random_complex(rng, (2, 2, 3))),
+             (1, matcore.random_complex(rng, (1, 1, 3))),
+             (2, np.zeros((2, 2, 3)))]
+    for seed in (0, 5):
+        assert sampled_cb_lower_bound(spec, max_level, samples, seed) == \
+            _reference_sampled_cb_lower_bound(spec, max_level, samples, seed)
+        assert sampled_cb_lower_bound(spec, max_level, samples, seed,
+                                      extra_coeff_samples=extra) == \
+            _reference_sampled_cb_lower_bound(spec, max_level, samples, seed, extra)
+    # the Haar coefficients on their own, which the maximum could hide
+    g = matcore.random_complex(rng, (5, 4 * max_level, 4 * max_level))
+    assert np.array_equal(_haar_coeffs(spec, max_level, g),
+                          np.stack([_reference_haar_coeffs(spec, max_level, gi) for gi in g]))
 
 
 def test_cc_yes_implies_sampler_bounded():

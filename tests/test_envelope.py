@@ -150,13 +150,19 @@ def test_real_loose_block_of_size_one_is_decided():
         assert env.embedding_cb <= 1.0 + 1e-6
 
 
-def test_composed_embedding_bound_covers_the_direct_certificate():
-    # criterion 4's instance 0 has two eliminations; the reference is the
-    # direct certificate of the completion map X q -> X(e - q)
+@pytest.fixture(scope="module")
+def crit4_instance0_env():
+    """Envelope of criterion 4's instance 0, which has two eliminations."""
     rng = np.random.default_rng(404)
     gens = loose_instance(rng, a=int(rng.integers(2, 4)), b=int(rng.integers(1, 3)),
                           extra_blocks=int(rng.integers(0, 2)))
-    env = compute_envelope(validate_space(gens), seed=0)
+    return compute_envelope(validate_space(gens), seed=0)
+
+
+def test_composed_embedding_bound_covers_the_direct_certificate(crit4_instance0_env):
+    # the reference is the direct certificate of the completion map
+    # X q -> X(e - q)
+    env = crit4_instance0_env
     assert env.eliminations() >= 2
     cut = matcore.hermitize(env.source_unit - env.q)
     _, u = matcore.herm_eig(cut)
@@ -165,6 +171,48 @@ def test_composed_embedding_bound_covers_the_direct_certificate():
                            [cut_coords.conj().T @ b @ cut_coords for b in env.source.basis])
     assert cc_test(direct, rng_seed=env.seed + 7).verdict == CC_YES
     assert sampled_cb_lower_bound(direct, max_level=3, samples=300, seed=1) <= env.embedding_cb
+
+
+def _reference_level_discrepancies(env, levels, samples, seed):
+    """The per-sample loop that certify_embedding replaced, one worst
+    relative discrepancy per level."""
+    def norm(c, basis):
+        k, n = c.shape[0], basis.shape[1]
+        return float(np.linalg.norm(
+            np.einsum("ijt,tab->iajb", c, basis).reshape(k * n, k * n), 2))
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(1, levels + 1):
+        worst = 0.0
+        for _ in range(samples):
+            c = matcore.random_complex(rng, (k, k, env.source.dim))
+            ny = norm(c, env.source.basis)
+            if ny >= 1e-12:
+                worst = max(worst, abs(ny - norm(c, env.embedded_basis)) / ny)
+        out.append(worst)
+    return out
+
+
+def test_certify_embedding_equals_the_per_sample_loop(crit4_instance0_env):
+    env = crit4_instance0_env
+    per_level = _reference_level_discrepancies(env, 4, 120, seed=3)
+    # every level contributes a nonzero discrepancy of its own
+    assert all(w > 0.0 for w in per_level)
+    for levels in (1, 2, 3, 4):
+        rep = certify_embedding(env, levels=levels, samples=120, seed=3)
+        assert rep["max_relative_discrepancy"] == max(per_level[:levels])
+        assert rep["passed"]
+    # each level's maximum on its own: a level drawn alone after the same
+    # prefix of draws
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 4):
+        c = np.array([matcore.random_complex(rng, (k, k, env.source.dim))
+                      for _ in range(120)])
+        ny = matcore.op_norms(amplify(c, env.source.basis))
+        ne = matcore.op_norms(amplify(c, env.embedded_basis))
+        assert float((np.abs(ny - ne) / ny).max()) == per_level[k - 1]
+    assert certify_embedding(env, levels=2, samples=0, seed=3)["max_relative_discrepancy"] == 0.0
 
 
 def test_per_elimination_norm_conservation():
@@ -229,6 +277,20 @@ def test_induced_isomorphism_identity():
     iso = induced_isomorphism(env, env, np.eye(x.dim))
     assert iso.found
     assert iso.residual <= 1e-8
+
+
+def test_induced_isomorphism_rejects_a_non_isometric_correspondence():
+    # twice the identity fails at the first level-1 spot-check sample, and
+    # the reason quotes that sample's two norms
+    rng = np.random.default_rng(19)
+    x = validate_space([matcore.random_psd(rng, 3) for _ in range(2)])
+    env = compute_envelope(x, seed=0)
+    iso = induced_isomorphism(env, env, 2.0 * np.eye(x.dim))
+    assert not iso.found
+    c = matcore.random_complex(np.random.default_rng(11), (1, 1, x.dim))
+    na = float(np.linalg.norm(np.einsum("ijt,tab->iajb", c, x.basis).reshape(3, 3), 2))
+    nb = float(np.linalg.norm(np.einsum("ijt,tab->iajb", 2.0 * c, x.basis).reshape(3, 3), 2))
+    assert iso.reason == f"correspondence not isometric at level 1: {na:.8f} vs {nb:.8f}"
 
 
 def test_induced_isomorphism_block_mismatch():

@@ -9,6 +9,7 @@ from ncshilov.matcore import (
     hermitize,
     hs_inner,
     op_norm,
+    op_norms,
     orthonormalize,
     psd_check,
 )
@@ -126,6 +127,20 @@ def test_amplify_dominates_entries():
 def test_amplify_shape_errors():
     with pytest.raises(ShapeMismatch):
         amplify(np.zeros((2, 2, 3)), np.zeros((2, 4, 4)))
+    with pytest.raises(ShapeMismatch):
+        amplify(np.zeros((1, 2, 2, 3, 1)), np.zeros((3, 4, 4)))
+
+
+def test_amplify_stack_equals_elements_assembled_alone():
+    rng = np.random.default_rng(43)
+    basis = matcore.random_complex(rng, (3, 4, 4))
+    stack = matcore.random_complex(rng, (7, 2, 2, 3))
+    big = amplify(stack, basis)
+    assert big.shape == (7, 8, 8)
+    for s, c in enumerate(stack):
+        alone = np.einsum("ijt,tab->iajb", c, basis).reshape(8, 8)
+        assert np.array_equal(big[s], alone)
+        assert np.array_equal(amplify(c, basis), alone)
 
 
 def test_eigenvalue_sum_equals_trace():
@@ -168,6 +183,36 @@ def test_involution_identity_on_selfadjoint_space():
 def test_hermitize_rejects_asymmetric():
     with pytest.raises(ShapeMismatch):
         hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitize_stack_checks_each_matrix_against_its_own_scale():
+    # a deviation of 1e-9 is within 1e-12 of a matrix of scale 1e4, but not
+    # of the unit-scale matrix beside it
+    big = np.array([[1e4, 1e-9], [0.0, 1.0]], dtype=complex)
+    assert np.array_equal(hermitize(np.stack([big, np.eye(2)]))[0], hermitize(big))
+    with pytest.raises(ShapeMismatch):
+        hermitize(np.stack([big, np.array([[1.0, 1e-9], [0.0, 1.0]])]))
+
+
+def test_op_norms_equal_the_norms_taken_one_at_a_time():
+    rng = np.random.default_rng(41)
+    stack = matcore.random_complex(rng, (3, 5, 4, 6))
+    norms = op_norms(stack)
+    assert norms.shape == (3, 5)
+    for idx in np.ndindex(3, 5):
+        assert norms[idx] == float(np.linalg.norm(stack[idx], 2))
+
+
+def test_op_norms_rejects_nan_and_takes_empty_stacks():
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(NonFinite):
+        op_norms(stack)
+    with pytest.raises(NonFinite):
+        op_norm(stack[1])
+    assert op_norms(np.zeros((0, 3, 3))).shape == (0,)
+    assert np.array_equal(op_norms(np.zeros((2, 0, 3))), [0.0, 0.0])
+    assert op_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_orthonormalize_rank_band():
