@@ -36,17 +36,13 @@ def center(alg: AlgebraPresentation) -> np.ndarray:
         comm = np.einsum("tab,bc->tac", basis, bj) - np.einsum("ab,tbc->tac", bj, basis)
         rows.append(comm.reshape(d, n * n))
     a = np.concatenate(rows, axis=1)  # row t = all commutators of basis_t
-    _, s, vh = np.linalg.svd(a.T, full_matrices=True)
     # the basis is orthonormal, so the commutation operator has O(1) scale;
     # cut ranks absolutely to avoid reading roundoff noise as rank
-    top = max(float(s[0]), 1.0) if s.size else 1.0
-    rank = int(np.sum(s > 1e-10 * top))
-    coords = vh[rank:].conj()
+    coords = matcore.null_space(a.T, floor=1.0)
     if coords.shape[0] == 0:
         return np.zeros((0, n, n), dtype=np.complex128)
     z = np.einsum("ct,tab->cab", coords, basis)
-    out, _ = orthonormalize(z)
-    return out
+    return orthonormalize(z)
 
 
 def _spectral_projections(h, gap=EIG_GAP):
@@ -223,11 +219,9 @@ def strip_multiplicity(alg: AlgebraPresentation, p, seed: int = 0) -> BlockInfo:
     eigenspaces of dimension k.  Schur intertwiners align the copies, and
     the conjugation residual is verified before returning."""
     p = hermitize(p)
-    w, u = matcore.herm_eig(p)
-    rank = int(np.sum(w > 0.5))
-    v = u[:, :rank]
-    comp_basis, _ = orthonormalize(
-        np.einsum("ia,tab,bj->tij", v.conj().T, alg.basis, v))
+    v = matcore.support_isometry(p)
+    rank = v.shape[1]
+    comp_basis = orthonormalize(np.einsum("ia,tab,bj->tij", v.conj().T, alg.basis, v))
     dim = comp_basis.shape[0]
     k = int(round(np.sqrt(dim)))
     if k * k != dim:
@@ -261,10 +255,7 @@ def _align_block(comp_basis, rank, k, m, rng):
     eye = np.eye(rank, dtype=np.complex128)
     rows = [np.kron(eye, bj.T) - np.kron(bj, eye) for bj in comp_basis]
     a = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    top = max(float(s[0]), 1.0) if s.size else 1.0
-    rank_a = int(np.sum(s > 1e-9 * top))
-    comm = vh[rank_a:].conj().reshape(-1, rank, rank)
+    comm = matcore.null_space(a, rtol=1e-9, floor=1.0).reshape(-1, rank, rank)
     if comm.shape[0] != m * m:
         raise DegenerateSample(
             f"commutant dimension {comm.shape[0]} != m^2 = {m * m}")
@@ -301,12 +292,10 @@ def _schur_intertwiner(dj, d0):
     eye = np.eye(k, dtype=np.complex128)
     rows = [np.kron(a, eye) - np.kron(eye, b.T) for a, b in zip(dj, d0)]
     a = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    top = max(float(s[0]), 1.0) if s.size else 1.0
-    null = vh[int(np.sum(s > 1e-9 * top)):]
+    null = matcore.null_space(a, rtol=1e-9, floor=1.0)
     if null.shape[0] != 1:
         return None
-    cand = null[0].conj().reshape(k, k)
+    cand = null[0].reshape(k, k)
     # Schur: the solution is a scalar multiple of a unitary
     u, sv, wh = np.linalg.svd(cand)
     if sv[0] < 1e-10 or (sv[0] - sv[-1]) > 1e-6 * sv[0]:

@@ -585,9 +585,7 @@ def _offdiag_complement_rows(stack, p, q, real=False):
         rows = np.concatenate(
             [np.concatenate([flat.real, flat.imag], axis=1),
              np.concatenate([-flat.imag, flat.real], axis=1)], axis=0)
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    comp = vh[rank:]
+    comp = matcore.null_space(rows)
     return (comp[:, : p * q] + 1j * comp[:, p * q :]).reshape(-1, p, q)
 
 
@@ -617,11 +615,12 @@ class LinearMapSpec:
         w = np.linalg.eigvalsh(gram)
         if w[0] <= 1e-12 * max(w[-1], 1.0):
             raise ShapeMismatch("domain family is numerically dependent")
-        on, _ = orthonormalize(dom)
+        on = orthonormalize(dom)
         if on.shape[0] != d:
             raise ShapeMismatch("domain family is numerically dependent")
-        # images of the orthonormalized basis
+        # column i of c: coefficients of on[i] over the given family
         c, *_ = np.linalg.lstsq(dom.reshape(d, -1).T, on.reshape(d, -1).T, rcond=None)
+        self.family_coeffs = c
         self.on_domain = on
         self.on_images = np.einsum("ti,tab->iab", c, img)
         self.p = dom.shape[1]

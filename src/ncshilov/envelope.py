@@ -114,7 +114,7 @@ class EnvelopePresentation:
         """The embedded copy as a fresh space (basis re-orthonormalized;
         index alignment with the source basis is lost, use compressed_basis
         when alignment matters)."""
-        basis, _ = orthonormalize(self.compressed_basis)
+        basis = orthonormalize(self.compressed_basis)
         return MatrixSpace(ambient_dim=self.envelope_dim, basis=basis)
 
     def eliminations(self) -> int:
@@ -138,22 +138,17 @@ class EnvelopePresentation:
 def _completion_map(space_basis, keep_proj, block: blockdecomp.BlockInfo):
     """The completion map X(e - p) -> stripped block copy.
 
-    Returns (LinearMapSpec | None, kept_coords, kernel_coeffs); when the
-    compression x -> x(e - p) is not injective on the space, the map is not
-    built and a unit kernel coefficient vector is returned instead."""
-    w, u = matcore.herm_eig(keep_proj)
-    rank = int(np.sum(w > 0.5))
-    kept = u[:, :rank]
+    Returns (LinearMapSpec | None, kernel_coeffs); when the compression
+    x -> x(e - p) is not injective on the space, the map is not built and a
+    unit kernel coefficient vector is returned instead."""
+    kept = matcore.support_isometry(keep_proj)
     compressed = np.einsum("ia,tab,bj->tij", kept.conj().T, space_basis, kept)
-    d = space_basis.shape[0]
-    flat = compressed.reshape(d, -1)
-    svals = np.linalg.svd(flat, compute_uv=False)
-    rank = int(np.sum(svals > 1e-9 * max(float(svals[0]) if svals.size else 0.0, 1.0)))
-    if rank < d:
-        _, _, vh = np.linalg.svd(flat.T, full_matrices=True)
-        return None, kept, vh[rank].conj()
+    flat = compressed.reshape(space_basis.shape[0], -1)
+    kernel = matcore.null_space(flat.T, rtol=1e-9, floor=1.0)
+    if kernel.shape[0]:
+        return None, kernel[0]
     images = np.stack([block.strip(b) for b in space_basis])
-    return LinearMapSpec(list(compressed), list(images)), kept, None
+    return LinearMapSpec(list(compressed), list(images)), None
 
 
 def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
@@ -175,7 +170,7 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
     if keep_rank == 0:
         return LoosenessVerdict(status=ESSENTIAL, block_rank=block.rank, block_k=block.k,
                                 reason="compression to zero is not injective")
-    lam, kept, kernel = _completion_map(x.basis, keep, block)
+    lam, kernel = _completion_map(x.basis, keep, block)
     if lam is None:
         coeffs = kernel.reshape(1, 1, -1)
         gap = _witness_gap(x, keep, coeffs)
@@ -189,8 +184,7 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
                                 residual=res.residual, iterations=res.iterations,
                                 route=res.route)
     if res.verdict == CC_NO:
-        coeffs = np.einsum("ijt,ts->ijs", res.violating_coeffs,
-                           _domain_to_space(lam, x, kept))
+        coeffs = np.einsum("ijt,ts->ijs", res.violating_coeffs, lam.family_coeffs.T)
         gap = _witness_gap(x, keep, coeffs)
         return LoosenessVerdict(status=ESSENTIAL, block_rank=block.rank, block_k=block.k,
                                 reason="norm violation under compression",
@@ -202,17 +196,6 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
                             reason=res.diagnostics, cb_estimate=res.cb_estimate,
                             residual=res.residual, iterations=res.iterations,
                             route=res.route)
-
-
-def _domain_to_space(lam: LinearMapSpec, x: MatrixSpace, kept):
-    """Matrix sending coefficients over lam's ON domain basis to coefficients
-    over x.basis (exact here, since the compression is injective)."""
-    d = x.dim
-    compressed = np.einsum("ia,tab,bj->tij", kept.conj().T, x.basis, kept)
-    flat = compressed.reshape(d, -1).T
-    on_flat = lam.on_domain.reshape(lam.dim, -1).T
-    sol, *_ = np.linalg.lstsq(flat, on_flat, rcond=None)
-    return sol.T  # (lam.dim, d)
 
 
 def _witness_gap(x: MatrixSpace, keep_proj, coeffs) -> float:
@@ -269,10 +252,8 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
         if removed is None:
             break
         keep = alg.unit - removed.projection
-        w, u = matcore.herm_eig(keep)
-        rank = int(np.sum(w > 0.5))
-        kept = u[:, :rank]
-        basis, _ = orthonormalize(np.einsum("ia,tab,bj->tij", kept.conj().T, basis, kept))
+        kept = matcore.support_isometry(keep)
+        basis = orthonormalize(np.einsum("ia,tab,bj->tij", kept.conj().T, basis, kept))
         coords = coords @ kept
         pass_index += 1
 
@@ -281,10 +262,8 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
     # the identity of the compressed ambient
     e = alg.unit
     if np.abs(e - np.eye(e.shape[0])).max() > 1e-9:
-        w, u = matcore.herm_eig(e)
-        rank = int(np.sum(w > 0.5))
-        kept = u[:, :rank]
-        basis, _ = orthonormalize(np.einsum("ia,tab,bj->tij", kept.conj().T, basis, kept))
+        kept = matcore.support_isometry(e)
+        basis = orthonormalize(np.einsum("ia,tab,bj->tij", kept.conj().T, basis, kept))
         coords = coords @ kept
         alg = stargen.generate_star_algebra(basis)
     dec = blockdecomp.decompose(alg, seed=seed + 977 * (pass_index + 2))
@@ -483,7 +462,7 @@ def unitization_morphism(x: MatrixSpace, env: EnvelopePresentation,
     of that algebra; sampled positivity at levels 1..2 cross-checks."""
     n = x.ambient_dim
     alg = stargen.generate_star_algebra(x)
-    with_unit, _ = orthonormalize(
+    with_unit = orthonormalize(
         np.concatenate([alg.basis, [np.eye(n, dtype=np.complex128)]]))
     d = with_unit.shape[0]
     nq = env.envelope_dim

@@ -99,9 +99,7 @@ def _real_complement(rb, found):
     if not found:
         return rb
     coords = rb @ np.asarray(found).T  # components of found in rb coordinates
-    _, s, vh = np.linalg.svd(coords.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    return vh[rank:] @ rb
+    return matcore.null_space(coords.T) @ rb
 
 
 def _max_direction_nonneg(rb, w):

@@ -23,10 +23,9 @@ from ncshilov.errors import NonFinite, RankAmbiguous, ShapeMismatch
 
 ABS_FLOOR = 1e-12
 
-# Numerical-rank policy for span closures: singular values below CUTOFF
-# (relative to the largest) are treated as zero, but values inside the
-# ambiguity band are refused rather than guessed.
-RANK_CUTOFF = 1e-8
+# Numerical-rank policy for span closures: relative to the largest, singular
+# values at or above the band's top count toward the rank, those at or below
+# its bottom are zero, and values inside the band are refused, not guessed.
 RANK_BAND = (1e-10, 1e-6)
 
 
@@ -171,62 +170,64 @@ def amplify(coeffs, basis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def orthonormalize(stack, rank_band: tuple[float, float] = RANK_BAND):
-    """Orthonormal (HS) basis of the complex span of a stack of matrices.
+def _orthonormal_span(stack, real: bool) -> np.ndarray:
+    """HS-orthonormal basis (r, p, q) of the complex span of a stack of
+    matrices, or of its real span in realified coordinates (Re, Im
+    stacked), from one SVD whose singular values also fix the rank.
 
-    Returns ``(basis, svals)`` where ``basis`` is a (r, p, q) stack with
-    HS-orthonormal slices spanning the same space.  Raises
-    :class:`RankAmbiguous` when any singular value falls inside the
-    ambiguity band relative to the largest: downstream closure dimensions
-    must be crisp, so near-threshold ranks are refused, not guessed.
+    Raises :class:`RankAmbiguous` when any singular value falls inside
+    RANK_BAND relative to the largest: downstream closure dimensions must
+    be crisp, so near-threshold ranks are refused, not guessed.
     """
     s = np.asarray(stack, dtype=np.complex128)
     if s.ndim != 3:
         raise ShapeMismatch("expected a stack of matrices with shape (d, p, q)")
     d, p, q = s.shape
-    flat = s.reshape(d, p * q)
-    svals = np.linalg.svd(flat, compute_uv=False) if d else np.zeros(0)
-    top = svals[0] if len(svals) and svals[0] > 0 else 0.0
-    if top == 0.0:
-        return np.zeros((0, p, q), dtype=np.complex128), svals
-    rel = svals / top
-    lo, hi = rank_band
-    if np.any((rel > lo) & (rel < hi)):
-        raise RankAmbiguous(
-            f"singular value ratios {rel[(rel > lo) & (rel < hi)]} fall in the band {rank_band}"
-        )
-    rank = int(np.sum(rel >= hi))
-    _, _, vh = np.linalg.svd(flat, full_matrices=False)
-    return vh[:rank].reshape(rank, p, q).copy(), svals
+    rows = s.reshape(d, p * q)
+    if real:
+        rows = np.concatenate([rows.real, rows.imag], axis=1)
+    if d:
+        _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+        rel = sv / sv[0] if sv[0] > 0 else np.zeros_like(sv)
+        lo, hi = RANK_BAND
+        ambiguous = (rel > lo) & (rel < hi)
+        if ambiguous.any():
+            raise RankAmbiguous(f"singular value ratios {rel[ambiguous]} in the band {RANK_BAND}")
+        rows = vh[: int(np.sum(rel >= hi))]
+    if real:
+        rows = rows[:, : p * q] + 1j * rows[:, p * q :]
+    return rows.reshape(-1, p, q).copy()
 
 
-def orthonormalize_real(stack, rank_band: tuple[float, float] = RANK_BAND):
-    """Orthonormal basis of the REAL span of a stack of matrices.
+def orthonormalize(stack) -> np.ndarray:
+    """Orthonormal (HS) basis of the complex span of a stack of matrices: a
+    (r, p, q) stack with HS-orthonormal slices spanning the same space."""
+    return _orthonormal_span(stack, real=False)
 
-    Works in the realified coordinates (Re, Im stacked), so the output
-    slices are real-linear combinations of the inputs; used for Hermitian
-    (selfadjoint-part) bases where only real coefficients are allowed.
+
+def orthonormalize_real(stack) -> np.ndarray:
+    """Orthonormal basis of the REAL span of a stack of matrices: its slices
+    are real-linear combinations of the inputs; used for Hermitian
+    (selfadjoint-part) bases where only real coefficients are allowed."""
+    return _orthonormal_span(stack, real=True)
+
+
+def null_space(a, rtol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal rows N spanning the kernel of ``a`` (``a @ N.T = 0``).
+
+    One full SVD; singular values above ``rtol * max(s_max, floor)`` count
+    toward the rank, so ``floor`` makes the cut absolute for operators of
+    known O(1) scale.  An ``a`` without rows has the whole space as kernel.
     """
-    s = np.asarray(stack, dtype=np.complex128)
-    if s.ndim != 3:
-        raise ShapeMismatch("expected a stack of matrices with shape (d, p, q)")
-    d, p, q = s.shape
-    flat = np.concatenate([s.reshape(d, p * q).real, s.reshape(d, p * q).imag], axis=1)
-    svals = np.linalg.svd(flat, compute_uv=False) if d else np.zeros(0)
-    top = svals[0] if len(svals) and svals[0] > 0 else 0.0
-    if top == 0.0:
-        return np.zeros((0, p, q), dtype=np.complex128), svals
-    rel = svals / top
-    lo, hi = rank_band
-    if np.any((rel > lo) & (rel < hi)):
-        raise RankAmbiguous(
-            f"singular value ratios {rel[(rel > lo) & (rel < hi)]} fall in the band {rank_band}"
-        )
-    rank = int(np.sum(rel >= hi))
-    _, _, vh = np.linalg.svd(flat, full_matrices=False)
-    rows = vh[:rank]
-    out = rows[:, : p * q] + 1j * rows[:, p * q :]
-    return out.reshape(rank, p, q).copy(), svals
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > rtol * max(s[0], floor))) if s.size else 0
+    return vh[rank:].conj()
+
+
+def support_isometry(p) -> np.ndarray:
+    """Orthonormal columns spanning the range of a Hermitian projection."""
+    w, u = herm_eig(p)
+    return u[:, : int(np.sum(w > 0.5))]
 
 
 def project_coeffs(stack, m) -> np.ndarray:
@@ -260,7 +261,7 @@ def hermitian_part_basis(stack):
     s = np.asarray(stack, dtype=np.complex128)
     cands = np.concatenate([0.5 * (s + s.conj().transpose(0, 2, 1)),
                             0.5j * (s - s.conj().transpose(0, 2, 1))], axis=0)
-    basis, _ = orthonormalize_real(cands)
+    basis = orthonormalize_real(cands)
     return np.ascontiguousarray(0.5 * (basis + basis.conj().transpose(0, 2, 1)))
 
 
@@ -300,10 +301,7 @@ def rvec_to_herm(v, n) -> np.ndarray:
 def herm_complement(hb, n) -> list:
     """Hermitian pairing rows spanning the real orthocomplement of the span
     of ``hb`` inside the Hermitian n x n matrices."""
-    rows = herm_to_rvec(hb) if len(hb) else np.zeros((0, n * n))
-    _, s, vh = np.linalg.svd(rows, full_matrices=True) if rows.size else (None, np.zeros(0), np.eye(n * n))
-    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    return list(rvec_to_herm(vh[rank:], n))
+    return list(rvec_to_herm(null_space(herm_to_rvec(np.reshape(hb, (-1, n, n)))), n))
 
 
 def random_complex(rng, shape) -> np.ndarray:

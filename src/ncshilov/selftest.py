@@ -1,8 +1,11 @@
-"""Property suites shared by the CLI selftest and the acceptance tests.
+"""Property suites of the CLI selftest, and the instance generators and
+per-instance property checks that the acceptance tests share with them.
 
 Each suite is deterministic given its seed and returns a pass/fail line;
 the quick profile is sized to run in well under a minute, the full profile
-matches the acceptance-scale instance counts.
+matches the acceptance-scale instance counts.  The acceptance criteria draw
+their own instances from their own seeds and counts, and judge each
+instance with the same property function as the suite.
 """
 
 from __future__ import annotations
@@ -152,6 +155,92 @@ def random_unitized_element(rng, env, positives, level=None) -> unitize.Unitized
 
 
 # ---------------------------------------------------------------------------
+# Per-instance properties (the acceptance criteria check the same ones)
+# ---------------------------------------------------------------------------
+
+
+def karn_sandwich(env, elem, hb):
+    """Xplus inside X1 on one element (criterion 6): returns the Karn verdict,
+    whether a Karn-Yes element is also X1-positive, and whether its witness
+    at the smallest scheduled eps, transported to the largest, still passes
+    the witness check (eps monotonicity).  ``hb`` is the Hermitian part
+    basis of ``env.compressed_basis``."""
+    karn = unitize.xplus_cone_member(env, elem)
+    if karn.member != unitize.MEMBER_YES:
+        return karn.member, True, True
+    x1_ok = unitize.x1_cone_member(env, elem, tol=1e-7).member == unitize.MEMBER_YES
+    wit = karn.certificate.get("witness_u", {})
+    eps_small, eps_big = min(wit, default=0.0), max(wit, default=0.0)
+    if karn.certificate.get("u_zero") or eps_big <= eps_small:
+        return karn.member, x1_ok, True
+    moved = unitize.transport_witness(wit[eps_small], elem.scalar_part,
+                                      eps_small, eps_big, hb)
+    root = unitize._psd_sqrt(np.asarray(elem.scalar_part) + eps_big * np.eye(elem.level))
+    big_root = np.kron(root, np.eye(env.envelope_dim))
+    v = matcore.amplify(elem.v_coords, env.compressed_basis)
+    ok, _ = unitize._verify_karn_witness(hb, moved, v, big_root,
+                                         unitize.DEFAULT_DELTA / 2, 1e-6, elem.level)
+    return karn.member, x1_ok, ok
+
+
+def dichotomy(space, mode, env=None):
+    """Distance to the unit and domination on one space (criterion 7):
+    returns (d(X, 1), whether a dominator was found, a failure message or
+    None).  Exactly one of d = 1 (within 1e-6) and a dominator must hold,
+    and the domination solve must be conclusive."""
+    d, _ = unitize.distance_to_unit(space, unit=mode, env=env)
+    dom = unitize.dominating_element(space, unit=mode, env=env)
+    if dom.inconclusive:
+        return d, dom.found, "inconclusive"
+    if (abs(d - 1.0) <= 1e-6) == dom.found:
+        return d, dom.found, f"d={d:.8f}, found={dom.found}"
+    return d, dom.found, None
+
+
+def lemma_note_examples() -> list[str]:
+    """The note's two worked examples (criterion 7), as failure messages:
+    span{E11} in M_2 with the ambient unit has d = 1 and no dominator; the
+    C3 example span{diag(1, 0, .75), diag(0, 1, .75)} in its envelope has
+    d = 0.2 (within 1e-4) and a dominator."""
+    failures = []
+    e11 = np.diag([1.0, 0.0]).astype(np.complex128)
+    d, found, why = dichotomy(validate_space([e11]), unitize.UNIT_AMBIENT)
+    if why is not None or abs(d - 1.0) > 1e-6 or found:
+        failures.append(f"E11: d={d}, found={found}")
+    env3 = envelope_mod.compute_envelope(
+        validate_space([np.diag([1, 0, 0.75]).astype(np.complex128),
+                        np.diag([0, 1, 0.75]).astype(np.complex128)]), seed=0)
+    d3, found3, why = dichotomy(env3.compressed_space(), unitize.UNIT_ENVELOPE, env3)
+    if why is not None or abs(d3 - 0.2) > 1e-4 or not found3:
+        failures.append(f"C3: d={d3}, found={found3}")
+    return failures
+
+
+def positive_contraction_pair(rng):
+    """Two positive contractions on C^n, n in 1..8 (criterion 9): random PSD
+    matrices scaled to a uniform norm in [0, 1)."""
+    n = int(rng.integers(1, 9))
+    pair = []
+    for _ in range(2):
+        t = random_psd(rng, n)
+        pair.append(t / max(op_norm(t), 1e-12) * rng.uniform(0.0, 1.0))
+    return pair
+
+
+def envelope_discrepancy(x, seed, levels, samples, sample_seed) -> float:
+    """The envelope of ``x`` certified (criterion 3): computing it raises
+    when a looseness certificate fails; returns the largest relative
+    discrepancy between sampled norms in X and in the envelope over levels
+    1..levels, or inf when the composed embedding bound exceeds 1 + 1e-6."""
+    env = envelope_mod.compute_envelope(x, seed=seed)
+    if env.embedding_cb > 1.0 + 1e-6:
+        return float("inf")
+    rep = envelope_mod.certify_embedding(env, levels=levels, samples=samples,
+                                         seed=sample_seed)
+    return rep["max_relative_discrepancy"]
+
+
+# ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
@@ -184,37 +273,13 @@ def suite_cone_inclusion(seed=0, instances=6, elements=20) -> SuiteResult:
         env = envelope_mod.compute_envelope(validate_space(gens),
                                             seed=int(rng.integers(2**31)))
         positives = compressed_positives(env, gens)
+        hb = matcore.hermitian_part_basis(env.compressed_basis)
         for _ in range(elements):
-            elem = random_unitized_element(rng, env, positives)
-            karn = unitize.xplus_cone_member(env, elem)
-            if karn.member == unitize.MEMBER_INCONCLUSIVE:
-                inconclusive += 1
-                continue
-            if karn.member == unitize.MEMBER_YES:
-                checked += 1
-                x1v = unitize.x1_cone_member(env, elem, tol=1e-7)
-                if x1v.member != unitize.MEMBER_YES:
-                    violations += 1
-                # transport the witness at the smallest eps to the largest
-                wit = karn.certificate.get("witness_u", {})
-                if wit and not karn.certificate.get("u_zero"):
-                    eps_small = min(wit)
-                    eps_big = max(wit)
-                    if eps_big > eps_small:
-                        moved = unitize.transport_witness(
-                            wit[eps_small], elem.scalar_part, eps_small, eps_big,
-                            matcore.hermitian_part_basis(env.compressed_basis))
-                        hb = matcore.hermitian_part_basis(env.compressed_basis)
-                        root = unitize._psd_sqrt(
-                            np.asarray(elem.scalar_part)
-                            + eps_big * np.eye(elem.level))
-                        big_root = np.kron(root, np.eye(env.envelope_dim))
-                        v = matcore.amplify(elem.v_coords, env.compressed_basis)
-                        ok, _detail = unitize._verify_karn_witness(
-                            hb, moved, v, big_root, unitize.DEFAULT_DELTA / 2, 1e-6,
-                            elem.level)
-                        if not ok:
-                            violations += 1
+            member, x1_ok, transport_ok = karn_sandwich(
+                env, random_unitized_element(rng, env, positives), hb)
+            inconclusive += member == unitize.MEMBER_INCONCLUSIVE
+            checked += member == unitize.MEMBER_YES
+            violations += (not x1_ok) + (not transport_ok)
         # level-0 consistency on a few elements
         for _ in range(4):
             elem = random_unitized_element(rng, env, positives, level=1)
@@ -236,17 +301,8 @@ def suite_cone_inclusion(seed=0, instances=6, elements=20) -> SuiteResult:
 def suite_lemma_note(seed=0, extra_instances=8) -> SuiteResult:
     """Exactly one of d(X, 1) = 1 or a dominating element exists."""
     rng = np.random.default_rng(seed)
+    failures = lemma_note_examples()
     cases = []
-    # ambient-mode span{E11} in M2: d = 1, no dominator
-    e11 = np.zeros((2, 2), dtype=np.complex128)
-    e11[0, 0] = 1.0
-    cases.append((validate_space([e11]), unitize.UNIT_AMBIENT, None))
-    # the C3 example: d = 0.2, dominator found
-    g1 = np.diag([1, 0, 0.75]).astype(np.complex128)
-    g2 = np.diag([0, 1, 0.75]).astype(np.complex128)
-    x3 = validate_space([g1, g2])
-    env3 = envelope_mod.compute_envelope(x3, seed=0)
-    cases.append((env3.compressed_space(), unitize.UNIT_ENVELOPE, env3))
     for _ in range(extra_instances):
         n = int(rng.integers(2, 6))
         x = random_spanning_space(rng, n)
@@ -255,29 +311,17 @@ def suite_lemma_note(seed=0, extra_instances=8) -> SuiteResult:
         # ambient-mode random subspaces of small norm-profile
         y = validate_space([matcore.random_hermitian(rng, n)])
         cases.append((y, unitize.UNIT_AMBIENT, None))
-
-    failures = []
     spanning_fail = 0
-    for i, (space, mode, env) in enumerate(cases):
-        d, _ = unitize.distance_to_unit(space, unit=mode, env=env)
-        dom = unitize.dominating_element(space, unit=mode, env=env)
-        if dom.inconclusive:
-            failures.append(f"case {i} inconclusive")
-            continue
-        d_is_one = abs(d - 1.0) <= 1e-6
-        if d_is_one == dom.found:
-            failures.append(f"case {i}: d={d:.8f}, found={dom.found}")
-        if mode == unitize.UNIT_ENVELOPE and env is not None:
-            if not (d < 1 - 1e-6 and dom.found):
-                spanning_fail += 1
-    # the C3 example must hit 0.2
-    d3, _ = unitize.distance_to_unit(env3.compressed_space(),
-                                     unit=unitize.UNIT_ENVELOPE, env=env3)
-    if abs(d3 - 0.2) > 1e-4:
-        failures.append(f"C3 distance {d3:.6f} != 0.2")
+    for i, (space, mode, env) in enumerate(cases, start=2):
+        d, found, why = dichotomy(space, mode, env)
+        if why is not None:
+            failures.append(f"case {i}: {why}")
+        # the envelope unit of a spanning-cone space is dominated
+        if env is not None and not (d < 1 - 1e-6 and found):
+            spanning_fail += 1
     passed = not failures and spanning_fail == 0
     return SuiteResult("lemma_note_distance_vs_domination", passed,
-                       f"{len(cases)} cases"
+                       f"{len(cases) + 2} cases"
                        + ("" if passed else f"; failures: {failures[:3]},"
                           f" spanning_fail={spanning_fail}"))
 
@@ -287,13 +331,8 @@ def suite_prop1_inequality(seed=0, pairs=200) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
-        n = int(rng.integers(1, 9))
-        ts = []
-        for _ in range(2):
-            t = random_psd(rng, n)
-            t = t / max(op_norm(t), 1e-12) * rng.uniform(0.0, 1.0)
-            ts.append(t)
-        worst = max(worst, op_norm(ts[0] - ts[1]))
+        t0, t1 = positive_contraction_pair(rng)
+        worst = max(worst, op_norm(t0 - t1))
     passed = worst <= 1.0 + 1e-9
     return SuiteResult("positive_contraction_difference", passed,
                        f"{pairs} pairs, max norm {worst:.12f}")
@@ -328,11 +367,9 @@ def suite_envelope_certificates(seed=0, instances=6) -> SuiteResult:
         else:
             n = int(rng.integers(2, 6))
             gens = [random_psd(rng, n) for _ in range(3)]
-        env = envelope_mod.compute_envelope(validate_space(gens),
-                                            seed=int(rng.integers(2**31)))
-        rep = envelope_mod.certify_embedding(env, levels=3, samples=60,
-                                             seed=int(rng.integers(2**31)))
-        worst = max(worst, rep["max_relative_discrepancy"])
+        worst = max(worst, envelope_discrepancy(
+            validate_space(gens), int(rng.integers(2**31)), levels=3, samples=60,
+            sample_seed=int(rng.integers(2**31))))
     passed = worst <= 1e-6
     return SuiteResult("envelope_embedding_certificates", passed,
                        f"{instances} envelopes, max discrepancy {worst:.2e}")

@@ -103,8 +103,8 @@ def validate_space(generators) -> MatrixSpace:
     scale = max(np.abs(stack).max(initial=0.0), 0.0)
     if scale < 1e-12:
         raise ZeroSpace("all generators are numerically zero")
-    plain, _ = orthonormalize(stack)
-    full, _ = orthonormalize(np.concatenate([stack, stack.conj().transpose(0, 2, 1)]))
+    plain = orthonormalize(stack)
+    full = orthonormalize(np.concatenate([stack, stack.conj().transpose(0, 2, 1)]))
     return MatrixSpace(ambient_dim=n, basis=full,
                        adjoints_added=full.shape[0] > plain.shape[0])
 
@@ -112,8 +112,7 @@ def validate_space(generators) -> MatrixSpace:
 def _product_closure_pass(basis):
     """One pass of span(basis ∪ basis * basis), orthonormalized."""
     prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(-1, *basis.shape[1:])
-    out, _ = orthonormalize(np.concatenate([basis, prods]))
-    return out
+    return orthonormalize(np.concatenate([basis, prods]))
 
 
 def generate_star_algebra(x: MatrixSpace | np.ndarray) -> AlgebraPresentation:
@@ -124,7 +123,7 @@ def generate_star_algebra(x: MatrixSpace | np.ndarray) -> AlgebraPresentation:
     """
     basis = x.basis if isinstance(x, MatrixSpace) else np.asarray(x, dtype=np.complex128)
     basis = np.concatenate([basis, basis.conj().transpose(0, 2, 1)])
-    basis, _ = orthonormalize(basis)
+    basis = orthonormalize(basis)
     n = basis.shape[1]
     for _ in range(n * n):
         new = _product_closure_pass(basis)
@@ -145,13 +144,13 @@ def generate_tro(x: MatrixSpace | np.ndarray) -> np.ndarray:
     """
     basis = x.basis if isinstance(x, MatrixSpace) else np.asarray(x, dtype=np.complex128)
     basis = np.concatenate([basis, basis.conj().transpose(0, 2, 1)])
-    basis, _ = orthonormalize(basis)
+    basis = orthonormalize(basis)
     n = basis.shape[1]
     for _ in range(n * n):
         left = np.einsum("iab,jcb->ijac", basis, basis.conj()).reshape(-1, n, n)
-        left, _ = orthonormalize(left)
+        left = orthonormalize(left)
         triples = np.einsum("iab,jbc->ijac", left, basis).reshape(-1, n, n)
-        new, _ = orthonormalize(np.concatenate([basis, triples]))
+        new = orthonormalize(np.concatenate([basis, triples]))
         if new.shape[0] == basis.shape[0]:
             return new
         basis = new
@@ -234,7 +233,7 @@ def cone_spans(x: MatrixSpace, tol: float = 1e-7, seed: int = 0) -> ConeSpanResu
         found.append(got)
     span_dim = len(found)
     if span_dim:
-        pos_basis, _ = matcore.orthonormalize_real(np.asarray(found))
+        pos_basis = matcore.orthonormalize_real(np.asarray(found))
         span_dim = pos_basis.shape[0]
     return ConeSpanResult(spans=span_dim == d,
                           positive_basis=np.asarray(found),
@@ -248,10 +247,7 @@ def _orthocomplement_within(hb, found):
         return hb
     f = np.asarray(found)
     proj = np.einsum("tab,sab->ts", hb.conj(), f).real  # components of found in hb coords
-    _, s, vh = np.linalg.svd(proj.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    comp_coords = vh[rank:]
-    return np.einsum("ct,tab->cab", comp_coords, hb)
+    return np.einsum("ct,tab->cab", matcore.null_space(proj.T), hb)
 
 
 def _max_direction_positive(x: MatrixSpace, w, tol):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncshilov import conesolver, envelope as envelope_mod, matcore, stargen
+from ncshilov import conesolver, envelope as envelope_mod, matcore
 from ncshilov.conesolver import ConicProgram, minimize_opnorm, solve_feasibility
 from ncshilov.errors import ShapeMismatch
 from ncshilov.matcore import amplify, hermitize, op_norm, orthonormalize, psd_check
@@ -99,13 +99,13 @@ def build_x1(env: envelope_mod.EnvelopePresentation) -> Unitization:
     is adjoined; when it already lies in the embedded copy the unitization
     is flagged unital and equals the embedded space."""
     unit = env.unit()
-    embedded, _ = orthonormalize(env.compressed_basis)
+    embedded = orthonormalize(env.compressed_basis)
     resid = matcore.span_residual(embedded, unit)
     if resid <= 1e-9:
         return Unitization(space=MatrixSpace(ambient_dim=env.envelope_dim,
                                              basis=embedded),
                            unital=True, unit_residual=resid)
-    basis, _ = orthonormalize(np.concatenate([embedded, [unit]]))
+    basis = orthonormalize(np.concatenate([embedded, [unit]]))
     return Unitization(space=MatrixSpace(ambient_dim=env.envelope_dim, basis=basis),
                        unital=False, unit_residual=resid)
 
@@ -175,10 +175,11 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
 
     hb = matcore.hermitian_part_basis(basis)
     n = env.envelope_dim
+    fixed = _karn_fixed_constraints(hb, n, k, delta)
     for eps in eps_schedule:
         root = _psd_sqrt(a + eps * np.eye(k))
         big_root = np.kron(root, np.eye(n))
-        out = _karn_feasibility(hb, n, k, v, big_root, delta, tol)
+        out = _karn_feasibility(fixed, k * n, v, big_root, tol)
         if out.status == conesolver.FEASIBLE:
             u = out.primal_point[0]
             coeffs = _herm_coeffs(hb, u, k, n)
@@ -215,21 +216,22 @@ def _psd_sqrt(m):
     return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
-def _karn_feasibility(hb, n, k, v, big_root, delta, tol):
+def _karn_fixed_constraints(hb, n, k, delta):
+    """The eps-independent rows of the Karn program, built once per query:
+    U pinned to M_k(X) by selfadjoint-complement pairings of the entrywise
+    space structure, and S1 + U = (1 - delta) I."""
+    kn = k * n
+    pins = matcore.herm_complement(_level_herm_basis(hb, k), kn)
+    unit = _equality_pairings(kn, np.eye(kn, dtype=np.complex128) * (1.0 - delta))
+    return [([f, None, None], 0.0) for f in pins] + [([f, f, None], rhs) for f, rhs in unit]
+
+
+def _karn_feasibility(fixed, kn, v, big_root, tol):
     """Feasibility program for the witness u at one eps.
 
-    Blocks: U (kn, the candidate), S1 = (1 - delta) - U, S2 = v + R U R.
-    U is pinned to M_k(X) by selfadjoint-complement pairings of the
-    entrywise space structure."""
-    kn = k * n
-    eye = np.eye(kn, dtype=np.complex128)
-    constraints = []
-    # U in M_k(X): pin each (i, j) entry block to the real span structure.
-    for f in matcore.herm_complement(_level_herm_basis(hb, k), kn):
-        constraints.append(([f, None, None], 0.0))
-    # S1 + U = (1 - delta) I
-    for f, rhs in _equality_pairings(kn, eye * (1.0 - delta)):
-        constraints.append(([f, f, None], rhs))
+    Blocks: U (kn, the candidate), S1 = (1 - delta) - U, S2 = v + R U R;
+    ``fixed`` holds the rows of :func:`_karn_fixed_constraints`."""
+    constraints = list(fixed)
     # S2 - R U R = v  <=>  pairings of S2 - conj-transport of U
     for f, rhs in _equality_pairings(kn, v):
         transported = hermitize(big_root @ f @ big_root, rtol=1e-8)

@@ -8,7 +8,6 @@ calibration.
 import time
 
 import numpy as np
-import pytest
 
 from ncshilov import matcore, stargen
 from ncshilov.conesolver import (
@@ -23,17 +22,17 @@ from ncshilov.conesolver import (
     sampled_cb_lower_bound,
     solve_feasibility,
 )
-from ncshilov.envelope import (
-    SCAN_ASCENDING_RANK,
-    certify_embedding,
-    compute_envelope,
-    induced_isomorphism,
-)
+from ncshilov.envelope import SCAN_ASCENDING_RANK, compute_envelope, induced_isomorphism
 from ncshilov.funcspace import boundary, crosscheck_diagonal, validate_function_space
 from ncshilov.matcore import op_norm, random_complex, random_psd
 from ncshilov.selftest import (
     compressed_positives,
+    dichotomy,
+    envelope_discrepancy,
+    karn_sandwich,
+    lemma_note_examples,
     loose_instance,
+    positive_contraction_pair,
     random_function_space,
     random_spanning_space,
     random_unitized_element,
@@ -41,22 +40,11 @@ from ncshilov.selftest import (
 )
 from ncshilov.stargen import tro_equals_algebra, validate_space
 from ncshilov.unitize import (
-    DEFAULT_DELTA,
-    DEFAULT_EPS_SCHEDULE,
     MEMBER_INCONCLUSIVE,
-    MEMBER_NO,
     MEMBER_YES,
     UNIT_AMBIENT,
     UNIT_ENVELOPE,
-    UnitizedElement,
-    _psd_sqrt,
-    _verify_karn_witness,
     check_envelope_of_unitization,
-    distance_to_unit,
-    dominating_element,
-    transport_witness,
-    x1_cone_member,
-    xplus_cone_member,
 )
 
 
@@ -128,10 +116,8 @@ def test_criterion_03_embedding_certification():
         instances.append(validate_space([random_psd(rng, n) for _ in range(3)]))
     worst = 0.0
     for i, x in enumerate(instances):
-        env = compute_envelope(x, seed=i)  # raises if the cc certificate fails
-        assert env.embedding_cb <= 1.0 + 1e-6
-        rep = certify_embedding(env, levels=4, samples=500, seed=i + 1)
-        worst = max(worst, rep["max_relative_discrepancy"])
+        worst = max(worst, envelope_discrepancy(x, i, levels=4, samples=500,
+                                                sample_seed=i + 1))
     _report(3, worst <= 1e-6,
             f"{len(instances)} envelopes, cc certified, "
             f"max sampled discrepancy {worst:.2e} over levels 1-4 x 500")
@@ -204,31 +190,12 @@ def test_criterion_06_cone_sandwich():
         positives = compressed_positives(env, gens)
         hb = matcore.hermitian_part_basis(env.compressed_basis)
         for _ in range(100):
-            elem = random_unitized_element(rng, env, positives)
-            karn = xplus_cone_member(env, elem)
-            if karn.member == MEMBER_INCONCLUSIVE:
-                inconclusive += 1
-                continue
-            if karn.member != MEMBER_YES:
-                continue
-            yes_count += 1
-            if x1_cone_member(env, elem, tol=1e-7).member != MEMBER_YES:
-                violations += 1
-            wit = karn.certificate.get("witness_u", {})
-            if wit and not karn.certificate.get("u_zero"):
-                eps_small, eps_big = min(wit), max(wit)
-                if eps_big > eps_small:
-                    moved = transport_witness(wit[eps_small], elem.scalar_part,
-                                              eps_small, eps_big, hb)
-                    root = _psd_sqrt(np.asarray(elem.scalar_part)
-                                     + eps_big * np.eye(elem.level))
-                    big_root = np.kron(root, np.eye(env.envelope_dim))
-                    v = matcore.amplify(elem.v_coords, env.compressed_basis)
-                    okw, _ = _verify_karn_witness(hb, moved, v, big_root,
-                                                  DEFAULT_DELTA / 2, 1e-6,
-                                                  elem.level)
-                    if not okw:
-                        transported_fail += 1
+            member, x1_ok, transport_ok = karn_sandwich(
+                env, random_unitized_element(rng, env, positives), hb)
+            inconclusive += member == MEMBER_INCONCLUSIVE
+            yes_count += member == MEMBER_YES
+            violations += not x1_ok
+            transported_fail += not transport_ok
     _report(6, violations == 0 and transported_fail == 0 and yes_count >= 300,
             f"30 x 100 elements: {yes_count} Karn-Yes, {violations} X1 violations, "
             f"{transported_fail} monotonicity failures, {inconclusive} inconclusive")
@@ -236,24 +203,7 @@ def test_criterion_06_cone_sandwich():
 
 def test_criterion_07_lemma_note_equivalence():
     rng = np.random.default_rng(707)
-    failures = []
-    # ambient-mode span{E11}: d = 1, no dominator
-    e11 = np.zeros((2, 2), dtype=complex)
-    e11[0, 0] = 1.0
-    x = validate_space([e11])
-    d, _ = distance_to_unit(x, unit=UNIT_AMBIENT)
-    dom = dominating_element(x, unit=UNIT_AMBIENT)
-    if not (abs(d - 1.0) <= 1e-6 and not dom.found and not dom.inconclusive):
-        failures.append(f"E11: d={d}, found={dom.found}")
-    # the C3 example: d = 0.2 +/- 1e-4 with a dominator
-    g1 = np.diag([1, 0, 0.75]).astype(complex)
-    g2 = np.diag([0, 1, 0.75]).astype(complex)
-    env3 = compute_envelope(validate_space([g1, g2]), seed=0)
-    d3, _ = distance_to_unit(env3.compressed_space(), unit=UNIT_ENVELOPE, env=env3)
-    dom3 = dominating_element(env3.compressed_space(), unit=UNIT_ENVELOPE, env=env3)
-    if not (abs(d3 - 0.2) <= 1e-4 and dom3.found):
-        failures.append(f"C3: d={d3}, found={dom3.found}")
-    cases = 2
+    failures = lemma_note_examples()
     for i in range(16):
         if i % 2 == 0:
             n = int(rng.integers(2, 6))
@@ -265,15 +215,11 @@ def test_criterion_07_lemma_note_equivalence():
             env = compute_envelope(
                 validate_space([random_psd(rng, n) for _ in range(3)]), seed=i)
             space, mode = env.compressed_space(), UNIT_ENVELOPE
-        d, _ = distance_to_unit(space, unit=mode, env=env)
-        dom = dominating_element(space, unit=mode, env=env)
-        cases += 1
-        if dom.inconclusive:
-            failures.append(f"case {i}: inconclusive")
-        elif (abs(d - 1.0) <= 1e-6) == dom.found:
-            failures.append(f"case {i}: d={d:.8f}, found={dom.found}")
+        _, _, why = dichotomy(space, mode, env)
+        if why is not None:
+            failures.append(f"case {i}: {why}")
     _report(7, not failures,
-            f"{cases} instances: exactly one of d(X,1)=1 / dominator found "
+            f"18 instances: exactly one of d(X,1)=1 / dominator found "
             f"(failures: {failures[:3]})")
 
 
@@ -302,12 +248,8 @@ def test_criterion_09_positive_contraction_inequality():
     rng = np.random.default_rng(909)
     worst = 0.0
     for _ in range(1000):
-        n = int(rng.integers(1, 9))
-        pair = []
-        for _ in range(2):
-            t = random_psd(rng, n)
-            pair.append(t / max(op_norm(t), 1e-12) * rng.uniform(0.0, 1.0))
-        worst = max(worst, op_norm(pair[0] - pair[1]))
+        t0, t1 = positive_contraction_pair(rng)
+        worst = max(worst, op_norm(t0 - t1))
     _report(9, worst <= 1.0 + 1e-9,
             f"1000 positive-contraction pairs, max difference norm {worst:.12f}")
 

@@ -8,9 +8,11 @@ from ncshilov.matcore import (
     herm_eig,
     hermitize,
     hs_inner,
+    null_space,
     op_norm,
     op_norms,
     orthonormalize,
+    orthonormalize_real,
     psd_check,
 )
 
@@ -222,10 +224,61 @@ def test_orthonormalize_rank_band():
         orthonormalize(np.stack([g, g + 1e-8 * h]))
 
 
+def test_orthonormalize_real_rank_band():
+    # the second element is real-independent of the first only at 1e-8
+    g = np.diag([1.0, 0.0]).astype(complex)
+    h = np.diag([0.0, 1j])
+    with pytest.raises(RankAmbiguous):
+        orthonormalize_real(np.stack([g, g + 1e-8 * h]))
+    assert orthonormalize_real(np.stack([g, 1j * g])).shape == (2, 2, 2)
+
+
 def test_orthonormalize_preserves_nonconjugate_spans():
     # spans that are not closed under entrywise conjugation must survive
     rng = np.random.default_rng(21)
     stack = np.stack([matcore.random_complex(rng, (3, 3)) for _ in range(2)])
-    on, _ = orthonormalize(stack)
+    on = orthonormalize(stack)
     for m in stack:
         assert matcore.span_residual(on, m) < 1e-10
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(3, 7, 3), (6, 5, 2), (4, 4, 0), (5, 9, 5)])
+def test_null_space_is_an_orthonormal_kernel(rows, cols, rank):
+    rng = np.random.default_rng(rows * 100 + cols)
+    a = matcore.random_complex(rng, (rows, rank)) @ matcore.random_complex(rng, (rank, cols))
+    n = null_space(a)
+    assert n.shape == (cols - rank, cols)
+    assert np.allclose(n @ n.conj().T, np.eye(cols - rank), atol=1e-12)
+    assert np.abs(a @ n.T).max(initial=0.0) <= 1e-10 * max(np.linalg.norm(a, 2), 1.0)
+
+
+def test_null_space_of_no_rows_is_the_whole_space():
+    assert np.array_equal(null_space(np.zeros((0, 4))), np.eye(4))
+
+
+def test_null_space_rows_are_conjugated():
+    # a = [1, i]: its kernel is spanned by (-i, 1)/sqrt 2; the unconjugated
+    # SVD row is (i, 1)/sqrt 2 up to a phase, and |a @ row| = sqrt 2
+    a = np.array([[1.0, 1j]])
+    n = null_space(a)
+    assert n.shape == (1, 2)
+    assert abs(a @ n[0]) <= 1e-15
+    assert abs(a @ n[0].conj()) > 1.0
+
+
+def test_null_space_floor_makes_the_cut_absolute():
+    rng = np.random.default_rng(7)
+    a = matcore.random_complex(rng, (2, 5))
+    tiny = 1e-11 * a / np.linalg.norm(a, 2)
+
+    def kernel_projector(n):  # the kernel vectors are the rows of n
+        return n.T @ n.conj()
+
+    # relative to an O(1) scale the tiny matrix is zero: the kernel is everything
+    full = null_space(tiny, floor=1.0)
+    assert full.shape == (5, 5)
+    assert np.allclose(kernel_projector(full), np.eye(5), atol=1e-12)
+    # without the floor the cut is relative: the kernel of the rescaled copy
+    rel = null_space(tiny)
+    assert rel.shape == (3, 5)
+    assert np.allclose(kernel_projector(rel), kernel_projector(null_space(a)), atol=1e-10)
