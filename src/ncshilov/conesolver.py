@@ -8,7 +8,8 @@ shapes feed it:
 
 * :class:`ConicProgram` holds scalar pairing constraints
   ``sum_v Re<F_jv, X_v> = rhs_j`` against Hermitian variable blocks, with an
-  optional real-linear objective.  Without an objective,
+  optional real-linear objective, as real rows in the coordinates of
+  :func:`matcore.herm_to_rvec`.  Without an objective,
   :func:`solve_feasibility` poses a phase-I margin program (maximize
   lambda with X_v - lambda I >= 0): an iterate with lambda > 0 gives a
   strictly PSD point, and otherwise the dual multipliers give the
@@ -37,17 +38,16 @@ yields a level-q element y of the domain (:func:`_dual_witness`), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from ncshilov import matcore
-from ncshilov.errors import BadProgram, InconclusiveAtTolerance, ShapeMismatch
+from ncshilov.errors import BadProgram, InconclusiveAtTolerance, NonFinite, ShapeMismatch
 from ncshilov.matcore import (
     amplify,
     herm_to_rvec,
-    hs_inner,
     op_norm,
     op_norms,
     orthonormalize,
@@ -80,47 +80,43 @@ OBJECTIVE_TOL = 1e-8
 
 @dataclass
 class ConicProgram:
-    """Feasibility/optimization data over Hermitian PSD blocks.
+    """Feasibility/optimization data over Hermitian PSD blocks, in the real
+    coordinates of :func:`matcore.herm_to_rvec`.
 
-    ``block_dims``: sizes of the PSD variable blocks.
-    ``constraints``: list of (coeffs, rhs) where coeffs holds one Hermitian
-    matrix (or None) per block and the constraint reads
-    ``sum_v Re trace(coeffs[v] X_v) = rhs``.
-    ``objective``: optional list of Hermitian matrices per block; the engine
-    minimizes ``sum_v Re trace(objective[v] X_v)``.
+    ``block_dims``: sizes of the PSD variable blocks; x is their
+    vectorizations concatenated, so block v owns the next n_v^2 columns.
+    ``rows`` (m, sum n_v^2) and ``rhs`` (m,): the constraints
+    ``rows @ x = rhs``, i.e. ``sum_v Re<F_jv, X_v> = rhs_j`` for the
+    Hermitian matrices F_jv the row vectorizes.
+    ``objective``: optional coordinate vector c; the engine minimizes
+    ``c @ x``.
     """
 
     block_dims: list[int]
-    constraints: list[tuple[list, float]] = field(default_factory=list)
-    objective: list | None = None
+    rows: np.ndarray
+    rhs: np.ndarray
+    objective: np.ndarray | None = None
 
     def __post_init__(self):
-        for coeffs, _rhs in self.constraints:
-            if len(coeffs) != len(self.block_dims):
-                raise BadProgram("constraint coefficient count != block count")
-            for c, n in zip(coeffs, self.block_dims):
-                if c is not None and np.asarray(c).shape != (n, n):
-                    raise BadProgram(
-                        f"coefficient shape {np.asarray(c).shape} != block dim {n}"
-                    )
-        if self.objective is not None and len(self.objective) != len(self.block_dims):
-            raise BadProgram("objective coefficient count != block count")
+        width = sum(n * n for n in self.block_dims)
+        self.rows = np.asarray(self.rows, dtype=float)
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        if self.rows.ndim != 2 or self.rows.shape[1] != width:
+            raise BadProgram(f"rows of shape {self.rows.shape} are not (m, {width})")
+        if self.rhs.shape != self.rows.shape[:1]:
+            raise BadProgram(f"{self.rhs.size} right-hand sides for "
+                             f"{self.rows.shape[0]} rows")
+        if self.objective is not None:
+            self.objective = np.asarray(self.objective, dtype=float)
+            if self.objective.shape != (width,):
+                raise BadProgram(f"objective of shape {self.objective.shape} is not ({width},)")
+        for data in (self.rows, self.rhs, self.objective):
+            if data is not None and not np.isfinite(data).all():
+                raise NonFinite("conic program data has NaN or Inf entries")
 
     def prepare(self):
-        def rows(per_row):
-            """One pairing row per list of per-block coefficients; each
-            block's matrices are validated and vectorized as one stack."""
-            blocks = []
-            for v, n in enumerate(self.block_dims):
-                stack = np.array([np.zeros((n, n)) if c[v] is None else c[v] for c in per_row],
-                                 dtype=np.complex128).reshape(-1, n, n)
-                blocks.append(herm_to_rvec(matcore.hermitize(stack)))
-            return np.concatenate(blocks, axis=1)
-
-        a = rows([coeffs for coeffs, _ in self.constraints])
-        b = np.array([rhs for _, rhs in self.constraints], dtype=float)
-        cvec = rows([self.objective or [None] * len(self.block_dims)])[0]
-        return _DensePrepared(self.block_dims, a, b, cvec)
+        cvec = self.objective if self.objective is not None else np.zeros(self.rows.shape[1])
+        return _DensePrepared(self.block_dims, self.rows, self.rhs, cvec)
 
 
 class _DensePrepared:
@@ -539,24 +535,25 @@ def minimize_opnorm(target, subspace_basis, tol: float = 1e-8,
     if d == 0:
         return op_norm(t0), np.zeros(0, dtype=np.complex128)
 
-    constraints = []
-    for f in _offdiag_complement_rows(stack, p, q, real=real_coeffs):
-        big = np.zeros((n, n), dtype=np.complex128)
-        big[:p, p:] = 0.5 * f
-        big[p:, :p] = 0.5 * f.conj().T
-        constraints.append(([big], float(np.real(hs_inner(t0, f)))))
+    # R in target - span: its components orthogonal to the span are the
+    # target's, read off the upper corner of X
+    comp = _offdiag_complement_rows(stack, p, q, real=real_coeffs)
+    corner = np.zeros((comp.shape[0], n, n), dtype=np.complex128)
+    corner[:, :p, p:] = 0.5 * comp
+    rows = [herm_to_rvec(corner)]
+    rhs = [np.sum(comp.conj() * t0, axis=(1, 2)).real]
     # diagonal blocks must equal t * identity: their traceless parts vanish
     # and their normalized traces agree
     for k, lo in ((p, 0), (q, p)):
-        for h in matcore.herm_complement(np.eye(k)[None], k):
-            f = np.zeros((n, n), dtype=np.complex128)
-            f[lo : lo + k, lo : lo + k] = h
-            constraints.append(([f], 0.0))
-    f = np.zeros((n, n), dtype=np.complex128)
-    f[:p, :p], f[p:, p:] = np.eye(p) / p, -np.eye(q) / q
-    constraints.append(([f], 0.0))
-
-    prog = ConicProgram([n], constraints, objective=[np.eye(n, dtype=np.complex128) / n])
+        pins = matcore.null_space(herm_to_rvec(np.eye(k)[None]))
+        block = np.zeros((pins.shape[0], n * n))
+        block[:, matcore.herm_block_coords(n, lo, k)] = pins
+        rows.append(block)
+        rhs.append(np.zeros(pins.shape[0]))
+    trace = np.zeros((1, n * n))
+    trace[0, :p], trace[0, p:n] = 1.0 / p, -1.0 / q
+    prog = ConicProgram([n], np.concatenate(rows + [trace]), np.concatenate(rhs + [[0.0]]),
+                        objective=herm_to_rvec(np.eye(n) / n))
     out = solve_feasibility(prog, tol=max(tol, 1e-9))
     if out.status != FEASIBLE:
         raise InconclusiveAtTolerance(f"norm minimization solve {out.status}: "
@@ -669,7 +666,7 @@ class ChoiAgreementProgram:
         """``(f, a, b)``: Hermitian row matrices on the support, their
         scaling coefficients and right-hand sides, one per (a, e)."""
         tq = self.tq
-        basis = np.stack([rvec_to_herm(e, tq) for e in np.eye(tq * tq)])
+        basis = rvec_to_herm(np.eye(tq * tq), tq)
         k, al = np.divmod(self.support, tq)
         g_part = self.g.conj()[:, k[:, None], k[None, :]]
         e_part = basis[:, al[:, None], al[None, :]]
@@ -713,7 +710,7 @@ def _hkm_max_scale(f, a, b) -> ScaleSolve:
     rows = np.concatenate([herm_to_rvec(f), np.asarray(a)[:, None]], axis=1)
     cvec = np.zeros(n * n + 1)
     cvec[-1] = -1.0
-    prepared = _DensePrepared([n, 1], rows, np.asarray(b, dtype=float), cvec)
+    prepared = ConicProgram([n, 1], rows, b, objective=cvec).prepare()
     sol = _hkm(prepared.f, prepared.rhs, prepared.c)
     return ScaleSolve(**{**vars(sol), "x": sol.x[0], "z": sol.z[0],
                          "s": float(sol.x[1][0, 0].real)})
@@ -795,11 +792,14 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
     is at most
     ``(1 + 2 sum_a ||g_a||_1 ||R_a||) / s`` (see :func:`_certified_cb_bound`).
     CompletelyContractive is returned only when that bound is at most
-    ``1 + tol`` and the sampler finds nothing above it; the bound is the
-    reported ``cb_estimate``.  A Not verdict carries a level-q element y
-    read from the dual point (:func:`_dual_witness`), with ||y|| = 1 and
-    ||psi_q(y)|| > 1 + tol both recomputed directly.  Anything else is
-    Marginal, with the solver's status in the diagnostics.
+    ``1 + tol`` and the lower bound of :func:`sampled_cb_lower_bound` (300
+    samples over levels 1..min(q, 3)) is at most ``1 + 10 tol``; a sampled
+    bound above that contradicts the certificate and gives Marginal.  The
+    certified bound is the reported ``cb_estimate``.  A Not verdict
+    carries a level-q element y read from the dual point
+    (:func:`_dual_witness`), with ||y|| = 1 and ||psi_q(y)|| > 1 + tol
+    both recomputed directly.  Anything else is Marginal, with the
+    solver's status in the diagnostics.
     """
     if all(np.abs(y).max(initial=0.0) < 1e-14 for y in map_spec.on_images):
         return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map",

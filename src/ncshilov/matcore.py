@@ -298,10 +298,16 @@ def rvec_to_herm(v, n) -> np.ndarray:
     return m
 
 
-def herm_complement(hb, n) -> list:
-    """Hermitian pairing rows spanning the real orthocomplement of the span
-    of ``hb`` inside the Hermitian n x n matrices."""
-    return list(rvec_to_herm(null_space(herm_to_rvec(np.reshape(hb, (-1, n, n)))), n))
+def herm_block_coords(n, lo, k) -> np.ndarray:
+    """Positions, among the :func:`herm_to_rvec` coordinates of an n x n
+    matrix, of the coordinates of its k x k diagonal block at offset
+    ``lo``, in the block's own coordinate order."""
+    i, j = _triu_cache(n)
+    slot = np.zeros((n, n), dtype=int)
+    slot[i, j] = n + np.arange(i.size)
+    a, b = _triu_cache(k)
+    upper = slot[lo + a, lo + b]
+    return np.concatenate([lo + np.arange(k), upper, upper + i.size])
 
 
 def random_complex(rng, shape) -> np.ndarray:

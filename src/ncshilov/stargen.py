@@ -15,7 +15,6 @@ import numpy as np
 
 from ncshilov import conesolver, matcore
 from ncshilov.errors import (
-    BadProgram,
     ConeDoesNotSpan,
     InconclusiveAtTolerance,
     ShapeMismatch,
@@ -256,17 +255,13 @@ def _max_direction_positive(x: MatrixSpace, w, tol):
 
     Returns (element | None, marginal_flag)."""
     n = x.ambient_dim
-    hb = x.hermitian_basis()
-    constraints = [([np.eye(n, dtype=np.complex128)], 1.0)]
-    for f in matcore.herm_complement(hb, n):
-        constraints.append(([f], 0.0))
-    prog = conesolver.ConicProgram([n], constraints, objective=[-hermitize(w)])
-    try:
-        out = conesolver.solve_feasibility(prog, tol=min(tol, 1e-7))
-    except BadProgram:
-        # the affine system is empty (e.g. the space has no trace-1 element),
-        # so there is certainly no positive candidate in this direction
-        return None, False
+    # trace one, and the coordinates in the kernel of X's selfadjoint part vanish
+    pins = matcore.null_space(matcore.herm_to_rvec(x.hermitian_basis()))
+    rows = np.concatenate([matcore.herm_to_rvec(np.eye(n))[None], pins])
+    rhs = np.concatenate([[1.0], np.zeros(pins.shape[0])])
+    prog = conesolver.ConicProgram([n], rows, rhs,
+                                   objective=-matcore.herm_to_rvec(hermitize(w)))
+    out = conesolver.solve_feasibility(prog, tol=min(tol, 1e-7))
     if out.status == conesolver.FEASIBLE and out.primal_point is not None:
         v = out.primal_point[0]
         gain = float(np.real(matcore.hs_inner(v, w)))

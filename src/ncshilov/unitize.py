@@ -25,7 +25,15 @@ import numpy as np
 from ncshilov import conesolver, envelope as envelope_mod, matcore
 from ncshilov.conesolver import ConicProgram, minimize_opnorm, solve_feasibility
 from ncshilov.errors import ShapeMismatch
-from ncshilov.matcore import amplify, hermitize, op_norm, orthonormalize, psd_check
+from ncshilov.matcore import (
+    amplify,
+    herm_to_rvec,
+    hermitize,
+    op_norm,
+    orthonormalize,
+    psd_check,
+    rvec_to_herm,
+)
 from ncshilov.stargen import MatrixSpace
 
 MEMBER_YES = "yes"
@@ -179,7 +187,7 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
     for eps in eps_schedule:
         root = _psd_sqrt(a + eps * np.eye(k))
         big_root = np.kron(root, np.eye(n))
-        out = _karn_feasibility(fixed, k * n, v, big_root, tol)
+        out = solve_feasibility(_karn_program(fixed, k * n, v, big_root), tol=min(tol, 1e-7))
         if out.status == conesolver.FEASIBLE:
             u = out.primal_point[0]
             coeffs = _herm_coeffs(hb, u, k, n)
@@ -217,72 +225,35 @@ def _psd_sqrt(m):
 
 
 def _karn_fixed_constraints(hb, n, k, delta):
-    """The eps-independent rows of the Karn program, built once per query:
-    U pinned to M_k(X) by selfadjoint-complement pairings of the entrywise
-    space structure, and S1 + U = (1 - delta) I."""
+    """The eps-independent rows and right-hand sides of the Karn program
+    over the blocks [U, S1, S2], built once per query: U pinned to M_k(X)
+    (its coordinates in the kernel of the selfadjoint part of M_k(X)
+    vanish), and S1 + U = (1 - delta) I."""
     kn = k * n
-    pins = matcore.herm_complement(_level_herm_basis(hb, k), kn)
-    unit = _equality_pairings(kn, np.eye(kn, dtype=np.complex128) * (1.0 - delta))
-    return [([f, None, None], 0.0) for f in pins] + [([f, f, None], rhs) for f, rhs in unit]
+    # kron(E, h) over the Hermitian units E of M_k and h in hb: a real-ON
+    # basis of the selfadjoint part of M_k(X)
+    level = np.einsum("sij,tab->stiajb", rvec_to_herm(np.eye(k * k), k), hb)
+    pins = matcore.null_space(herm_to_rvec(level.reshape(-1, kn, kn)))
+    eye = np.eye(kn * kn)
+    rows = np.block([[pins, np.zeros((pins.shape[0], 2 * kn * kn))],
+                     [eye, eye, np.zeros_like(eye)]])
+    rhs = np.concatenate([np.zeros(pins.shape[0]), herm_to_rvec((1.0 - delta) * np.eye(kn))])
+    return rows, rhs
 
 
-def _karn_feasibility(fixed, kn, v, big_root, tol):
+def _karn_program(fixed, kn, v, big_root):
     """Feasibility program for the witness u at one eps.
 
     Blocks: U (kn, the candidate), S1 = (1 - delta) - U, S2 = v + R U R;
-    ``fixed`` holds the rows of :func:`_karn_fixed_constraints`."""
-    constraints = list(fixed)
-    # S2 - R U R = v  <=>  pairings of S2 - conj-transport of U
-    for f, rhs in _equality_pairings(kn, v):
-        transported = hermitize(big_root @ f @ big_root, rtol=1e-8)
-        constraints.append(([(-1.0) * transported, None, f], rhs))
-    prog = ConicProgram([kn, kn, kn], constraints)
-    return solve_feasibility(prog, tol=min(tol, 1e-7))
-
-
-def _level_herm_basis(hb, k):
-    """Real-ON basis of the selfadjoint part of M_k(X) from the level-1
-    Hermitian basis."""
-    d, n, _ = hb.shape
-    out = []
-    for i in range(k):
-        for j in range(i, k):
-            for t in range(d):
-                if i == j:
-                    c = np.zeros((k, k, d))
-                    c[i, i, t] = 1.0
-                    out.append(amplify(c, hb))
-                else:
-                    c = np.zeros((k, k, d), dtype=np.complex128)
-                    c[i, j, t] = 1.0 / np.sqrt(2)
-                    c[j, i, t] = 1.0 / np.sqrt(2)
-                    out.append(amplify(c, hb))
-                    c = np.zeros((k, k, d), dtype=np.complex128)
-                    c[i, j, t] = 1j / np.sqrt(2)
-                    c[j, i, t] = -1j / np.sqrt(2)
-                    out.append(amplify(c, hb))
-    return np.asarray(out)
-
-
-def _equality_pairings(n, target):
-    """Hermitian pairing rows reading off every real degree of freedom of an
-    n x n Hermitian block, with the rhs values of ``target``: each pair
-    (f, rhs) has Re tr(f target) = rhs."""
-    target = hermitize(target, rtol=1e-8)
-    out = []
-    for i in range(n):
-        f = np.zeros((n, n), dtype=np.complex128)
-        f[i, i] = 1.0
-        out.append((f, float(target[i, i].real)))
-        for j in range(i + 1, n):
-            fr = np.zeros((n, n), dtype=np.complex128)
-            fr[i, j] = fr[j, i] = 0.5
-            out.append((fr, float(target[i, j].real)))
-            fi = np.zeros((n, n), dtype=np.complex128)
-            fi[i, j] = 0.5j
-            fi[j, i] = -0.5j
-            out.append((fi, float(target[i, j].imag)))
-    return out
+    ``fixed`` holds the rows of :func:`_karn_fixed_constraints`.  Row j of
+    S2 - R U R = v pairs with the unit matrix E_j of the coordinates, so
+    its U part is the vectorized transport R E_j R."""
+    rows, rhs = fixed
+    eye = np.eye(kn * kn)
+    transport = herm_to_rvec(hermitize(big_root @ rvec_to_herm(eye, kn) @ big_root, rtol=1e-8))
+    rows = np.block([[rows], [-transport, np.zeros_like(eye), eye]])
+    rhs = np.concatenate([rhs, herm_to_rvec(hermitize(v, rtol=1e-8))])
+    return ConicProgram([kn, kn, kn], rows, rhs)
 
 
 def _herm_coeffs(hb, u, k, n):
@@ -378,10 +349,8 @@ def dominating_element(x: MatrixSpace, unit: str = UNIT_AMBIENT, env=None,
     unit_matrix, space = _resolve_unit(x, unit, env)
     n = space.ambient_dim
     hb = space.hermitian_basis()
-    constraints = []
-    for f in matcore.herm_complement(hb, n):
-        constraints.append(([f], -float(np.real(matcore.hs_inner(unit_matrix, f)))))
-    prog = ConicProgram([n], constraints)
+    rows = matcore.null_space(herm_to_rvec(hb))
+    prog = ConicProgram([n], rows, -rows @ herm_to_rvec(unit_matrix))
     out = solve_feasibility(prog, tol=min(tol, 1e-7))
     if out.status == conesolver.FEASIBLE:
         s = out.primal_point[0]

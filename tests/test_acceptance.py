@@ -257,11 +257,9 @@ def test_criterion_09_positive_contraction_inequality():
 def _planted_feasible(rng):
     n = int(rng.integers(1, 6))
     planted = random_psd(rng, n) + 0.2 * np.eye(n)
-    constraints = []
-    for _ in range(int(rng.integers(1, 6))):
-        f = matcore.random_hermitian(rng, n)
-        constraints.append(([f], float(np.real(matcore.hs_inner(planted, f)))))
-    return ConicProgram([n], constraints), True
+    fs = np.array([matcore.random_hermitian(rng, n) for _ in range(int(rng.integers(1, 6)))])
+    rhs = [float(np.real(matcore.hs_inner(planted, f))) for f in fs]
+    return ConicProgram([n], matcore.herm_to_rvec(fs), rhs), True
 
 
 def _planted_infeasible(rng):
@@ -279,8 +277,7 @@ def _planted_infeasible(rng):
     b_perp -= (b_perp @ y) / (y @ y) * y
     delta = rng.uniform(0.3, 1.0)
     b = y * delta / (y @ y) + b_perp
-    constraints = [([f], float(bi)) for f, bi in zip(fs, b)]
-    return ConicProgram([n], constraints), False
+    return ConicProgram([n], matcore.herm_to_rvec(np.array(fs)), b), False
 
 
 def test_criterion_10_solver_soundness_and_oracle_agreement():

@@ -147,6 +147,14 @@ def test_exit_code_parse_error(tmp_path):
     assert main(["envelope", "--input", inp]) == EXIT_PARSE
 
 
+def test_envelope_refuses_a_tolerance_out_of_range(tmp_path, capsys):
+    # the probe solves refuse tol 1e-11; that is an error, not "the cone
+    # does not span" (both generators of DIAG_HALF are PSD)
+    inp = _write(tmp_path, "space.json", DIAG_HALF)
+    assert main(["envelope", "--input", inp, "--tol", "1e-11"]) == EXIT_PARSE
+    assert "outside [1e-10, 1e-3]" in capsys.readouterr().err
+
+
 def test_cone_rejects_malformed_eps(tmp_path, capsys, monkeypatch):
     # a bad schedule is a parse error, reported before any envelope solve
     def no_solve(*args, **kwargs):

@@ -13,7 +13,6 @@ from ncshilov.conesolver import (
     ConicProgram,
     LinearMapSpec,
     _certified_cb_bound,
-    _DensePrepared,
     _haar_coeffs,
     _hkm_max_scale,
     _paulsen_family,
@@ -22,7 +21,8 @@ from ncshilov.conesolver import (
     sampled_cb_lower_bound,
     solve_feasibility,
 )
-from ncshilov.errors import BadProgram, NonFinite, ShapeMismatch
+from ncshilov.errors import BadProgram, NonFinite
+from ncshilov.matcore import herm_to_rvec
 
 
 def _m2_basis():
@@ -41,15 +41,19 @@ def _m2_basis():
 # ---------------------------------------------------------------------------
 
 
+def _trace_row(n):
+    return herm_to_rvec(np.eye(n))[None]
+
+
 def test_feasible_trace_one():
-    prog = ConicProgram([1], [([np.eye(1, dtype=complex)], 1.0)])
+    prog = ConicProgram([1], _trace_row(1), [1.0])
     out = solve_feasibility(prog, 1e-8)
     assert out.status == FEASIBLE
     assert out.primal_point[0][0, 0].real == pytest.approx(1.0, abs=1e-7)
 
 
 def test_infeasible_negative_trace():
-    prog = ConicProgram([2], [([np.eye(2, dtype=complex)], -1.0)])
+    prog = ConicProgram([2], _trace_row(2), [-1.0])
     out = solve_feasibility(prog, 1e-8)
     assert out.status == INFEASIBLE
     # witness: nonpositive on the cone, strictly positive on the affine set
@@ -62,81 +66,46 @@ def test_planted_feasible_recovery():
     for trial in range(5):
         n = int(rng.integers(2, 5))
         planted = matcore.random_psd(rng, n) + 0.1 * np.eye(n)
-        constraints = []
-        for _ in range(int(rng.integers(1, 4))):
-            f = matcore.random_hermitian(rng, n)
-            constraints.append(([f], float(np.real(matcore.hs_inner(planted, f)))))
-        out = solve_feasibility(ConicProgram([n], constraints), 1e-8)
+        fs = [matcore.random_hermitian(rng, n) for _ in range(int(rng.integers(1, 4)))]
+        rhs = [float(np.real(matcore.hs_inner(planted, f))) for f in fs]
+        out = solve_feasibility(ConicProgram([n], herm_to_rvec(np.array(fs)), rhs), 1e-8)
         assert out.status == FEASIBLE
         x = out.primal_point[0]
-        for (fs, rhs) in constraints:
-            assert np.real(matcore.hs_inner(x, fs[0])) == pytest.approx(rhs, abs=1e-6)
+        for f, b in zip(fs, rhs):
+            assert np.real(matcore.hs_inner(x, f)) == pytest.approx(b, abs=1e-6)
         assert matcore.psd_check(x, tol=1e-8).positive
 
 
 def test_bad_program_shapes():
+    rows = _trace_row(2)
+    with pytest.raises(BadProgram, match=r"not \(m, 4\)"):
+        ConicProgram([2], herm_to_rvec(np.eye(3))[None], [0.0])
+    with pytest.raises(BadProgram, match=r"not \(m, 5\)"):
+        ConicProgram([2, 1], rows, [0.0])
+    with pytest.raises(BadProgram, match=r"not \(m, 4\)"):
+        ConicProgram([2], rows[0], [0.0])
+    with pytest.raises(BadProgram, match="right-hand sides"):
+        ConicProgram([2], rows, [1.0, 2.0])
+    with pytest.raises(BadProgram, match="objective"):
+        ConicProgram([2], rows, [1.0], objective=np.zeros(3))
     with pytest.raises(BadProgram):
-        ConicProgram([2], [([np.eye(3, dtype=complex)], 0.0)])
-    with pytest.raises(BadProgram):
-        solve_feasibility(ConicProgram([2], []), tol=1e-2)
+        solve_feasibility(ConicProgram([2], np.zeros((0, 4)), []), tol=1e-2)
 
 
-def _hermitize_one(m, rtol=1e-12):
-    """The per-matrix validation that ConicProgram.prepare once made."""
-    m = np.array(m, dtype=np.complex128)
-    scale = max(np.abs(m).max(initial=0.0), 1.0)
-    assert np.abs(m - m.conj().T).max(initial=0.0) <= rtol * scale + 1e-12
-    return 0.5 * (m + m.conj().T)
-
-
-def test_prepare_rows_equal_the_per_matrix_rows():
-    rng = np.random.default_rng(31)
-    dims = [3, 1, 2]
-
-    def coefficient(n):
-        if rng.random() < 0.3:
-            return None
-        h = 10.0 ** rng.integers(-2, 4) * matcore.random_hermitian(rng, n)
-        return h + 1e-14 * matcore.random_complex(rng, (n, n))  # Hermitian within rtol
-
-    constraints = [([coefficient(n) for n in dims], float(rng.standard_normal()))
-                   for _ in range(9)]
-    objective = [coefficient(n) for n in dims]
-
-    def vec(coeffs):
-        return np.concatenate([np.zeros(n * n) if c is None
-                               else matcore.herm_to_rvec(_hermitize_one(c))
-                               for c, n in zip(coeffs, dims)])
-
-    for obj in (None, objective):
-        got = ConicProgram(dims, constraints, objective=obj).prepare()
-        want = _DensePrepared(dims, np.array([vec(c) for c, _ in constraints]),
-                              np.array([rhs for _, rhs in constraints]),
-                              vec(obj or [None] * len(dims)))
-        assert np.array_equal(got.rows, want.rows)
-        assert np.array_equal(got.rhs, want.rhs)
-        assert (got.c is None) == (want.c is None) == (obj is None)
-        for g, w in zip(got.c or [], want.c or []):
-            assert np.array_equal(g, w)
-
-
-def test_prepare_rejects_non_hermitian_and_nonfinite_coefficients():
-    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ShapeMismatch, match="not Hermitian"):
-        ConicProgram([1, 2], [([None, np.eye(2)], 1.0), ([None, skew], 0.0)]).prepare()
-    with pytest.raises(ShapeMismatch, match="not Hermitian"):
-        ConicProgram([2], [([np.eye(2)], 1.0)], objective=[skew]).prepare()
-    nan = np.eye(2, dtype=complex)
-    nan[0, 0] = np.nan
-    with pytest.raises(NonFinite):
-        ConicProgram([2], [([nan], 1.0)]).prepare()
+def test_program_rejects_nonfinite_data():
+    rows = _trace_row(2)
+    for bad_rows, rhs, objective in ((np.where(rows > 0, np.nan, rows), [1.0], None),
+                                     (rows, [np.inf], None),
+                                     (rows, [1.0], np.full(4, np.nan))):
+        with pytest.raises(NonFinite):
+            ConicProgram([2], bad_rows, rhs, objective=objective)
 
 
 def test_inconsistent_program_carries_its_unit_multiplier():
     # tr X = 1 and tr X = 2: y = (-1, 1) / sqrt 2 combines the constraints
     # into 0 = 1 / sqrt 2
     i2 = np.eye(2, dtype=complex)
-    out = solve_feasibility(ConicProgram([2], [([i2], 1.0), ([i2], 2.0)]))
+    out = solve_feasibility(ConicProgram([2], np.concatenate([_trace_row(2)] * 2), [1.0, 2.0]))
     assert out.status == INFEASIBLE
     assert out.dual_witness is None and out.primal_point is None
     y = out.affine_multiplier
@@ -154,7 +123,7 @@ def test_never_contradictory_certificates():
     for trial in range(8):
         n = int(rng.integers(1, 4))
         f = matcore.random_hermitian(rng, n)
-        prog = ConicProgram([n], [([f], float(rng.standard_normal()))])
+        prog = ConicProgram([n], herm_to_rvec(f)[None], [float(rng.standard_normal())])
         out = solve_feasibility(prog, 1e-7)
         assert (out.primal_point is None) or (out.dual_witness is None)
 
@@ -443,8 +412,8 @@ def test_two_block_objective_program_reaches_the_smaller_eigenvalue():
     rng = np.random.default_rng(17)
     for n1, n2 in ((2, 3), (3, 1), (4, 2)):
         c1, c2 = matcore.random_hermitian(rng, n1), matcore.random_hermitian(rng, n2)
-        prog = ConicProgram([n1, n2], [([np.eye(n1, dtype=complex), np.eye(n2, dtype=complex)],
-                                         1.0)], objective=[c1, c2])
+        prog = ConicProgram([n1, n2], np.concatenate([_trace_row(n1), _trace_row(n2)], axis=1),
+                            [1.0], objective=np.concatenate([herm_to_rvec(c1), herm_to_rvec(c2)]))
         out = solve_feasibility(prog, 1e-8)
         assert out.status == FEASIBLE
         best = min(np.linalg.eigvalsh(c1)[0], np.linalg.eigvalsh(c2)[0])

@@ -282,3 +282,18 @@ def test_null_space_floor_makes_the_cut_absolute():
     rel = null_space(tiny)
     assert rel.shape == (3, 5)
     assert np.allclose(kernel_projector(rel), kernel_projector(null_space(a)), atol=1e-10)
+
+
+@pytest.mark.parametrize("n,lo,k", [(5, 0, 3), (5, 3, 2), (4, 1, 2), (3, 0, 3), (2, 1, 1)])
+def test_herm_block_coords_place_a_diagonal_block(n, lo, k):
+    # the block's coordinates land where herm_to_rvec puts the embedded
+    # block, and nowhere else
+    rng = np.random.default_rng(n + lo + k)
+    h = matcore.random_hermitian(rng, k)
+    big = np.zeros((n, n), dtype=complex)
+    big[lo : lo + k, lo : lo + k] = h
+    cols = matcore.herm_block_coords(n, lo, k)
+    want = matcore.herm_to_rvec(big)
+    placed = np.zeros(n * n)
+    placed[cols] = matcore.herm_to_rvec(h)
+    assert np.array_equal(placed, want)

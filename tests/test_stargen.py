@@ -163,12 +163,15 @@ def test_cone_spans_offdiagonal_fails():
 def test_cone_spans_without_positive_elements_is_conclusive():
     # a diag(1, -2, .5) + b diag(0, 1, -3) >= 0 forces a = b = 0, yet the
     # trace-one probe programs are affinely consistent: their infeasibility
-    # must come back as an answer, not as a marginal solve
-    r = cone_spans(validate_space([np.diag([1.0, -2.0, 0.5]).astype(complex),
-                                   np.diag([0.0, 1.0, -3.0]).astype(complex)]))
-    assert not r.spans
-    assert r.span_dim == 0
-    assert not r.inconclusive
+    # must come back as an answer, not as a marginal solve.  span{diag(1, -1)}
+    # has no trace-one element at all, so its probe programs are
+    # inconsistent, which is an answer too
+    for gens in ([np.diag([1.0, -2.0, 0.5]), np.diag([0.0, 1.0, -3.0])],
+                 [np.diag([1.0, -1.0])]):
+        r = cone_spans(validate_space([g.astype(complex) for g in gens]))
+        assert not r.spans
+        assert r.span_dim == 0
+        assert not r.inconclusive
 
 
 def test_cone_spans_wedge_example():

@@ -18,7 +18,8 @@ from ncshilov.unitize import (
     UNIT_AMBIENT,
     UNIT_ENVELOPE,
     UnitizedElement,
-    _equality_pairings,
+    _karn_fixed_constraints,
+    _karn_program,
     build_x1,
     check_envelope_of_unitization,
     distance_to_unit,
@@ -112,11 +113,68 @@ def test_x1_rejects_non_selfadjoint():
 # ---------------------------------------------------------------------------
 
 
-def test_equality_pairings_read_off_the_target():
+def _per_entry_karn_rows(hb, n, k, delta, v, r):
+    """Reference Karn rows over [U, S1, S2], one Hermitian matrix per matrix
+    entry: the diagonal, real and imaginary entry matrices f pair U minus
+    its part in the selfadjoint part of M_k(X) with 0, S1 + U with
+    (1 - delta) I, and S2 - R U R with v."""
+    d = hb.shape[0]
+    kn = k * n
+    level = []
+    for i in range(k):
+        for j in range(i, k):
+            for t in range(d):
+                for w in ((1.0,) if i == j else (1.0, 1j)):
+                    c = np.zeros((k, k, d), dtype=complex)
+                    c[i, j, t] = w if i == j else w / np.sqrt(2)
+                    c[j, i, t] = np.conj(c[i, j, t])
+                    level.append(amplify(c, hb))
+    entries = []
+    for i in range(kn):
+        for j in range(i, kn):
+            for w in ((1.0,) if i == j else (0.5, 0.5j)):
+                f = np.zeros((kn, kn), dtype=complex)
+                f[i, j], f[j, i] = w, np.conj(w)
+                entries.append(f)
+    target = (1.0 - delta) * np.eye(kn)
+    zero = np.zeros((kn, kn))
+    rows, rhs = [], []
+    for f in entries:
+        pin = f - sum(np.vdot(b, f).real * b for b in level)
+        rows.append((pin, zero, zero))
+        rhs.append(0.0)
+    for f in entries:
+        rows.append((f, f, zero))
+        rhs.append(np.vdot(f, target).real)
+    for f in entries:
+        rows.append((-r @ f @ r, zero, f))
+        rhs.append(np.vdot(f, v).real)
+    vec = np.array([np.concatenate([matcore.herm_to_rvec(m) for m in row]) for row in rows])
+    return vec, np.array(rhs)
+
+
+def test_karn_rows_hold_on_points_built_from_the_definition():
+    # U Hermitian in M_k(X), S1 = (1 - delta) I - U and S2 = v + R U R meet
+    # every row, and the rows span what the per-entry rows span
     rng = np.random.default_rng(0)
-    t = matcore.random_hermitian(rng, 4)
-    for f, rhs in _equality_pairings(4, t):
-        assert np.real(np.trace(f @ t)) == pytest.approx(rhs, abs=1e-12)
+    n, k, delta = 3, 2, 1e-4
+    kn = k * n
+    hb = validate_space([matcore.random_hermitian(rng, n) for _ in range(2)]).hermitian_basis()
+    r = matcore.random_psd(rng, kn)
+    r /= op_norm(r)
+    v = matcore.random_hermitian(rng, kn)
+    prog = _karn_program(_karn_fixed_constraints(hb, n, k, delta), kn, v, r)
+    ref_rows, ref_rhs = _per_entry_karn_rows(hb, n, k, delta, v, r)
+    for _ in range(3):
+        c = matcore.random_complex(rng, (k, k, hb.shape[0]))
+        u = matcore.hermitize(amplify(c + c.conj().transpose(1, 0, 2), hb))
+        point = np.concatenate([matcore.herm_to_rvec(h) for h in
+                                (u, (1.0 - delta) * np.eye(kn) - u, v + r @ u @ r)])
+        assert np.abs(prog.rows @ point - prog.rhs).max() <= 1e-12
+        assert np.abs(ref_rows @ point - ref_rhs).max() <= 1e-12
+    rank = np.linalg.matrix_rank(ref_rows)
+    assert np.linalg.matrix_rank(prog.rows) == rank
+    assert np.linalg.matrix_rank(np.concatenate([prog.rows, ref_rows])) == rank
 
 
 def test_karn_positive_v_zero_scalar():
