@@ -51,7 +51,6 @@ from ncshilov.matcore import (
     op_norm,
     op_norms,
     orthonormalize,
-    random_complex,
     rvec_to_herm,
 )
 
@@ -912,10 +911,11 @@ def sampled_cb_lower_bound(map_spec: LinearMapSpec, max_level: int, samples: int
     ``random_complex(rng, (k, k, dim))``, and the HS projection into M_k(W)
     of a Haar unitary of M_{kp}, made from ``random_complex(rng, (kp, kp))``
     (unitaries are the extreme points of the ball, so their projections
-    probe the boundary much better than Gaussians).  The draws are made
-    trial by trial in that order, and only then is the level evaluated as
-    one stack (:func:`matcore.op_norms`), so the bound for a given seed is
-    bit for bit the one a per-trial loop returns.
+    probe the boundary much better than Gaussians).  A level's normals
+    come from one ``standard_normal`` call and are split in that trial
+    order, and the level is evaluated as one stack
+    (:func:`matcore.op_norms`), so the bound for a given seed is bit for
+    bit the one a per-trial loop returns.
     """
     if max_level < 1:
         raise ShapeMismatch("max_level must be >= 1")
@@ -924,10 +924,14 @@ def sampled_cb_lower_bound(map_spec: LinearMapSpec, max_level: int, samples: int
     per_level = max(1, samples // max_level)
     best = 0.0
     for k in range(1, max_level + 1):
-        draws = [random_complex(rng, (k * p, k * p) if trial % 2 else (k, k, dim))
-                 for trial in range(per_level)]
-        gauss = np.array(draws[0::2])
-        haar = np.array(draws[1::2], dtype=np.complex128).reshape(-1, k * p, k * p)
+        g_size = 2 * k * k * dim
+        pair_size = g_size + 2 * (k * p) ** 2
+        pairs, single = divmod(per_level, 2)
+        z = rng.standard_normal(pairs * pair_size + single * g_size)
+        paired = z[: pairs * pair_size].reshape(pairs, pair_size)
+        gauss = matcore.complex_normals(
+            np.concatenate([paired[:, :g_size].ravel(), z[pairs * pair_size:]]), (k, k, dim))
+        haar = matcore.complex_normals(paired[:, g_size:], (k * p, k * p))
         best = max(best, _max_norm_ratio(map_spec, gauss),
                    _max_norm_ratio(map_spec, _haar_coeffs(map_spec, k, haar)))
     for k, c in extra_coeff_samples or ():

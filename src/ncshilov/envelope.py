@@ -4,9 +4,24 @@ Given a selfadjoint space X with spanning cone, the generated *-algebra B
 decomposes into blocks B_i with minimal central projections p_i.  A block
 is loose when cutting it changes no norm at any matrix level, i.e. the
 compression X -> X(e - p_i) is injective and its inverse is completely
-contractive.  Loose blocks are removed one at a time, re-deriving the
-algebra and all verdicts after every removal, until none remain; what is
-left is the C*-envelope with a certified completely isometric embedding.
+contractive.  Loose blocks are removed one at a time until none remain;
+what is left is the C*-envelope with a certified completely isometric
+embedding.
+
+B is generated and split once, and every verdict stays valid across
+removals except Loose:
+
+* compressing by a central projection e - p is a *-homomorphism of B, so
+  C*(X(e - p)) = B(e - p), whose minimal central projections are the
+  other p_j; the split after a removal is the old one minus the removed
+  block;
+* Essential is stable: if y in M_k(X) loses norm under e - p_i, and p_j is
+  loose, then X -> X(e - p_j) is completely isometric, so the image of y
+  still loses norm under e - p_i - p_j.
+
+So each pass skips the removed blocks and those already found Essential,
+and works on X unit (unit = e minus the removed projections) in the
+input's coordinates; witness coefficients are over the source basis.
 
 The inverse map splits over the central projection as x = x p + x(e - p)
 with orthogonal ranges, so its cb-norm is max(1, cb-norm of the completion
@@ -77,9 +92,11 @@ class EnvelopePresentation:
     columns spanning range(q), so compressed working matrices are
     coords* M coords.  ``embedded_basis`` are the images x_t q in original
     coordinates, ``compressed_basis`` the same in range(q) coordinates, and
-    ``algebra`` is the compressed envelope algebra with its block data.
-    The embedding certificate is the product of the removed steps' cb
-    bounds (``embedding_cb``).
+    ``algebra`` is the compressed envelope algebra.  ``blocks`` are the
+    retained blocks of the one split of C*(X), in the split's order, carried
+    into range(q) coordinates; a trace step's ``block_index`` indexes that
+    split.  The embedding certificate is the product of the removed steps'
+    cb bounds (``embedding_cb``).
     """
 
     source: MatrixSpace
@@ -151,21 +168,22 @@ def _completion_map(space_basis, keep_proj, block: blockdecomp.BlockInfo):
     return LinearMapSpec(list(compressed), list(images)), None
 
 
-def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
-                   block: blockdecomp.BlockInfo, tol: float = 1e-7,
-                   rng_seed: int = 0) -> LoosenessVerdict:
-    """Loose / Essential / Marginal for one minimal central block.
+def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
+                   tol: float = 1e-7, rng_seed: int = 0) -> LoosenessVerdict:
+    """Loose / Essential / Marginal for one minimal central block of the
+    space X unit, where ``unit`` is a central projection of C*(X) above the
+    block's projection p (the sum of the blocks not yet removed).
 
-    Loose requires the compression x -> x(e - p) injective on X and the
-    completion map back onto the block completely contractive.  Essential
-    verdicts carry either a kernel witness or a level-q element, q the
-    stripped block size, read from the dual point of the Choi solve, whose
-    norm drops under the compression (gap re-verified numerically).  Every
-    verdict records its route (a kernel, or the cc oracle's route), and
-    every one that rests on the Choi solve its iteration count and
-    agreement residual."""
+    Loose requires the compression x -> x(unit - p) injective on X unit and
+    the completion map back onto the block completely contractive.
+    Essential verdicts carry either a kernel witness or a level-q element,
+    q the stripped block size, read from the dual point of the Choi solve,
+    whose norm drops under the compression (gap re-verified numerically).
+    Witness coefficients are over ``x.basis``.  Every verdict records its
+    route (a kernel, or the cc oracle's route), and every one that rests on
+    the Choi solve its iteration count and agreement residual."""
     p = block.projection
-    keep = alg.unit - p
+    keep = unit - p
     keep_rank = int(round(float(np.real(np.trace(keep)))))
     if keep_rank == 0:
         return LoosenessVerdict(status=ESSENTIAL, block_rank=block.rank, block_k=block.k,
@@ -173,7 +191,7 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
     lam, kernel = _completion_map(x.basis, keep, block)
     if lam is None:
         coeffs = kernel.reshape(1, 1, -1)
-        gap = _witness_gap(x, keep, coeffs)
+        gap = _witness_gap(x.basis, unit, keep, coeffs)
         return LoosenessVerdict(status=ESSENTIAL, block_rank=block.rank, block_k=block.k,
                                 reason="compression has a kernel",
                                 witness_level=1, witness_coeffs=coeffs, witness_gap=gap)
@@ -185,7 +203,7 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
                                 route=res.route)
     if res.verdict == CC_NO:
         coeffs = np.einsum("ijt,ts->ijs", res.violating_coeffs, lam.family_coeffs.T)
-        gap = _witness_gap(x, keep, coeffs)
+        gap = _witness_gap(x.basis, unit, keep, coeffs)
         return LoosenessVerdict(status=ESSENTIAL, block_rank=block.rank, block_k=block.k,
                                 reason="norm violation under compression",
                                 cb_estimate=res.cb_estimate,
@@ -198,10 +216,12 @@ def is_block_loose(x: MatrixSpace, alg: AlgebraPresentation,
                             route=res.route)
 
 
-def _witness_gap(x: MatrixSpace, keep_proj, coeffs) -> float:
-    """||y|| - ||y (1 ⊗ keep)|| for a level-k coefficient tensor over X."""
-    y = amplify(coeffs, x.basis)
-    return op_norm(y) - op_norm(y @ np.kron(np.eye(coeffs.shape[0]), keep_proj))
+def _witness_gap(basis, unit, keep, coeffs) -> float:
+    """||y (1 ⊗ unit)|| - ||y (1 ⊗ keep)|| for a level-k coefficient
+    tensor over ``basis``."""
+    y = amplify(coeffs, basis)
+    one = np.eye(coeffs.shape[0])
+    return op_norm(y @ np.kron(one, unit)) - op_norm(y @ np.kron(one, keep))
 
 
 def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
@@ -209,74 +229,81 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
                      require_spanning: bool = True) -> EnvelopePresentation:
     """Block elimination until no loose block remains.
 
-    Removes one loose block per pass and recomputes the algebra, the block
-    decomposition and every verdict from scratch, since looseness is not
-    stable under removals.  No solve certifies the embedding afterwards:
-    its bound ``embedding_cb`` is composed from the removed steps'
-    verdicts.  Raises ConeDoesNotSpan when the positive cone does not span (the recipe's
+    B = C*(X) is generated and split once.  Each pass scans the blocks
+    neither removed nor already found Essential and removes the first loose
+    one; the working space is X unit, with unit the source unit minus the
+    removed projections, in the input's coordinates throughout.  Only
+    Loose needs a fresh look after a removal (see the module docstring).
+    No solve certifies the embedding afterwards: its bound
+    ``embedding_cb`` is composed from the removed steps' verdicts.  Raises
+    ConeDoesNotSpan when the positive cone does not span (the recipe's
     hypothesis) and InconclusiveAtTolerance when some block's verdict is
     Marginal at the working tolerance."""
     if require_spanning:
         stargen.require_spanning_cone(x, tol=tol, seed=seed)
-    n = x.ambient_dim
-    coords = np.eye(n, dtype=np.complex128)
-    basis = x.basis.copy()
+    source = stargen.generate_star_algebra(x)
+    split = blockdecomp.decompose(source, seed=seed + 977)
+    order = sorted(range(len(split.blocks)), key=lambda i: (-split.blocks[i].rank, i))
+    if scan_order == SCAN_ASCENDING_RANK:
+        order = order[::-1]
+    unit = source.unit
+    removed: set[int] = set()
+    essential: set[int] = set()
     trace: list[EliminationStep] = []
-    source_unit = None
     pass_index = 0
     rng = np.random.default_rng(seed)
     while True:
-        alg = stargen.generate_star_algebra(basis)
-        if source_unit is None:
-            source_unit = alg.unit.copy()
-        dec = blockdecomp.decompose(alg, seed=seed + 977 * (pass_index + 1))
-        order = sorted(range(len(dec.blocks)), key=lambda i: (-dec.blocks[i].rank, i))
-        if scan_order == SCAN_ASCENDING_RANK:
-            order = order[::-1]
-        removed = None
-        working = MatrixSpace(ambient_dim=basis.shape[1], basis=basis)
+        loose = None
         for bi in order:
-            block = dec.blocks[bi]
-            verdict = is_block_loose(working, alg, block, tol=tol,
+            if bi in removed or bi in essential:
+                continue
+            block = split.blocks[bi]
+            verdict = is_block_loose(x, unit, block, tol=tol,
                                      rng_seed=int(rng.integers(2**31)))
             if verdict.status == MARGINAL:
                 raise InconclusiveAtTolerance(
                     f"looseness of block {bi} (rank {block.rank}) is marginal: "
                     f"{verdict.reason}", block_index=bi)
-            remove_now = verdict.status == LOOSE
             trace.append(EliminationStep(pass_index=pass_index, block_index=bi,
-                                         verdict=verdict, removed=remove_now))
-            if remove_now:
-                removed = block
+                                         verdict=verdict, removed=verdict.status == LOOSE))
+            if verdict.status == LOOSE:
+                loose = bi
                 break
-        if removed is None:
+            essential.add(bi)
+        if loose is None:
             break
-        keep = alg.unit - removed.projection
-        kept = matcore.support_isometry(keep)
-        basis = orthonormalize(np.einsum("ia,tab,bj->tij", kept.conj().T, basis, kept))
-        coords = coords @ kept
+        removed.add(loose)
+        unit = unit - split.blocks[loose].projection
         pass_index += 1
 
-    alg = stargen.generate_star_algebra(basis)
-    # restrict to the support of the final algebra so the envelope unit is
-    # the identity of the compressed ambient
-    e = alg.unit
-    if np.abs(e - np.eye(e.shape[0])).max() > 1e-9:
-        kept = matcore.support_isometry(e)
-        basis = orthonormalize(np.einsum("ia,tab,bj->tij", kept.conj().T, basis, kept))
-        coords = coords @ kept
-        alg = stargen.generate_star_algebra(basis)
-    dec = blockdecomp.decompose(alg, seed=seed + 977 * (pass_index + 2))
-
+    n = x.ambient_dim
+    # nothing cut and the algebra unital in M_n: keep the input's coordinates
+    if np.abs(unit - np.eye(n)).max() <= 1e-9:
+        coords = np.eye(n, dtype=np.complex128)
+    else:
+        coords = matcore.support_isometry(unit)
+    alg = AlgebraPresentation(basis=orthonormalize(_compress(coords, source.basis)),
+                              unit=np.eye(coords.shape[1], dtype=np.complex128))
+    # range(p) lies in range(coords) for every retained block, so the
+    # compression carries each block's data over exactly
+    blocks = blockdecomp.BlockDecomposition(blocks=[
+        blockdecomp.BlockInfo(projection=matcore.hermitize(_compress(coords, b.projection)),
+                              k=b.k, m=b.m, range_basis=coords.conj().T @ b.range_basis,
+                              aligner=b.aligner)
+        for i, b in enumerate(split.blocks) if i not in removed])
     q = matcore.hermitize(coords @ coords.conj().T)
-    embedded = np.einsum("tab,bc->tac", x.basis, q)
-    compressed = np.einsum("ia,tab,bj->tij", coords.conj().T, x.basis, coords)
     env = EnvelopePresentation(source=x, q=q, coords=coords,
-                               embedded_basis=embedded, compressed_basis=compressed,
-                               algebra=alg, blocks=dec, source_unit=source_unit,
+                               embedded_basis=np.einsum("tab,bc->tac", x.basis, q),
+                               compressed_basis=_compress(coords, x.basis),
+                               algebra=alg, blocks=blocks, source_unit=source.unit,
                                trace=trace, seed=seed, tol=tol)
     _check_generation(env)
     return env
+
+
+def _compress(coords, m):
+    """coords* m coords, for one matrix or a stack."""
+    return coords.conj().T @ m @ coords
 
 
 def _check_generation(env: EnvelopePresentation, tol: float = 1e-8):
@@ -297,18 +324,16 @@ def certify_embedding(env: EnvelopePresentation, levels: int = 4,
 
     Compares ||y|| with ||y (1 ⊗ q)|| on random level-k elements for
     k = 1..levels; the maximum relative discrepancy must stay below 1e-6.
-    Each level draws its ``samples`` coefficient tensors one after another
-    as ``random_complex(rng, (k, k, d))`` and then takes all their norms
-    as one stack (:func:`matcore.op_norms`), so the report for a given seed
-    is bit for bit the one a per-sample loop gives."""
+    Each level draws its ``samples`` coefficient tensors with one
+    ``standard_normal`` call, in the order of ``samples`` consecutive
+    ``random_complex(rng, (k, k, d))`` calls, and reads both norms of each
+    off one Gram matrix (:func:`_sample_norms`)."""
     rng = np.random.default_rng(seed)
     d = env.source.dim
     worst = 0.0
     for k in range(1, levels + 1):
-        c = np.array([matcore.random_complex(rng, (k, k, d)) for _ in range(samples)],
-                     dtype=np.complex128).reshape(samples, k, k, d)
-        ny = op_norms(amplify(c, env.source.basis))
-        ne = op_norms(amplify(c, env.embedded_basis))
+        c = matcore.complex_normals(rng.standard_normal((samples, 2, k, k, d)), (k, k, d))
+        ny, ne = _sample_norms(env, c)
         keep = ny >= 1e-12
         worst = max(worst, float((np.abs(ny[keep] - ne[keep]) / ny[keep]).max(initial=0.0)))
     return {
@@ -317,6 +342,21 @@ def certify_embedding(env: EnvelopePresentation, levels: int = 4,
         "max_relative_discrepancy": worst,
         "passed": worst <= 1e-6,
     }
+
+
+def _sample_norms(env: EnvelopePresentation, coeffs):
+    """(||y||, ||y (1 ⊗ q)||) for the level-k elements y of a stack of
+    coefficient tensors (S, k, k, d) over the source basis.
+
+    Both come from G = y* y: ||y||^2 is its largest eigenvalue, and
+    ||y (1 ⊗ q)||^2 that of (1 ⊗ coords)* G (1 ⊗ coords), because q =
+    coords coords* with coords* a coisometry."""
+    y = amplify(coeffs, env.source.basis)
+    gram = y.conj().swapaxes(-2, -1) @ y
+    lift = np.kron(np.eye(coeffs.shape[-2]), env.coords)
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    top_q = np.linalg.eigvalsh(lift.conj().T @ gram @ lift)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0)), np.sqrt(np.maximum(top_q, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ class BoundaryResult:
     merging unseparated ones and dropping common zeros); ``kept`` indexes
     the classes that survive point elimination; ``point_map`` sends each
     original point to its class index or None when the space vanishes
-    there.  ``verdicts`` records every elimination decision in order."""
+    there.  ``verdicts`` records every elimination decision in order, one
+    per test (a class found Essential is tested once)."""
 
     classes: list[tuple]
     kept: list[int]
@@ -142,7 +143,11 @@ class BoundaryResult:
 
 
 def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
-    """Shilov boundary of the space by LP point elimination."""
+    """Shilov boundary of the space by LP point elimination.
+
+    Each scan removes the first loose class it meets and starts over.  A
+    class found Essential is not tested again: removing a point only drops
+    constraints from its LP, so its sup stays above 1 + tol."""
     if not _cone_spans_functions(fs):
         raise ConeDoesNotSpan("pointwise-nonnegative cone does not span the space")
     values = fs.basis.T  # (m, d): the value vector of the basis at each point
@@ -173,11 +178,14 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
     # collapsed space on the classes
     vals = np.stack(reps, axis=0)  # (n_classes, d)
     active = list(range(len(classes)))
+    essential: set[int] = set()
     verdicts: list[PointVerdict] = []
     changed = True
     while changed and len(active) > 1:
         changed = False
         for idx in list(active):
+            if idx in essential:
+                continue
             others = [c for c in active if c != idx]
             sup, status = _point_sup(fs, vals, idx, others, tol)
             verdicts.append(PointVerdict(point_class=classes[idx], sup_value=sup,
@@ -189,6 +197,7 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
                 active.remove(idx)
                 changed = True
                 break
+            essential.add(idx)
     return BoundaryResult(classes=classes, kept=active, point_map=point_map,
                           verdicts=verdicts)
 

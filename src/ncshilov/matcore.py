@@ -314,6 +314,14 @@ def random_complex(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def complex_normals(z, shape) -> np.ndarray:
+    """The stack of complex arrays of the given shape that consecutive
+    ``random_complex(rng, shape)`` calls build from the normals ``z``, in
+    draw order (real part first, then imaginary part, per array)."""
+    pairs = np.asarray(z, dtype=float).reshape((-1, 2) + tuple(shape))
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
 def random_hermitian(rng, n) -> np.ndarray:
     g = random_complex(rng, (n, n))
     return 0.5 * (g + g.conj().T)

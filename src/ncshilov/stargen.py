@@ -192,21 +192,85 @@ class ConeSpanResult:
 def cone_spans(x: MatrixSpace, tol: float = 1e-7, seed: int = 0) -> ConeSpanResult:
     """Decide whether span(X ∩ PSD) = X.
 
-    Greedy extraction over the selfadjoint part: maintain the span S of the
-    positives found so far; look for a positive unit-trace element of X with
-    a component outside S by maximizing random +/- directions of the
-    orthocomplement of S (confirmed with a full basis sweep before giving
-    up).  Each probe is a small PSD program with a linear objective, an
-    objective solve of :func:`conesolver.solve_feasibility`; a Marginal
-    probe makes a negative answer inconclusive, while an Infeasible one
-    (no positive trace-one element at all) is conclusive.
+    Let R be the joint range of X (the range of sum_t h_t^2 over the
+    Hermitian basis).  X spans its cone iff X holds some u >= 0 that is
+    definite on R: then each Hermitian h in X is c u - (c u - h) with
+    c = ||h|| / lambda_min(u|R), a difference of positives; conversely the
+    sum of a spanning set of positives is such a u.  So the first probe is
+    one phase-I margin solve of :func:`conesolver.solve_feasibility` for a
+    trace-one positive element of X compressed to R (:func:`_order_unit`).
+    When its point is definite on R with margin, the answer is u and
+    2 c_i u + h_i, scaled to trace one, for the d - 1 HS-orthonormal
+    Hermitian directions h_i of X orthogonal to u: d positives, each
+    definite on R.  span_dim is then d by construction (u and the h_i span
+    X_sa), not a rank of the positives, which are close to parallel when
+    the margin is small.  An Infeasible probe (no positive trace-one
+    element at all) is a conclusive span_dim of 0.
+
+    Otherwise (X has positives, but the probe found none definite on R) a
+    greedy extraction over the selfadjoint part follows: maintain the span
+    S of the positives found so far; look for a positive unit-trace element
+    of X with a component outside S by maximizing random +/- directions of
+    the orthocomplement of S (confirmed with a full basis sweep before
+    giving up).  Each probe is a small PSD program with a linear objective,
+    an objective solve of :func:`conesolver.solve_feasibility`; a Marginal
+    probe makes a negative answer inconclusive, while an Infeasible one is
+    conclusive.
     """
     hb = x.hermitian_basis()
     d = hb.shape[0]
-    n = x.ambient_dim
-    rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     inconclusive = False
+    unit, status = _order_unit(hb, tol)
+    if unit is not None:
+        u, margin = unit
+        comp = _orthocomplement_within(hb, [u])
+        norms = np.linalg.norm(comp, ord=2, axis=(1, 2))
+        lifted = [2.0 * nrm / margin * u + h for nrm, h in zip(norms, comp)]
+        found = [u, *(g / np.trace(g).real for g in lifted)]
+        span_dim = 1 + comp.shape[0]
+    else:
+        if status != conesolver.INFEASIBLE:
+            found, inconclusive = _greedy_positives(x, hb, np.random.default_rng(seed), tol)
+        span_dim = len(found)
+        if span_dim:
+            span_dim = matcore.orthonormalize_real(np.asarray(found)).shape[0]
+    return ConeSpanResult(spans=span_dim == d,
+                          positive_basis=np.asarray(found),
+                          span_dim=span_dim,
+                          inconclusive=inconclusive)
+
+
+def _order_unit(hb, tol):
+    """A positive element of span(hb) definite on the joint range R.
+
+    Poses the phase-I margin program for V >= 0 on R with trace V = 1 and
+    V in the compression of span(hb) to R.  Returns ``((u, lambda_min(u|R)),
+    status)`` when the solve's point, projected onto span(hb), has
+    lambda_min above 50 tol on R, and ``(None, status)`` otherwise, with
+    the solve's status."""
+    w, v = matcore.herm_eig(np.einsum("tab,tbc->ac", hb, hb))
+    r_basis = v[:, w > 1e-10 * w[0]]
+    r = r_basis.shape[1]
+    on_r = r_basis.conj().T @ hb @ r_basis
+    rows, rhs = _trace_one_in_span(on_r)
+    out = conesolver.solve_feasibility(conesolver.ConicProgram([r], rows, rhs),
+                                       tol=min(tol, 1e-7))
+    if out.status != conesolver.FEASIBLE:
+        return None, out.status
+    coeffs = np.einsum("tab,ab->t", on_r.conj(), out.primal_point[0]).real
+    u = hermitize(np.einsum("t,tab->ab", coeffs, hb))
+    margin = float(np.linalg.eigvalsh(r_basis.conj().T @ u @ r_basis)[0])
+    if margin > 50 * tol:
+        return (u, margin), out.status
+    return None, out.status
+
+
+def _greedy_positives(x: MatrixSpace, hb, rng, tol):
+    """The greedy extraction of :func:`cone_spans`: returns the positives
+    found and whether a Marginal probe cut the search short."""
+    d = hb.shape[0]
+    found: list[np.ndarray] = []
     while len(found) < d:
         comp = _orthocomplement_within(hb, found)
         if comp.shape[0] == 0:
@@ -227,17 +291,9 @@ def cone_spans(x: MatrixSpace, tol: float = 1e-7, seed: int = 0) -> ConeSpanResu
             if got is not None:
                 break
         if got is None:
-            inconclusive = marginal_seen
-            break
+            return found, marginal_seen
         found.append(got)
-    span_dim = len(found)
-    if span_dim:
-        pos_basis = matcore.orthonormalize_real(np.asarray(found))
-        span_dim = pos_basis.shape[0]
-    return ConeSpanResult(spans=span_dim == d,
-                          positive_basis=np.asarray(found),
-                          span_dim=span_dim,
-                          inconclusive=inconclusive)
+    return found, False
 
 
 def _orthocomplement_within(hb, found):
@@ -249,16 +305,22 @@ def _orthocomplement_within(hb, found):
     return np.einsum("ct,tab->cab", matcore.null_space(proj.T), hb)
 
 
+def _trace_one_in_span(hb):
+    """Rows and right-hand side, in Hermitian coordinates, of trace V = 1 and
+    V in span(hb) for Hermitian V of hb's size: the coordinates of V in the
+    orthocomplement of span(hb) vanish."""
+    pins = matcore.null_space(matcore.herm_to_rvec(hb))
+    rows = np.concatenate([matcore.herm_to_rvec(np.eye(hb.shape[1]))[None], pins])
+    return rows, np.concatenate([[1.0], np.zeros(pins.shape[0])])
+
+
 def _max_direction_positive(x: MatrixSpace, w, tol):
     """Maximize Re<w, v> over {v in X, v PSD, trace v = 1}; return a
     positive element with strictly positive pairing, or None.
 
     Returns (element | None, marginal_flag)."""
     n = x.ambient_dim
-    # trace one, and the coordinates in the kernel of X's selfadjoint part vanish
-    pins = matcore.null_space(matcore.herm_to_rvec(x.hermitian_basis()))
-    rows = np.concatenate([matcore.herm_to_rvec(np.eye(n))[None], pins])
-    rhs = np.concatenate([[1.0], np.zeros(pins.shape[0])])
+    rows, rhs = _trace_one_in_span(x.hermitian_basis())
     prog = conesolver.ConicProgram([n], rows, rhs,
                                    objective=-matcore.herm_to_rvec(hermitize(w)))
     out = conesolver.solve_feasibility(prog, tol=min(tol, 1e-7))

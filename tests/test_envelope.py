@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from ncshilov.envelope import (
     ESSENTIAL,
     LOOSE,
     SCAN_ASCENDING_RANK,
+    SCAN_DESCENDING_RANK,
+    _sample_norms,
     certify_embedding,
     compute_envelope,
     induced_isomorphism,
@@ -15,7 +19,8 @@ from ncshilov.envelope import (
 )
 from ncshilov.errors import ConeDoesNotSpan
 from ncshilov.matcore import amplify, op_norm
-from ncshilov.selftest import loose_instance, random_unitary
+from ncshilov.funcspace import diagonal_embedding
+from ncshilov.selftest import loose_instance, random_function_space, random_unitary
 from ncshilov.stargen import validate_space
 
 
@@ -30,9 +35,9 @@ def test_loose_block_in_diagonal_example():
     dec = blockdecomp.decompose(alg, seed=0)
     by_point = {int(np.argmax(np.real(np.diagonal(b.projection)))): b
                 for b in dec.blocks}
-    v3 = is_block_loose(x, alg, by_point[2], tol=1e-7)
+    v3 = is_block_loose(x, alg.unit, by_point[2], tol=1e-7)
     assert v3.status == LOOSE
-    v1 = is_block_loose(x, alg, by_point[0], tol=1e-7)
+    v1 = is_block_loose(x, alg.unit, by_point[0], tol=1e-7)
     assert v1.status == ESSENTIAL
     assert v1.witness_gap is None or v1.witness_gap > 0
 
@@ -44,7 +49,7 @@ def test_single_block_space_is_essential():
     alg = stargen.generate_star_algebra(x)
     dec = blockdecomp.decompose(alg, seed=0)
     assert len(dec.blocks) == 1
-    v = is_block_loose(x, alg, dec.blocks[0], tol=1e-7)
+    v = is_block_loose(x, alg.unit, dec.blocks[0], tol=1e-7)
     assert v.status == ESSENTIAL
     assert "injective" in v.reason or "zero" in v.reason
 
@@ -173,46 +178,157 @@ def test_composed_embedding_bound_covers_the_direct_certificate(crit4_instance0_
     assert sampled_cb_lower_bound(direct, max_level=3, samples=300, seed=1) <= env.embedding_cb
 
 
-def _reference_level_discrepancies(env, levels, samples, seed):
-    """The per-sample loop that certify_embedding replaced, one worst
-    relative discrepancy per level."""
-    def norm(c, basis):
-        k, n = c.shape[0], basis.shape[1]
-        return float(np.linalg.norm(
-            np.einsum("ijt,tab->iajb", c, basis).reshape(k * n, k * n), 2))
-
+def _reference_gram_norms(env, levels, samples, seed):
+    """A per-sample loop over the quantities certify_embedding reads: the
+    draws one random_complex call at a time, and per sample the largest
+    eigenvalues of G = y* y and of (1 ⊗ coords)* G (1 ⊗ coords)."""
     rng = np.random.default_rng(seed)
     out = []
     for k in range(1, levels + 1):
-        worst = 0.0
+        lift = np.kron(np.eye(k), env.coords)
+        ny, ne = [], []
         for _ in range(samples):
-            c = matcore.random_complex(rng, (k, k, env.source.dim))
-            ny = norm(c, env.source.basis)
-            if ny >= 1e-12:
-                worst = max(worst, abs(ny - norm(c, env.embedded_basis)) / ny)
-        out.append(worst)
+            y = amplify(matcore.random_complex(rng, (k, k, env.source.dim)), env.source.basis)
+            g = y.conj().T @ y
+            ny.append(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
+            ne.append(np.sqrt(max(np.linalg.eigvalsh(lift.conj().T @ g @ lift)[-1], 0.0)))
+        out.append((np.array(ny), np.array(ne)))
     return out
 
 
-def test_certify_embedding_equals_the_per_sample_loop(crit4_instance0_env):
+def test_certify_embedding_equals_the_per_sample_gram_loop(crit4_instance0_env):
     env = crit4_instance0_env
-    per_level = _reference_level_discrepancies(env, 4, 120, seed=3)
+    reference = _reference_gram_norms(env, 4, 120, seed=3)
+    per_level = [float((np.abs(ny - ne) / ny).max()) for ny, ne in reference]
     # every level contributes a nonzero discrepancy of its own
     assert all(w > 0.0 for w in per_level)
     for levels in (1, 2, 3, 4):
         rep = certify_embedding(env, levels=levels, samples=120, seed=3)
         assert rep["max_relative_discrepancy"] == max(per_level[:levels])
         assert rep["passed"]
-    # each level's maximum on its own: a level drawn alone after the same
-    # prefix of draws
+    # each level's norms on their own, after the same prefix of draws
     rng = np.random.default_rng(3)
     for k in (1, 2, 3, 4):
         c = np.array([matcore.random_complex(rng, (k, k, env.source.dim))
                       for _ in range(120)])
-        ny = matcore.op_norms(amplify(c, env.source.basis))
-        ne = matcore.op_norms(amplify(c, env.embedded_basis))
-        assert float((np.abs(ny - ne) / ny).max()) == per_level[k - 1]
+        ny, ne = _sample_norms(env, c)
+        assert np.array_equal(ny, reference[k - 1][0])
+        assert np.array_equal(ne, reference[k - 1][1])
     assert certify_embedding(env, levels=2, samples=0, seed=3)["max_relative_discrepancy"] == 0.0
+
+
+def test_certify_embedding_norms_are_operator_norms(crit4_instance0_env):
+    # ||y|| and ||y (1 ⊗ q)|| read off the Gram matrix agree with the
+    # spectral norms of y and y (1 ⊗ q) themselves
+    env = crit4_instance0_env
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 4):
+        c = matcore.random_complex(rng, (30, k, k, env.source.dim))
+        ny, ne = _sample_norms(env, c)
+        lift = np.kron(np.eye(k), env.q)
+        for i, y in enumerate(amplify(c, env.source.basis)):
+            assert abs(ny[i] - np.linalg.norm(y, 2)) <= 1e-12 * ny[i]
+            assert abs(ne[i] - np.linalg.norm(y @ lift, 2)) <= 1e-12 * ny[i]
+
+
+def test_certify_embedding_fails_without_a_retained_column(crit4_instance0_env):
+    # the certificate reads the embedded side through coords, so dropping
+    # one retained column of range(q) must show as lost norm
+    env = crit4_instance0_env
+    assert certify_embedding(env, levels=2, samples=50, seed=1)["passed"]
+    for j in range(env.envelope_dim):
+        cut = dataclasses.replace(env, coords=np.delete(env.coords, j, axis=1))
+        assert not certify_embedding(cut, levels=2, samples=50, seed=1)["passed"]
+
+
+def _traced_envelope(monkeypatch, x, **kwargs):
+    """compute_envelope with blockdecomp.decompose wrapped: returns the
+    envelope and every split it made."""
+    splits = []
+    real = blockdecomp.decompose
+
+    def counted(alg, seed=0):
+        splits.append(real(alg, seed=seed))
+        return splits[-1]
+
+    monkeypatch.setattr(blockdecomp, "decompose", counted)
+    env = compute_envelope(x, **kwargs)
+    monkeypatch.setattr(blockdecomp, "decompose", real)
+    return env, splits
+
+
+def _crit4_spaces(count):
+    rng = np.random.default_rng(404)
+    out = []
+    for _ in range(count):
+        gens = loose_instance(rng, a=int(rng.integers(2, 4)), b=int(rng.integers(1, 3)),
+                              extra_blocks=int(rng.integers(0, 2)))
+        out.append(validate_space(gens))
+        random_unitary(rng, gens[0].shape[0])  # criterion 4's conjugation draw
+    return out
+
+
+def _crit5_spaces(count):
+    """Diagonal embeddings of criterion 5's first function spaces; several
+    find blocks Essential after an elimination."""
+    rng = np.random.default_rng(505)
+    return [diagonal_embedding(random_function_space(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("scan_order", [SCAN_DESCENDING_RANK, SCAN_ASCENDING_RANK])
+def test_envelope_splits_once_and_tests_each_essential_block_once(monkeypatch, scan_order):
+    for i, x in enumerate(_crit4_spaces(6) + _crit5_spaces(8)):
+        env, splits = _traced_envelope(monkeypatch, x, seed=i, scan_order=scan_order)
+        assert len(splits) == 1
+        essential = [s.block_index for s in env.trace if s.verdict.status == ESSENTIAL]
+        assert len(essential) == len(set(essential))
+        removed = [s.block_index for s in env.trace if s.removed]
+        assert not set(removed) & set(essential)
+        # every block of the split is removed, or retained after being
+        # found Essential once
+        assert sorted(removed + essential) == list(range(len(splits[0].blocks)))
+        assert len(env.blocks.blocks) == len(essential)
+
+
+def test_transported_blocks_equal_a_fresh_split_of_the_envelope():
+    for i, x in enumerate(_crit4_spaces(6) + _crit5_spaces(8)):
+        env = compute_envelope(x, seed=i)
+        fresh = blockdecomp.decompose(stargen.generate_star_algebra(env.compressed_basis),
+                                      seed=i)
+        assert len(fresh.blocks) == len(env.blocks.blocks)
+        for b in env.blocks.blocks:
+            overlaps = [float(np.real(np.trace(b.projection @ f.projection)))
+                        for f in fresh.blocks]
+            match = fresh.blocks[int(np.argmax(overlaps))]
+            assert (match.k, match.m) == (b.k, b.m)
+            assert np.abs(match.projection - b.projection).max() <= 1e-8
+            # the transported stripping data still reads off k x k copies
+            assert max(b.conjugation_residual(a) for a in env.algebra.basis) <= 1e-8
+
+
+@pytest.mark.parametrize("scan_order", [SCAN_DESCENDING_RANK, SCAN_ASCENDING_RANK])
+def test_essential_witness_gaps_recompute_from_the_source_basis(monkeypatch, scan_order):
+    checked = after_removal = 0
+    for i, x in enumerate(_crit4_spaces(6) + _crit5_spaces(8)):
+        env, (split,) = _traced_envelope(monkeypatch, x, seed=i, scan_order=scan_order)
+        unit = env.source_unit
+        for step in env.trace:
+            p = split.blocks[step.block_index].projection
+            v = step.verdict
+            if v.status == ESSENTIAL and v.witness_coeffs is not None:
+                keep = unit - p
+                k = v.witness_coeffs.shape[0]
+                y = amplify(v.witness_coeffs, env.source.basis)
+                gap = (op_norm(y @ np.kron(np.eye(k), unit))
+                       - op_norm(y @ np.kron(np.eye(k), keep)))
+                assert abs(gap - v.witness_gap) <= 1e-10
+                assert v.witness_gap > 0
+                checked += 1
+                after_removal += step.pass_index > 0
+            if step.removed:
+                unit = unit - p
+        assert np.abs(unit - env.q).max() <= 1e-10
+    assert after_removal > 0
 
 
 def test_per_elimination_norm_conservation():

@@ -124,3 +124,16 @@ def test_complex_function_space_smoke():
     assert fs.dim == 2
     b = boundary(fs)
     assert len(b.kept) >= 1
+
+
+def test_boundary_tests_each_essential_class_once():
+    # removing points only relaxes a class's LP, so a class found Essential
+    # is never tested again, and the kept classes are exactly those
+    rng = np.random.default_rng(505)
+    for _ in range(20):
+        b = boundary(random_function_space(rng))
+        essential = [v.point_class for v in b.verdicts if v.status == "essential"]
+        assert len(essential) == len(set(essential))
+        assert set(essential) <= set(b.boundary_points)
+        if len(b.kept) > 1:
+            assert sorted(essential) == sorted(b.boundary_points)

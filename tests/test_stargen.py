@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncshilov import matcore
+from ncshilov import conesolver, matcore
 from ncshilov.errors import RankAmbiguous, UnitNotInAlgebra, ZeroSpace
 from ncshilov.selftest import loose_instance
 from ncshilov.stargen import (
@@ -186,6 +186,12 @@ def test_cone_spans_decides_criterion_8_instance_5():
     # the sixth space of acceptance criterion 8, rebuilt in its draw order;
     # its cone spans, and a probe that ends near the cone's boundary must
     # still count
+    r = cone_spans(_criterion_8_instance_5(), seed=5)
+    assert r.spans
+    assert not r.inconclusive
+
+
+def _criterion_8_instance_5():
     rng = np.random.default_rng(808)
     for i in range(6):
         if i % 3 == 0:
@@ -196,9 +202,59 @@ def test_cone_spans_decides_criterion_8_instance_5():
         else:
             n = int(rng.integers(2, 4))
             gens = [matcore.random_psd(rng, n) for _ in range(2)]
-    r = cone_spans(validate_space(gens), seed=5)
-    assert r.spans
-    assert not r.inconclusive
+    return validate_space(gens)
+
+
+def test_cone_spans_returns_d_positives_from_one_solve(monkeypatch):
+    # an order unit (a positive element definite on the joint range) gives
+    # the whole positive spanning set from the one phase-I solve
+    rng = np.random.default_rng(12)
+    spaces = [validate_space([_unit(0, 0, 2), _unit(1, 1, 2)]),
+              validate_space([np.diag([1, 0, 0.75]).astype(complex),
+                              np.diag([0, 1, -0.75]).astype(complex)]),
+              # joint range a proper subspace of C^3
+              validate_space([_unit(0, 0, 3), _unit(0, 1, 3) + _unit(1, 0, 3),
+                              _unit(1, 1, 3)]),
+              _criterion_8_instance_5()]
+    spaces += [validate_space(loose_instance(rng, a=3, b=2)) for _ in range(3)]
+    spaces += [validate_space([matcore.random_psd(rng, 4) for _ in range(3)])]
+    # spans, but no trace-one positive element has lambda_min above about
+    # delta: the positives built on the order unit are close to parallel
+    sigma_x = _unit(0, 1, 2) + _unit(1, 0, 2)
+    thin = [validate_space([np.diag([1.0, delta]).astype(complex), sigma_x])
+            for delta in (1e-3, 1e-4, 1e-5)]
+    calls = []
+    real = conesolver.solve_feasibility
+    monkeypatch.setattr(conesolver, "solve_feasibility",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for i, x in enumerate(spaces + thin):
+        calls.clear()
+        r = cone_spans(x, seed=5)
+        assert len(calls) == 1
+        assert r.spans and r.span_dim == x.dim and not r.inconclusive
+        assert r.positive_basis.shape[0] == x.dim
+        for g in r.positive_basis:
+            assert np.abs(g - g.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh(g)[0] >= -1e-9
+            assert abs(np.trace(g) - 1.0) <= 1e-9
+            assert x.contains(g)
+        # the positives' coordinates over the Hermitian basis have full rank
+        hb = x.hermitian_basis()
+        coords = np.einsum("tab,sab->st", hb.conj(), r.positive_basis).real
+        assert np.linalg.matrix_rank(coords) == x.dim
+        if i < len(spaces):
+            assert matcore.orthonormalize_real(r.positive_basis).shape[0] == x.dim
+
+
+def test_cone_spans_without_an_order_unit_keeps_the_greedy_answer():
+    # positives exist, but none is definite on the joint range, so the
+    # answer comes from the greedy probes: one positive direction, and the
+    # 2 x 2 case ends on a marginal probe
+    r = cone_spans(validate_space([_unit(0, 0, 2), _unit(0, 1, 2) + _unit(1, 0, 2)]))
+    assert (r.spans, r.span_dim, r.inconclusive) == (False, 1, True)
+    r = cone_spans(validate_space([np.diag([1.0, 0, 0]).astype(complex),
+                                   np.diag([0, 1.0, -1.0]).astype(complex)]))
+    assert (r.spans, r.span_dim, r.inconclusive) == (False, 1, False)
 
 
 def test_rank_ambiguous_closure():
