@@ -13,7 +13,8 @@ shapes feed it:
   :func:`solve_feasibility` poses a phase-I margin program (maximize
   lambda with X_v - lambda I >= 0): an iterate with lambda > 0 gives a
   strictly PSD point, and otherwise the dual multipliers give the
-  separating functional, both checked afresh.
+  separating functional, both checked afresh.  :func:`solve_margin` runs
+  that program under a caller's own stop test.
 
 * :class:`ChoiAgreementProgram` is the structured program behind the
   complete-contractivity oracle: a Choi variable constrained to agree, as a
@@ -379,6 +380,12 @@ def _pairing(a, b):
 # ---------------------------------------------------------------------------
 
 
+def check_tol(tol):
+    """Refuse a tolerance the engine cannot certify at (BadProgram)."""
+    if not (1e-10 <= tol <= 1e-3):
+        raise BadProgram(f"tol {tol} outside [1e-10, 1e-3]")
+
+
 def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
     """Decide feasibility of ``{X >= 0 blockwise} ∩ {affine constraints}``,
     or minimize the program's objective over that set.
@@ -395,8 +402,7 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
     no iterate does, a phase-I solve may still prove the constraints
     infeasible, and the outcome is Marginal when it does not.
     """
-    if not (1e-10 <= tol <= 1e-3):
-        raise BadProgram(f"tol {tol} outside [1e-10, 1e-3]")
+    check_tol(tol)
     prepared = program.prepare()
     if prepared.inconsistent_y is not None:
         y, margin, cone_res = prepared.inconsistent_y
@@ -430,23 +436,23 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
     return out
 
 
-def _phase_one(prepared: _DensePrepared, tol) -> SolveOutcome:
-    """Maximize lambda subject to X_v - lambda I >= 0 and the constraints.
+def solve_margin(prepared: _DensePrepared, stop) -> IpmSolve | None:
+    """The phase-I margin program of a prepared program: maximize lambda
+    subject to X_v - lambda I >= 0 and the constraints.
 
     With X_v = Y_v + lambda I and lambda = s - c0, where c0 exceeds the
     norm of the least-norm affine point (so that the program is strictly
-    feasible), this is: maximize s over Y >= 0, s >= 0 with
-    A(Y) + s A(I) = b + c0 A(I).  The solve stops at the first iterate with
-    lambda > 0 whose point X, corrected onto the affine set and projected
-    onto the cone, meets the constraints within ``tol``: Feasible, even
-    when lambda is unbounded.  Otherwise, at each iterate, phi = A^T y on
-    the Y blocks lies in the row space, so it pairs with every affine point
-    as with the least-norm one; Infeasible as soon as it passes
-    :func:`_separating`, Marginal when no iterate gives either answer.
-    """
+    feasible), this is one :func:`_hkm` solve: maximize s over Y >= 0,
+    s >= 0 with A(Y) + s A(I) = b + c0 A(I).  It ends when
+    ``stop(lambda, X, phi)`` returns something other than None; phi = A^T y
+    on the Y blocks lies in the row space, so it pairs with every affine
+    point as with the least-norm one, and -phi is the dual slack there.
+    Returns the last iterate, its scalar block shifted to hold lambda, or
+    None when the affine constraints are inconsistent."""
+    if prepared.inconsistent_y is not None:
+        return None
     dims = prepared.dims
-    xp = prepared.x_particular
-    c0 = 1.0 + max(np.linalg.norm(h) for h in xp)
+    c0 = 1.0 + max(np.linalg.norm(h) for h in prepared.x_particular)
     t = sum(np.trace(fv, axis1=1, axis2=2).real for fv in prepared.f)  # A(I)
     # the rows [F, t] are orthonormal again after (I + t t^T)^-1/2,
     # which is I - kappa t t^T
@@ -457,18 +463,32 @@ def _phase_one(prepared: _DensePrepared, tol) -> SolveOutcome:
     rhs = prepared.rhs + c0 * t
     rhs = rhs - kappa * t * (t @ rhs)
     c = [np.zeros((n, n), dtype=np.complex128) for n in dims] + [-np.ones((1, 1))]
+
+    def margin_stop(x, aty, _worst):
+        lam = x[-1][0, 0].real - c0
+        return stop(lam, [xv + lam * np.eye(n) for xv, n in zip(x[:-1], dims)], aty[:-1])
+
+    sol = _hkm(f, rhs, c, stop=margin_stop)
+    sol.x[-1] = sol.x[-1] - c0
+    return sol
+
+
+def _phase_one(prepared: _DensePrepared, tol) -> SolveOutcome:
+    """Feasibility by :func:`solve_margin`: Feasible at the first iterate
+    with lambda > 0 whose point X, corrected onto the affine set and
+    projected onto the cone, meets the constraints within ``tol`` (even when
+    lambda is unbounded); Infeasible as soon as phi passes
+    :func:`_separating`; Marginal when no iterate gives either answer."""
     scale = max(1.0, float(np.abs(prepared.rhs).max(initial=0.0)))
 
-    def stop(x, aty, _worst):
-        lam = x[-1][0, 0].real - c0
+    def stop(lam, points, phi):
         if lam > 0:
-            point, residual = prepared.polish(
-                [xv + lam * np.eye(n) for xv, n in zip(x[:-1], dims)])
+            point, residual = prepared.polish(points)
             if residual <= tol:
                 return SolveOutcome(status=FEASIBLE, primal_point=point, residual=residual)
-        return _separating(aty[:-1], xp, tol, scale)
+        return _separating(phi, prepared.x_particular, tol, scale)
 
-    sol = _hkm(f, rhs, c, stop=stop)
+    sol = solve_margin(prepared, stop)
     if sol.stopped is not None:
         sol.stopped.iterations = sol.iterations
         return sol.stopped
@@ -476,7 +496,7 @@ def _phase_one(prepared: _DensePrepared, tol) -> SolveOutcome:
         status=MARGINAL, iterations=sol.iterations,
         diagnostics=(f"no certificate: phase-I solve {sol.status} after "
                      f"{sol.iterations} iterations at margin "
-                     f"{sol.x[-1][0, 0].real - c0:.2e}"),
+                     f"{sol.x[-1][0, 0].real:.2e}"),
     )
 
 

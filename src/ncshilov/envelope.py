@@ -225,8 +225,7 @@ def _witness_gap(basis, unit, keep, coeffs) -> float:
 
 
 def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
-                     scan_order: str = SCAN_DESCENDING_RANK,
-                     require_spanning: bool = True) -> EnvelopePresentation:
+                     scan_order: str = SCAN_DESCENDING_RANK) -> EnvelopePresentation:
     """Block elimination until no loose block remains.
 
     B = C*(X) is generated and split once.  Each pass scans the blocks
@@ -236,11 +235,11 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
     Loose needs a fresh look after a removal (see the module docstring).
     No solve certifies the embedding afterwards: its bound
     ``embedding_cb`` is composed from the removed steps' verdicts.  Raises
-    ConeDoesNotSpan when the positive cone does not span (the recipe's
-    hypothesis) and InconclusiveAtTolerance when some block's verdict is
-    Marginal at the working tolerance."""
-    if require_spanning:
-        stargen.require_spanning_cone(x, tol=tol, seed=seed)
+    ConeDoesNotSpan, with its certificate, when the positive cone does not
+    span at ``tol`` (the recipe's hypothesis, :func:`stargen.cone_spans`)
+    and InconclusiveAtTolerance when that test or some block's verdict is
+    without a certificate at the working tolerance."""
+    stargen.require_spanning_cone(x, tol=tol)
     source = stargen.generate_star_algebra(x)
     split = blockdecomp.decompose(source, seed=seed + 977)
     order = sorted(range(len(split.blocks)), key=lambda i: (-split.blocks[i].rank, i))

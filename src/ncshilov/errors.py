@@ -39,7 +39,17 @@ class NotAFactor(NcShilovError):
 
 class ConeDoesNotSpan(NcShilovError):
     """The positive cone of the space does not span it; the C*-envelope
-    recipe does not apply."""
+    recipe does not apply.  ``certificate``, re-checked when found, is a
+    trace-one W >= 0 on the joint range (matrix space) or a probability
+    measure on the support (function space), orthogonal to the space up to
+    a residual.  So every trace-one (sum-one) positive element has its
+    least eigenvalue on the joint range (least value on the support) at
+    most ``bound`` <= tol; a negative bound means the cone is {0}."""
+
+    def __init__(self, message, certificate=None, bound=None):
+        super().__init__(message)
+        self.certificate = certificate
+        self.bound = bound
 
 
 class InconclusiveAtTolerance(NcShilovError):

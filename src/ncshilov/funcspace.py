@@ -5,7 +5,10 @@ pointwise-nonnegative cone spans it, the boundary is computed by the same
 recipe as the matrix pipeline, but with linear programs: merge points that
 X does not separate, drop points where everything vanishes, then remove
 points one at a time whenever the sup of |f(k)| over the unit ball taken
-on the other points stays at most 1.
+on the other points stays at most 1.  The spanning hypothesis is decided
+first by one LP whose primal and dual are the two certificates: a
+function in X positive on the support, or a probability measure
+orthogonal to X (:func:`_require_spanning_functions`).
 
 The LP route (scipy's HiGHS) is deliberately independent of the matrix
 SDP route; :func:`crosscheck_diagonal` embeds the space as diagonal
@@ -21,11 +24,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ncshilov import envelope as envelope_mod
-from ncshilov import matcore, stargen
+from ncshilov import stargen
 from ncshilov.errors import ConeDoesNotSpan, InconclusiveAtTolerance, ShapeMismatch, ZeroSpace
 
 PHASE_GRID = 64
 DECISION_BAND = 1e-6
+CONE_TOL = 1e-9  # the spanning-cone verdict's tolerance
 
 
 @dataclass
@@ -68,50 +72,53 @@ def validate_function_space(generators) -> FunctionSpace:
     return FunctionSpace(points=gens.shape[1], basis=basis, is_real=is_real)
 
 
-def _cone_spans_functions(fs: FunctionSpace, tol: float = 1e-9) -> bool:
-    """span(X ∩ pointwise-nonnegative) = X, decided by LPs over the
-    real-valued part (nonnegative functions are real-valued)."""
+def _require_spanning_functions(fs: FunctionSpace):
+    """Raise ConeDoesNotSpan, with its measure and bound, unless the
+    pointwise-nonnegative cone spans the space at tolerance ``CONE_TOL``.
+
+    The commutative :func:`stargen.cone_spans`: one LP over the real part
+    X_r on the support S, maximize t subject to f >= t on S, sum f = 1,
+    f in X_r.  By Gordan's theorem either some f in X_r is positive on S
+    (an order unit), or a probability measure mu on S is orthogonal to X.
+    The optimum certifies the first when min_S f > CONE_TOL.  The dual
+    marginals give mu, checked afresh: with P the projection onto X_r,
+    nu = <mu, P1> / ||P1||^2 and rho = ||P mu - nu P1||, every nonnegative
+    f in X_r of sum one has min_S f <= <mu, f> <= nu + rho <= CONE_TOL.
+    An infeasible LP means nothing sums to one: the uniform measure on S is
+    orthogonal to X, the cone is {0}.  Otherwise InconclusiveAtTolerance."""
     rb = fs.real_basis()
-    d = rb.shape[0]
-    if d < fs.dim:
-        return False
-    found: list[np.ndarray] = []
-    while len(found) < d:
-        comp = _real_complement(rb, found)
-        if comp.shape[0] == 0:
-            break
-        got = None
-        for w in comp:
-            for sign in (1.0, -1.0):
-                f = _max_direction_nonneg(rb, sign * w)
-                if f is not None and abs(np.dot(w, f)) > 1e-7:
-                    got = f
-                    break
-            if got is not None:
-                break
-        if got is None:
-            break
-        found.append(got)
-    return len(found) == d
-
-
-def _real_complement(rb, found):
-    if not found:
-        return rb
-    coords = rb @ np.asarray(found).T  # components of found in rb coordinates
-    return matcore.null_space(coords.T) @ rb
-
-
-def _max_direction_nonneg(rb, w):
-    """Maximize <w, f> over f in span(rb), f >= 0 pointwise, sum f = 1."""
-    d, m = rb.shape
-    res = linprog(c=-(rb @ w), A_ub=-rb.T, b_ub=np.zeros(m),
-                  A_eq=rb.sum(axis=1)[None, :], b_eq=[1.0],
-                  bounds=[(None, None)] * d, method="highs")
-    if not res.success:
-        return None
-    f = res.x @ rb
-    return f if -res.fun > 1e-9 else None
+    support = np.flatnonzero(np.abs(fs.basis).max(axis=0) >= 1e-10)
+    vals = rb[:, support]
+    ones = rb.sum(axis=1)  # X_r-coordinates of P 1
+    d, s = vals.shape
+    res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=np.c_[-vals.T, np.ones(s)],
+                  b_ub=np.zeros(s), A_eq=np.r_[ones, 0.0][None], b_eq=[1.0],
+                  bounds=[(None, None)] * (d + 1), method="highs")
+    mu, bound = None, np.inf
+    if res.status == 0:
+        f = res.x[:d] @ vals
+        if f.min() > CONE_TOL * f.sum():
+            return
+        mu = np.clip(-res.ineqlin.marginals, 0.0, None)
+        if mu.sum() > 0:
+            mu = mu / mu.sum()
+            mc = vals @ mu
+            nu = float(mc @ ones) / float(ones @ ones)
+            bound = nu + float(np.linalg.norm(mc - nu * ones))
+    elif res.status == 2:
+        mu = np.full(s, 1.0 / s)
+        if np.linalg.norm(vals @ mu) <= CONE_TOL:
+            bound = -np.inf
+    if not bound <= CONE_TOL:
+        raise InconclusiveAtTolerance(
+            f"spanning-cone LP without a certificate: {res.message}")
+    measure = np.zeros(fs.points)
+    measure[support] = mu
+    zero = " (the cone is {0})" if bound < 0 else ""
+    raise ConeDoesNotSpan(
+        f"pointwise-nonnegative cone does not span the space{zero}: a separating measure "
+        f"bounds the least value of sum-one positives by {bound:.3g} <= tol {CONE_TOL:g}",
+        certificate=measure, bound=bound)
 
 
 @dataclass
@@ -145,11 +152,14 @@ class BoundaryResult:
 def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
     """Shilov boundary of the space by LP point elimination.
 
-    Each scan removes the first loose class it meets and starts over.  A
-    class found Essential is not tested again: removing a point only drops
-    constraints from its LP, so its sup stays above 1 + tol."""
-    if not _cone_spans_functions(fs):
-        raise ConeDoesNotSpan("pointwise-nonnegative cone does not span the space")
+    Raises ConeDoesNotSpan, carrying its certificate measure, when the
+    pointwise-nonnegative cone does not span the space (one LP, see
+    :func:`_require_spanning_functions`), and InconclusiveAtTolerance when
+    that LP or a point verdict gives no certificate.  Each scan removes the
+    first loose class it meets and starts over.  A class found Essential is
+    not tested again: removing a point only drops constraints from its LP,
+    so its sup stays above 1 + tol."""
+    _require_spanning_functions(fs)
     values = fs.basis.T  # (m, d): the value vector of the basis at each point
     m = fs.points
     # drop points where every function vanishes, then merge unseparated ones

@@ -183,154 +183,113 @@ def unit_projection(algebra_basis) -> np.ndarray:
 
 @dataclass
 class ConeSpanResult:
+    """Verdict of :func:`cone_spans` with its certificate.  lambda* is the
+    largest lambda_min(u|R) over trace-one positive u in X, R the joint range.
+
+    ``spans``: certified by ``positive_basis``, d trace-one positives of X
+    spanning it, the order unit u first (empty when not spanning).
+    ``span_dim``: d when spanning, 0 when the cone is {0}, else None.
+    ``inconclusive``: neither certificate verified (solver failure or cap).
+    ``margin_bound``: lambda_min(u|R) <= lambda* when spanning, else an
+    upper bound lambda* <= margin_bound <= tol (-inf when no element of X
+    has trace one); NaN when inconclusive.  ``certificate``: when not
+    spanning, W >= 0 of trace one on R, orthogonal to X up to the residual
+    counted in ``margin_bound``.  ``diagnostics``: how an inconclusive
+    solve ended."""
+
     spans: bool
-    positive_basis: np.ndarray  # (r, n, n) positive elements found
-    span_dim: int
+    positive_basis: np.ndarray
+    span_dim: int | None
     inconclusive: bool = False
+    margin_bound: float = np.nan
+    certificate: np.ndarray | None = None
+    diagnostics: str = ""
 
 
-def cone_spans(x: MatrixSpace, tol: float = 1e-7, seed: int = 0) -> ConeSpanResult:
-    """Decide whether span(X ∩ PSD) = X.
+def cone_spans(x: MatrixSpace, tol: float = 1e-7) -> ConeSpanResult:
+    """Decide whether span(X ∩ PSD) = X, at tolerance ``tol``.
 
-    Let R be the joint range of X (the range of sum_t h_t^2 over the
-    Hermitian basis).  X spans its cone iff X holds some u >= 0 that is
-    definite on R: then each Hermitian h in X is c u - (c u - h) with
-    c = ||h|| / lambda_min(u|R), a difference of positives; conversely the
-    sum of a spanning set of positives is such a u.  So the first probe is
-    one phase-I margin solve of :func:`conesolver.solve_feasibility` for a
-    trace-one positive element of X compressed to R (:func:`_order_unit`).
-    When its point is definite on R with margin, the answer is u and
-    2 c_i u + h_i, scaled to trace one, for the d - 1 HS-orthonormal
-    Hermitian directions h_i of X orthogonal to u: d positives, each
-    definite on R.  span_dim is then d by construction (u and the h_i span
-    X_sa), not a rank of the positives, which are close to parallel when
-    the margin is small.  An Infeasible probe (no positive trace-one
-    element at all) is a conclusive span_dim of 0.
+    R is the joint range of X (the range of sum_t h_t^2 over the Hermitian
+    basis).  By the theorem of alternatives for a subspace and the PSD cone
+    (Boyd & Vandenberghe, *Convex Optimization*, §5.8) either X holds some
+    u >= 0 definite on R, so X spans its cone (each Hermitian h in X is
+    c u - (c u - h) with c = ||h|| / lambda_min(u|R)), or some W >= 0,
+    nonzero on R, is orthogonal to X, so positives of X have range in
+    ker W.  These are the primal and the dual of one margin program
+    (:func:`conesolver.solve_margin`): maximize lambda_min over trace-one
+    elements of X compressed to R, with optimum lambda*.  The one solve
+    stops as soon as either certificate verifies afresh:
 
-    Otherwise (X has positives, but the probe found none definite on R) a
-    greedy extraction over the selfadjoint part follows: maintain the span
-    S of the positives found so far; look for a positive unit-trace element
-    of X with a component outside S by maximizing random +/- directions of
-    the orthocomplement of S (confirmed with a full basis sweep before
-    giving up).  Each probe is a small PSD program with a linear objective,
-    an objective solve of :func:`conesolver.solve_feasibility`; a Marginal
-    probe makes a negative answer inconclusive, while an Infeasible one is
-    conclusive.
-    """
+    * Spans: u, the iterate projected onto X and scaled to trace one, has
+      lambda_min(u|R) > tol.  The answer is u and 2 c_i u + h_i, scaled to
+      trace one, for the d - 1 HS-orthonormal Hermitian directions h_i of
+      X orthogonal to u: d positives definite on R that span X.
+    * Does not span: W, the PSD part of the iterate's dual slack at trace
+      one, gives lambda* <= y0 + rho <= tol, where y0 is W's pairing with
+      the least-norm trace-one element of X and rho the HS norm of W - y0 I
+      projected onto X: a trace-one positive v in X has lambda_min(v|R) <=
+      <W, v> = y0 + <W - y0 I, v> <= y0 + rho, as ||v||_HS <= 1.  Below
+      zero, no positive element has trace one: the cone is {0}.  So is it
+      when no element of X has trace one: then W = P_R / r, with no solve.
+
+    A verdict at tolerance, as with :func:`conesolver.cc_test`: Spans iff
+    lambda* > tol.  Inconclusive (a solver failure or the iteration cap)
+    leaves lambda* within the solver's accuracy of tol."""
+    conesolver.check_tol(tol)
     hb = x.hermitian_basis()
-    d = hb.shape[0]
-    found: list[np.ndarray] = []
-    inconclusive = False
-    unit, status = _order_unit(hb, tol)
-    if unit is not None:
-        u, margin = unit
-        comp = _orthocomplement_within(hb, [u])
-        norms = np.linalg.norm(comp, ord=2, axis=(1, 2))
-        lifted = [2.0 * nrm / margin * u + h for nrm, h in zip(norms, comp)]
-        found = [u, *(g / np.trace(g).real for g in lifted)]
-        span_dim = 1 + comp.shape[0]
-    else:
-        if status != conesolver.INFEASIBLE:
-            found, inconclusive = _greedy_positives(x, hb, np.random.default_rng(seed), tol)
-        span_dim = len(found)
-        if span_dim:
-            span_dim = matcore.orthonormalize_real(np.asarray(found)).shape[0]
-    return ConeSpanResult(spans=span_dim == d,
-                          positive_basis=np.asarray(found),
-                          span_dim=span_dim,
-                          inconclusive=inconclusive)
-
-
-def _order_unit(hb, tol):
-    """A positive element of span(hb) definite on the joint range R.
-
-    Poses the phase-I margin program for V >= 0 on R with trace V = 1 and
-    V in the compression of span(hb) to R.  Returns ``((u, lambda_min(u|R)),
-    status)`` when the solve's point, projected onto span(hb), has
-    lambda_min above 50 tol on R, and ``(None, status)`` otherwise, with
-    the solve's status."""
+    d, n = hb.shape[0], x.ambient_dim
     w, v = matcore.herm_eig(np.einsum("tab,tbc->ac", hb, hb))
     r_basis = v[:, w > 1e-10 * w[0]]
     r = r_basis.shape[1]
-    on_r = r_basis.conj().T @ hb @ r_basis
-    rows, rhs = _trace_one_in_span(on_r)
-    out = conesolver.solve_feasibility(conesolver.ConicProgram([r], rows, rhs),
-                                       tol=min(tol, 1e-7))
-    if out.status != conesolver.FEASIBLE:
-        return None, out.status
-    coeffs = np.einsum("tab,ab->t", on_r.conj(), out.primal_point[0]).real
+    on_r = r_basis.conj().T @ hb @ r_basis  # still HS-orthonormal: X lives on R
+    t = np.trace(on_r, axis1=1, axis2=2).real  # the coordinates of P_X(I)
+    none = np.zeros((0, n, n), dtype=np.complex128)
+
+    def not_spanning(w_r, bound):
+        return ConeSpanResult(spans=False, positive_basis=none,
+                              span_dim=0 if bound < 0 else None, margin_bound=bound,
+                              certificate=r_basis @ w_r @ r_basis.conj().T)
+
+    def stop(_lam, points, phi):
+        coeffs = np.einsum("tab,ab->t", on_r.conj(), points[0]).real
+        trace = float(coeffs @ t)
+        if trace > 0:
+            coeffs = coeffs / trace
+            margin = float(np.linalg.eigvalsh(np.einsum("t,tab->ab", coeffs, on_r))[0])
+            if margin > tol:
+                return ConeSpanResult(spans=True, positive_basis=_spanning_set(hb, coeffs, margin),
+                                      span_dim=d, margin_bound=margin)
+        ev, evec = np.linalg.eigh(-phi[0])
+        ev = np.clip(ev, 0.0, None)
+        if ev.sum() > 0:
+            w_r = (evec * (ev / ev.sum())) @ evec.conj().T
+            wc = np.einsum("tab,ab->t", on_r.conj(), w_r).real
+            y0 = float(wc @ t) / float(t @ t)
+            bound = y0 + float(np.linalg.norm(wc - y0 * t))
+            if bound <= tol:
+                return not_spanning(w_r, bound)
+        return None
+
+    # trace V = 1, and the coordinates of V orthogonal to span(on_r) vanish
+    pins = matcore.null_space(matcore.herm_to_rvec(on_r))
+    program = conesolver.ConicProgram([r], np.r_[matcore.herm_to_rvec(np.eye(r))[None], pins],
+                                      np.r_[1.0, np.zeros(pins.shape[0])])
+    sol = conesolver.solve_margin(program.prepare(), stop)
+    if sol is None:  # the trace-one constraint is inconsistent: X is orthogonal to I
+        return not_spanning(np.eye(r) / r, -np.inf)
+    return sol.stopped or ConeSpanResult(
+        spans=False, positive_basis=none, span_dim=None, inconclusive=True,
+        diagnostics=(f"margin solve {sol.status} after {sol.iterations} "
+                     f"iterations at lambda {sol.x[-1][0, 0].real:.2e}"))
+
+
+def _spanning_set(hb, coeffs, margin):
+    """The order unit u = sum_t coeffs_t hb_t and the lifted positives."""
     u = hermitize(np.einsum("t,tab->ab", coeffs, hb))
-    margin = float(np.linalg.eigvalsh(r_basis.conj().T @ u @ r_basis)[0])
-    if margin > 50 * tol:
-        return (u, margin), out.status
-    return None, out.status
-
-
-def _greedy_positives(x: MatrixSpace, hb, rng, tol):
-    """The greedy extraction of :func:`cone_spans`: returns the positives
-    found and whether a Marginal probe cut the search short."""
-    d = hb.shape[0]
-    found: list[np.ndarray] = []
-    while len(found) < d:
-        comp = _orthocomplement_within(hb, found)
-        if comp.shape[0] == 0:
-            break
-        got = None
-        gauss = rng.standard_normal(comp.shape[0])
-        directions = [np.einsum("c,cab->ab", gauss / np.linalg.norm(gauss), comp)]
-        marginal_seen = False
-        # random probe first, full sweep as confirmation
-        for w in [*directions, *comp]:
-            for sign in (1.0, -1.0):
-                cand, marginal = _max_direction_positive(x, sign * w, tol)
-                if marginal:
-                    marginal_seen = True
-                if cand is not None:
-                    got = cand
-                    break
-            if got is not None:
-                break
-        if got is None:
-            return found, marginal_seen
-        found.append(got)
-    return found, False
-
-
-def _orthocomplement_within(hb, found):
-    """Real-ON basis of the orthocomplement of span(found) inside span(hb)."""
-    if not found:
-        return hb
-    f = np.asarray(found)
-    proj = np.einsum("tab,sab->ts", hb.conj(), f).real  # components of found in hb coords
-    return np.einsum("ct,tab->cab", matcore.null_space(proj.T), hb)
-
-
-def _trace_one_in_span(hb):
-    """Rows and right-hand side, in Hermitian coordinates, of trace V = 1 and
-    V in span(hb) for Hermitian V of hb's size: the coordinates of V in the
-    orthocomplement of span(hb) vanish."""
-    pins = matcore.null_space(matcore.herm_to_rvec(hb))
-    rows = np.concatenate([matcore.herm_to_rvec(np.eye(hb.shape[1]))[None], pins])
-    return rows, np.concatenate([[1.0], np.zeros(pins.shape[0])])
-
-
-def _max_direction_positive(x: MatrixSpace, w, tol):
-    """Maximize Re<w, v> over {v in X, v PSD, trace v = 1}; return a
-    positive element with strictly positive pairing, or None.
-
-    Returns (element | None, marginal_flag)."""
-    n = x.ambient_dim
-    rows, rhs = _trace_one_in_span(x.hermitian_basis())
-    prog = conesolver.ConicProgram([n], rows, rhs,
-                                   objective=-matcore.herm_to_rvec(hermitize(w)))
-    out = conesolver.solve_feasibility(prog, tol=min(tol, 1e-7))
-    if out.status == conesolver.FEASIBLE and out.primal_point is not None:
-        v = out.primal_point[0]
-        gain = float(np.real(matcore.hs_inner(v, w)))
-        if gain > 50 * tol:
-            return v, False
-        return None, False
-    return None, out.status == conesolver.MARGINAL
+    comp = np.einsum("ct,tab->cab", matcore.null_space(coeffs[None]), hb)
+    norms = np.linalg.norm(comp, ord=2, axis=(1, 2))
+    lifted = [2.0 * nrm / margin * u + h for nrm, h in zip(norms, comp)]
+    return np.asarray([u, *(g / np.trace(g).real for g in lifted)])
 
 
 def tro_equals_algebra(x: MatrixSpace, tol: float = 1e-8) -> bool:
@@ -347,17 +306,18 @@ def tro_equals_algebra(x: MatrixSpace, tol: float = 1e-8) -> bool:
     return worst <= tol
 
 
-def require_spanning_cone(x: MatrixSpace, tol: float = 1e-7, seed: int = 0) -> ConeSpanResult:
-    """The cone_spans result, or ConeDoesNotSpan when it conclusively does
-    not span; a probe solve without a certificate raises
-    InconclusiveAtTolerance instead."""
-    result = cone_spans(x, tol=tol, seed=seed)
-    if result.inconclusive and not result.spans:
+def require_spanning_cone(x: MatrixSpace, tol: float = 1e-7) -> ConeSpanResult:
+    """The cone_spans result when the cone spans.  Raises ConeDoesNotSpan,
+    carrying W and the margin bound, when it does not, and
+    InconclusiveAtTolerance when the solve gave neither certificate."""
+    result = cone_spans(x, tol=tol)
+    if result.inconclusive:
         raise InconclusiveAtTolerance(
-            f"positive cone spans at least {result.span_dim} of {x.dim} dimensions; "
-            "a probe solve was marginal")
+            f"spanning-cone test without a certificate: {result.diagnostics}")
     if not result.spans:
+        zero = " (the cone is {0})" if result.span_dim == 0 else ""
         raise ConeDoesNotSpan(
-            f"positive cone spans only {result.span_dim} of {x.dim} dimensions"
-        )
+            f"positive cone does not span the space{zero}: a separator W bounds lambda_min "
+            f"of trace-one positives by {result.margin_bound:.3g} <= tol {tol:g}",
+            certificate=result.certificate, bound=result.margin_bound)
     return result

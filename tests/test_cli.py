@@ -178,6 +178,16 @@ def test_exit_code_cone_does_not_span(tmp_path):
     assert main(["envelope", "--input", inp]) == EXIT_CONE
 
 
+def test_envelope_without_an_order_unit_exits_cone(tmp_path, capsys):
+    # span{E11, sigma_x} has positives, none definite on the joint range:
+    # a conclusive "does not span", with the certified margin bound printed
+    inp = _write(tmp_path, "e11sx.json", _matrix_file([[[1, 0], [0, 0]], [[0, 1], [1, 0]]], 2))
+    assert main(["envelope", "--input", inp]) == EXIT_CONE
+    err = capsys.readouterr().err
+    assert err.startswith("not applicable: positive cone does not span")
+    assert "by " in err and "<= tol 1e-07" in err
+
+
 def test_unitize_command(tmp_path, capsys):
     c3 = _matrix_file([[[1, 0, 0], [0, 0, 0], [0, 0, 0.75]],
                        [[0, 0, 0], [0, 1, 0], [0, 0, 0.75]]], 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncshilov import funcspace
 from ncshilov.errors import ConeDoesNotSpan, ZeroSpace
 from ncshilov.funcspace import (
     boundary,
@@ -36,6 +37,30 @@ def test_boundary_three_quarters_example():
 def test_boundary_requires_spanning_cone():
     with pytest.raises(ConeDoesNotSpan):
         boundary(validate_function_space([[1.0, -1.0]]))
+
+
+def test_boundary_nonspanning_cone_carries_its_measure_from_one_lp(monkeypatch):
+    # f = (1, 0, 0) is positive somewhere, but no element is positive on
+    # all three points: the measure (0, 1/2, 1/2) is orthogonal to the space
+    calls = []
+    real = funcspace.linprog
+    monkeypatch.setattr(funcspace, "linprog",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    fs = validate_function_space([[1, 0, 0], [0, 1, -1]])
+    with pytest.raises(ConeDoesNotSpan) as info:
+        boundary(fs)
+    assert len(calls) == 1
+    mu, bound = info.value.certificate, info.value.bound
+    # re-checked from the space alone: a probability measure whose pairing
+    # bound nu + rho on the smallest value of sum-one nonnegative elements
+    # is at most the tolerance
+    assert mu.min() >= 0 and abs(mu.sum() - 1.0) <= 1e-12
+    rb = fs.real_basis()
+    ones, mc = rb.sum(axis=1), rb @ mu
+    nu = mc @ ones / (ones @ ones)
+    assert nu + np.linalg.norm(mc - nu * ones) <= funcspace.CONE_TOL
+    assert bound <= funcspace.CONE_TOL
+    assert mu == pytest.approx([0.0, 0.5, 0.5], abs=1e-9)
 
 
 def test_boundary_single_point():

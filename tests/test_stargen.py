@@ -186,7 +186,7 @@ def test_cone_spans_decides_criterion_8_instance_5():
     # the sixth space of acceptance criterion 8, rebuilt in its draw order;
     # its cone spans, and a probe that ends near the cone's boundary must
     # still count
-    r = cone_spans(_criterion_8_instance_5(), seed=5)
+    r = cone_spans(_criterion_8_instance_5())
     assert r.spans
     assert not r.inconclusive
 
@@ -205,9 +205,38 @@ def _criterion_8_instance_5():
     return validate_space(gens)
 
 
+def _check_separator(x, r, tol=1e-7):
+    # W, re-checked from the space alone: PSD, trace one, and the bound
+    # y0 + rho on lambda_min of every trace-one positive element is <= tol
+    w = r.certificate
+    assert not r.spans and not r.inconclusive
+    assert np.abs(w - w.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(w)[0] >= -1e-9
+    assert abs(np.trace(w) - 1.0) <= 1e-9
+    hb = x.hermitian_basis()
+    t = np.trace(hb, axis1=1, axis2=2).real
+    wc = np.einsum("tab,ab->t", hb.conj(), w).real
+    y0 = wc @ t / (t @ t)
+    bound = y0 + np.linalg.norm(wc - y0 * t)
+    assert bound <= tol
+    assert bound == pytest.approx(r.margin_bound, abs=1e-12)
+
+
+def _non_spanning_spaces():
+    # positives exist, but none is definite on the joint range: the cone
+    # spans one dimension of two; and span{diag(1, 1e-9), sigma_x}, whose
+    # best trace-one positive has lambda_min 1e-9, below the default tol
+    sigma_x = _unit(0, 1, 2) + _unit(1, 0, 2)
+    return [validate_space([_unit(0, 0, 2), sigma_x]),
+            validate_space([np.diag([1.0, 0, 0]).astype(complex),
+                            np.diag([0, 1.0, -1.0]).astype(complex)]),
+            validate_space([np.diag([1.0, 1e-9]).astype(complex), sigma_x])]
+
+
 def test_cone_spans_returns_d_positives_from_one_solve(monkeypatch):
-    # an order unit (a positive element definite on the joint range) gives
-    # the whole positive spanning set from the one phase-I solve
+    # one margin solve decides every instance: an order unit (a positive
+    # element definite on the joint range) gives the whole positive
+    # spanning set, and a separator W decides the rest
     rng = np.random.default_rng(12)
     spaces = [validate_space([_unit(0, 0, 2), _unit(1, 1, 2)]),
               validate_space([np.diag([1, 0, 0.75]).astype(complex),
@@ -224,12 +253,12 @@ def test_cone_spans_returns_d_positives_from_one_solve(monkeypatch):
     thin = [validate_space([np.diag([1.0, delta]).astype(complex), sigma_x])
             for delta in (1e-3, 1e-4, 1e-5)]
     calls = []
-    real = conesolver.solve_feasibility
-    monkeypatch.setattr(conesolver, "solve_feasibility",
+    real = conesolver.solve_margin
+    monkeypatch.setattr(conesolver, "solve_margin",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     for i, x in enumerate(spaces + thin):
         calls.clear()
-        r = cone_spans(x, seed=5)
+        r = cone_spans(x)
         assert len(calls) == 1
         assert r.spans and r.span_dim == x.dim and not r.inconclusive
         assert r.positive_basis.shape[0] == x.dim
@@ -244,17 +273,25 @@ def test_cone_spans_returns_d_positives_from_one_solve(monkeypatch):
         assert np.linalg.matrix_rank(coords) == x.dim
         if i < len(spaces):
             assert matcore.orthonormalize_real(r.positive_basis).shape[0] == x.dim
+    for x in _non_spanning_spaces():
+        calls.clear()
+        r = cone_spans(x)
+        assert len(calls) == 1
+        _check_separator(x, r)
 
 
-def test_cone_spans_without_an_order_unit_keeps_the_greedy_answer():
-    # positives exist, but none is definite on the joint range, so the
-    # answer comes from the greedy probes: one positive direction, and the
-    # 2 x 2 case ends on a marginal probe
-    r = cone_spans(validate_space([_unit(0, 0, 2), _unit(0, 1, 2) + _unit(1, 0, 2)]))
-    assert (r.spans, r.span_dim, r.inconclusive) == (False, 1, True)
-    r = cone_spans(validate_space([np.diag([1.0, 0, 0]).astype(complex),
-                                   np.diag([0, 1.0, -1.0]).astype(complex)]))
-    assert (r.spans, r.span_dim, r.inconclusive) == (False, 1, False)
+def test_cone_spans_without_an_order_unit_is_certified_not_spanning():
+    # no positive element is definite on the joint range by more than tol:
+    # a conclusive answer, with a separator W; span{E11, sigma_x} has
+    # W = E22, and span{diag(1, 1e-9), sigma_x} spans only at a smaller tol
+    # (a verdict at tolerance, as with cc_test)
+    spaces = _non_spanning_spaces()
+    for x in spaces:
+        r = cone_spans(x)
+        _check_separator(x, r)
+        assert r.span_dim is None
+    assert np.abs(cone_spans(spaces[0]).certificate - _unit(1, 1, 2)).max() <= 1e-6
+    assert cone_spans(spaces[2], tol=1e-10).spans
 
 
 def test_rank_ambiguous_closure():
