@@ -4,7 +4,8 @@ Space files are strict JSON with explicit [re, im] entry pairs; unknown
 fields are rejected by name.  Reports are canonical JSON (sorted keys,
 repr floats, no timestamps), so identical input, seed and flags produce
 byte-identical files; wall-clock timing goes to the human summary on
-stdout only.
+stdout only, and so do the per-stage timings that ``envelope --stats`` and
+``boundary --stats`` print.
 
 Exit codes: 0 success, 1 parse error, 2 the positive cone does not span
 (the envelope recipe does not apply), 3 a decision came back inconclusive
@@ -33,6 +34,7 @@ from ncshilov.errors import (
     ParseError,
 )
 from ncshilov.stargen import MatrixSpace, validate_space
+from ncshilov.timing import StageTimes
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -233,8 +235,11 @@ def _trace_payload(trace):
     return out
 
 
-def _envelope_payload(env, certify_seed):
-    report = envelope_mod.certify_embedding(env, levels=4, samples=120, seed=certify_seed)
+def _envelope_payload(env, certify_seed, stats=None):
+    stats = stats if stats is not None else StageTimes()
+    with stats.stage("certify_embedding"):
+        report = envelope_mod.certify_embedding(env, levels=4, samples=120,
+                                                seed=certify_seed)
     return {
         "abstract_blocks": list(env.abstract_blocks),
         "block_sizes": [list(b) for b in env.block_sizes],
@@ -302,17 +307,27 @@ def _load_matrix_space(path) -> tuple[dict, MatrixSpace]:
     return echo, validate_space(echo["_matrices"])
 
 
+def _print_stats(args, stats):
+    """The ``--stats`` stage timings, on stdout only."""
+    if args.stats:
+        print("stage timings (wall clock):")
+        for line in stats.lines():
+            print(line)
+
+
 def cmd_envelope(args) -> int:
     t0 = time.monotonic()
     echo, x = _load_matrix_space(args.input)
-    env = envelope_mod.compute_envelope(x, seed=args.seed, tol=args.tol)
-    body = {"envelope": _envelope_payload(env, args.seed + 1)}
+    stats = StageTimes()
+    env = envelope_mod.compute_envelope(x, seed=args.seed, tol=args.tol, stats=stats)
+    body = {"envelope": _envelope_payload(env, args.seed + 1, stats)}
     report = build_report(echo, body, args.tol, args.seed)
     _write_report(report, args.out)
     blocks = ", ".join(f"M{k}" for k in env.abstract_blocks)
     print(f"envelope: {blocks} ({env.eliminations()} block(s) eliminated, "
           f"dim {env.envelope_dim}); embedding discrepancy "
           f"{body['envelope']['embedding']['sampled_max_discrepancy']:.2e}")
+    _print_stats(args, stats)
     print(f"elapsed: {time.monotonic() - t0:.2f}s"
           + (f"; report written to {args.out}" if args.out else ""))
     return EXIT_OK
@@ -427,7 +442,8 @@ def cmd_boundary(args) -> int:
     if echo["kind"] != "function":
         raise ParseError(f"{args.input}: expected kind 'function'", field="kind")
     fs = funcspace_mod.validate_function_space(echo["_vectors"])
-    cross = funcspace_mod.crosscheck_diagonal(fs, seed=args.seed, tol=args.tol)
+    stats = StageTimes()
+    cross = funcspace_mod.crosscheck_diagonal(fs, seed=args.seed, tol=args.tol, stats=stats)
     result = cross["lp_result"]
     body = {
         "boundary": {
@@ -449,6 +465,7 @@ def cmd_boundary(args) -> int:
     pts = sorted(p for c in result.boundary_points for p in c)
     print(f"boundary points (0-based): {pts}")
     print(f"diagonal crosscheck: {'agree' if cross['matches'] else 'DISAGREE'}")
+    _print_stats(args, stats)
     return EXIT_OK if cross["matches"] else EXIT_INCONCLUSIVE
 
 
@@ -469,7 +486,7 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common(parser, unit_flag=False):
+def _common(parser, unit_flag=False, stats_flag=False):
     parser.add_argument("--input", required=True, help="space file (JSON)")
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--tol", type=float, default=1e-7)
@@ -477,6 +494,10 @@ def _common(parser, unit_flag=False):
     if unit_flag:
         parser.add_argument("--unit", choices=["envelope", "ambient"],
                             default="envelope")
+    if stats_flag:
+        parser.add_argument("--stats", action="store_true",
+                            help="print the wall-clock time of each stage to stdout "
+                                 "(never into the report)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -487,7 +508,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("envelope", help="compute the C*-envelope")
-    _common(sp)
+    _common(sp, stats_flag=True)
     sp.set_defaults(func=cmd_envelope)
 
     sp = sub.add_parser("unitize", help="envelope plus unitization checks")
@@ -509,7 +530,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_distance)
 
     sp = sub.add_parser("boundary", help="boundary of a function space")
-    _common(sp)
+    _common(sp, stats_flag=True)
     sp.set_defaults(func=cmd_boundary)
 
     sp = sub.add_parser("selftest", help="run the property suites")

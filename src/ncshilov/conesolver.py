@@ -26,15 +26,17 @@ of the associated unital map on the 2x2 operator system over the map's
 domain: ``cb-norm(psi) <= 1/s`` iff the s-scaled system map admits a
 completely positive extension to the full matrix algebra, iff a Choi
 matrix of size (2p)(2q) is PSD under the agreement constraints.  We
-maximize the admissible scaling s, so 1/s* is the cb-norm.  A
-CompletelyContractive verdict does not rest on the solver's own status:
-on the returned point the Choi matrix is shifted to be PSD, with a margin
-that covers the rounding error of its computed eigenvalues, and the
-agreement residuals are recomputed; from these and s follows an upper
-bound on the cb-norm (:func:`_certified_cb_bound`), which must be at most
-1 + tol.  Otherwise the same solve supplies the answer No: its dual slack
-yields a level-q element y of the domain (:func:`_dual_witness`), and
-||psi_q(y)|| / ||y||, recomputed directly from y, must exceed 1 + tol.
+maximize the admissible scaling s, so 1/s* is the cb-norm.  The oracle
+needs a verdict, not the optimum.  A CompletelyContractive verdict does
+not rest on the solver's own status: on an iterate the Choi matrix is
+shifted to be PSD, with a margin that covers the rounding error of its
+computed eigenvalues, and the agreement residuals are recomputed; from
+these and s follows an upper bound on the cb-norm
+(:func:`_certified_cb_bound`), and the solve stops at the first iterate
+where it is at most 1 + tol.  Otherwise the solve runs to its optimum and
+supplies the answer No there: its dual slack yields a level-q element y
+of the domain (:func:`_dual_witness`), and ||psi_q(y)|| / ||y||,
+recomputed directly from y, must exceed 1 + tol.
 """
 
 from __future__ import annotations
@@ -680,10 +682,15 @@ class ChoiAgreementProgram:
         self.tq = self.y0.shape[1]
         self.dim_c = self.tp * self.tq
         self.support = np.asarray(support, dtype=int)
+        # ||g_a||_1, the weights of the residuals in :func:`_certified_cb_bound`
+        self.g_trace_norms = np.abs(np.linalg.eigvalsh(self.g)).sum(axis=1)
 
     def rows(self):
         """``(f, a, b)``: Hermitian row matrices on the support, their
-        scaling coefficients and right-hand sides, one per (a, e)."""
+        scaling coefficients and right-hand sides, one per (a, e) whose row
+        matrix is nonzero on the support.  A dropped row reads 0 = 0: its
+        scaling coefficient and right-hand side are checked to be exactly
+        zero (BadProgram otherwise)."""
         tq = self.tq
         basis = rvec_to_herm(np.eye(tq * tq), tq)
         k, al = np.divmod(self.support, tq)
@@ -694,7 +701,10 @@ class ChoiAgreementProgram:
         pair = "eab,xab->xe"
         b = np.einsum(pair, basis.conj(), self.y0).real.reshape(-1)
         a = -np.einsum(pair, basis.conj(), self.y1).real.reshape(-1)
-        return f, a, b
+        keep = f.reshape(f.shape[0], -1).any(axis=1)
+        if a[~keep].any() or b[~keep].any():
+            raise BadProgram("an agreement row vanishing on the support has nonzero data")
+        return f[keep], a[keep], b[keep]
 
     def embed(self, c):
         """Full Choi matrix from its block on the support."""
@@ -721,16 +731,23 @@ class ScaleSolve(IpmSolve):
     s: float = 0.0
 
 
-def _hkm_max_scale(f, a, b) -> ScaleSolve:
+def _hkm_max_scale(f, a, b, stop=None) -> ScaleSolve:
     """Maximize s over ``{X >= 0, s >= 0 : Re<F_i, X> + a_i s = b_i}``: the
     two-block case [X, s] of :func:`_hkm`, with objective -s, after the
-    rows are orthonormalized."""
+    rows are orthonormalized.  ``stop(X, s)``, when given, is called on
+    every iterate with its Choi block and scaling, and ends the solve at
+    the first iterate where it returns something other than None (kept in
+    ``stopped``, with status ``IPM_STOPPED``)."""
     n = f.shape[1]
     rows = np.concatenate([herm_to_rvec(f), np.asarray(a)[:, None]], axis=1)
     cvec = np.zeros(n * n + 1)
     cvec[-1] = -1.0
     prepared = ConicProgram([n, 1], rows, b, objective=cvec).prepare()
-    sol = _hkm(prepared.f, prepared.rhs, prepared.c)
+    scale_stop = None
+    if stop is not None:
+        def scale_stop(x, _aty, _worst):
+            return stop(x[0], float(x[1][0, 0].real))
+    sol = _hkm(prepared.f, prepared.rhs, prepared.c, stop=scale_stop)
     return ScaleSolve(**{**vars(sol), "x": sol.x[0], "z": sol.z[0],
                          "s": float(sol.x[1][0, 0].real)})
 
@@ -785,7 +802,10 @@ def _paulsen_family(map_spec: LinearMapSpec):
 class CcResult:
     """A cc verdict with its certificate data; ``route`` says what decided
     it: the zero map, the certified Choi bound (Yes and Marginal) or the
-    dual witness (No)."""
+    dual witness (No).  A Yes by the Choi bound carries its certificate:
+    ``choi_point``, the PSD Choi block on the program's support after the
+    shift of :func:`_certified_cb_bound`, and ``scale``, the s it was
+    certified at; ``cb_estimate`` is the bound they give."""
 
     verdict: str
     cb_estimate: float
@@ -796,6 +816,8 @@ class CcResult:
     iterations: int = 0
     diagnostics: str = ""
     route: str = ROUTE_CHOI_BOUND
+    choi_point: np.ndarray | None = None
+    scale: float | None = None
 
 
 def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
@@ -803,22 +825,26 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
     """Decide whether the map is completely contractive.
 
     The largest admissible scaling s of the CP-extension program over the
-    2x2 system is found by an interior-point solve (maps into the scalars,
-    q = 1, included), and the returned point is
-    checked afresh: with the Choi matrix shifted to be PSD (its computed
-    smallest eigenvalue is lifted to a margin above eigvalsh's rounding
-    error), and the agreement residuals R_a recomputed there, the cb-norm
-    is at most
+    2x2 system is sought by an interior-point solve (maps into the scalars,
+    q = 1, included), and each iterate with s >= 1/(1 + tol) is checked
+    afresh: with the Choi matrix shifted to be PSD (its computed smallest
+    eigenvalue is lifted to a margin above eigvalsh's rounding error), and
+    the agreement residuals R_a recomputed there, the cb-norm is at most
     ``(1 + 2 sum_a ||g_a||_1 ||R_a||) / s`` (see :func:`_certified_cb_bound`).
-    CompletelyContractive is returned only when that bound is at most
-    ``1 + tol`` and the lower bound of :func:`sampled_cb_lower_bound` (300
-    samples over levels 1..min(q, 3)) is at most ``1 + 10 tol``; a sampled
-    bound above that contradicts the certificate and gives Marginal.  The
-    certified bound is the reported ``cb_estimate``.  A Not verdict
+    The bound is at least 1/s, so no iterate with a smaller s can pass.
+    The solve stops at the first iterate whose bound is at most ``1 + tol``,
+    and CompletelyContractive is returned when, in addition, the lower
+    bound of :func:`sampled_cb_lower_bound` (300 samples over levels
+    1..min(q, 3)) is at most ``1 + 10 tol``; a sampled bound above that
+    contradicts the certificate and gives Marginal.  The certified bound is
+    the reported ``cb_estimate``, so it lies anywhere in [cb, 1 + tol], and
+    the certifying point and s are carried in the result.  Without a
+    certified iterate the solve runs to its optimum, where a Not verdict
     carries a level-q element y read from the dual point
     (:func:`_dual_witness`), with ||y|| = 1 and ||psi_q(y)|| > 1 + tol
-    both recomputed directly.  Anything else is Marginal, with the
-    solver's status in the diagnostics.
+    both recomputed directly; at the optimum the witness attains the
+    cb-norm.  Anything else is Marginal, with the solver's status in the
+    diagnostics.
     """
     if all(np.abs(y).max(initial=0.0) < 1e-14 for y in map_spec.on_images):
         return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map",
@@ -826,24 +852,31 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7,
 
     gens, y0, y1, support = _paulsen_family(map_spec)
     prog = ChoiAgreementProgram(gens, y0, y1, support)
-    sol = _hkm_max_scale(*prog.rows())
-    bound, residual = _certified_cb_bound(prog, sol.x, sol.s)
-    solver = (f"Choi solve {sol.status} after {sol.iterations} iterations "
-              f"(gap {sol.gap:.1e}, infeasibility "
-              f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})")
 
-    if bound <= 1.0 + tol:
+    def certified(x, s):
+        if not s >= 1.0 / (1.0 + tol):
+            return None
+        cert = _certified_cb_bound(prog, x, s)
+        return cert if cert[0] <= 1.0 + tol else None
+
+    sol = _hkm_max_scale(*prog.rows(), stop=certified)
+    if sol.stopped is not None:
+        bound, residual, point = sol.stopped
         confirm = sampled_cb_lower_bound(map_spec, max_level=min(map_spec.q, 3),
                                          samples=300, seed=rng_seed + 1)
         if confirm <= 1.0 + 10 * tol:
             return CcResult(verdict=CC_YES, cb_estimate=bound, residual=residual,
-                            iterations=sol.iterations,
+                            iterations=sol.iterations, choi_point=point, scale=sol.s,
                             diagnostics=f"CP extension certified, cb <= {bound:.9f}")
         return CcResult(verdict=CC_MARGINAL, cb_estimate=bound, residual=residual,
                         iterations=sol.iterations,
                         diagnostics=f"certified bound {bound:.9f} contradicts the "
                                     f"sampled lower bound {confirm:.9f}")
 
+    bound, residual, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    solver = (f"Choi solve {sol.status} after {sol.iterations} iterations "
+              f"(gap {sol.gap:.1e}, infeasibility "
+              f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})")
     coeffs, value = _dual_witness(map_spec, sol.z)
     if value > 1.0 + max(tol, 1e-9):
         return CcResult(verdict=CC_NO, cb_estimate=max(bound, value), level=map_spec.q,
@@ -892,7 +925,8 @@ def _pinv_sqrt(h):
 
 def _certified_cb_bound(prog: ChoiAgreementProgram, x, s):
     """Upper bound on the cb-norm from a Choi point ``x`` (on the support)
-    at scaling ``s``; returns ``(bound, max_a ||R_a||)``.
+    at scaling ``s``; returns ``(bound, max_a ||R_a||, C)`` with C the
+    shifted point the bound holds for.
 
     ``x`` is shifted so that its computed smallest eigenvalue w becomes at
     least ``delta = n eps ||x||``, which bounds the rounding error of w;
@@ -913,10 +947,9 @@ def _certified_cb_bound(prog: ChoiAgreementProgram, x, s):
         x = x + (delta - w[0]) * np.eye(n)
     r = prog.contract(prog.embed(x)) - prog.y0 - s * prog.y1
     r_norms = op_norms(r)
-    g_trace_norms = np.abs(np.linalg.eigvalsh(prog.g)).sum(axis=1)
-    eps = float(g_trace_norms @ r_norms)
+    eps = float(prog.g_trace_norms @ r_norms)
     bound = (1.0 + 2.0 * eps) / s if s > 0 else np.inf
-    return bound, float(r_norms.max())
+    return bound, float(r_norms.max()), x
 
 
 def sampled_cb_lower_bound(map_spec: LinearMapSpec, max_level: int, samples: int,

@@ -43,6 +43,7 @@ from ncshilov.conesolver import CC_NO, CC_YES, LinearMapSpec
 from ncshilov.errors import InconclusiveAtTolerance, NumericallyAmbiguous, ShapeMismatch
 from ncshilov.matcore import amplify, op_norm, op_norms, orthonormalize, span_residual
 from ncshilov.stargen import AlgebraPresentation, MatrixSpace
+from ncshilov.timing import StageTimes
 
 LOOSE = "loose"
 ESSENTIAL = "essential"
@@ -225,7 +226,8 @@ def _witness_gap(basis, unit, keep, coeffs) -> float:
 
 
 def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
-                     scan_order: str = SCAN_DESCENDING_RANK) -> EnvelopePresentation:
+                     scan_order: str = SCAN_DESCENDING_RANK,
+                     stats: StageTimes | None = None) -> EnvelopePresentation:
     """Block elimination until no loose block remains.
 
     B = C*(X) is generated and split once.  Each pass scans the blocks
@@ -238,10 +240,15 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
     ConeDoesNotSpan, with its certificate, when the positive cone does not
     span at ``tol`` (the recipe's hypothesis, :func:`stargen.cone_spans`)
     and InconclusiveAtTolerance when that test or some block's verdict is
-    without a certificate at the working tolerance."""
-    stargen.require_spanning_cone(x, tol=tol)
-    source = stargen.generate_star_algebra(x)
-    split = blockdecomp.decompose(source, seed=seed + 977)
+    without a certificate at the working tolerance.  ``stats``, when given,
+    receives the wall-clock time of the cone test, of the generation and
+    split of C*(X), and of each looseness verdict."""
+    stats = stats if stats is not None else StageTimes()
+    with stats.stage("cone_spans"):
+        stargen.require_spanning_cone(x, tol=tol)
+    with stats.stage("C*(X) generation and split"):
+        source = stargen.generate_star_algebra(x)
+        split = blockdecomp.decompose(source, seed=seed + 977)
     order = sorted(range(len(split.blocks)), key=lambda i: (-split.blocks[i].rank, i))
     if scan_order == SCAN_ASCENDING_RANK:
         order = order[::-1]
@@ -257,8 +264,11 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
             if bi in removed or bi in essential:
                 continue
             block = split.blocks[bi]
-            verdict = is_block_loose(x, unit, block, tol=tol,
-                                     rng_seed=int(rng.integers(2**31)))
+            with stats.stage(f"is_block_loose block {bi}") as timed:
+                verdict = is_block_loose(x, unit, block, tol=tol,
+                                         rng_seed=int(rng.integers(2**31)))
+                timed.detail = f"{verdict.status} by {verdict.route}" + (
+                    f", {verdict.iterations} iterations" if verdict.iterations is not None else "")
             if verdict.status == MARGINAL:
                 raise InconclusiveAtTolerance(
                     f"looseness of block {bi} (rank {block.rank}) is marginal: "

@@ -5,7 +5,10 @@ pointwise-nonnegative cone spans it, the boundary is computed by the same
 recipe as the matrix pipeline, but with linear programs: merge points that
 X does not separate, drop points where everything vanishes, then remove
 points one at a time whenever the sup of |f(k)| over the unit ball taken
-on the other points stays at most 1.  The spanning hypothesis is decided
+on the other points stays at most 1.  Each point test is one LP: the ball
+is invariant under f -> -f (and, for complex spans, under the rotations
+of the phase grid that approximates it), so one objective gives the sup
+(:func:`_point_sup`).  The spanning hypothesis is decided
 first by one LP whose primal and dual are the two certificates: a
 function in X positive on the support, or a probability measure
 orthogonal to X (:func:`_require_spanning_functions`).
@@ -26,6 +29,7 @@ from scipy.optimize import linprog
 from ncshilov import envelope as envelope_mod
 from ncshilov import stargen
 from ncshilov.errors import ConeDoesNotSpan, InconclusiveAtTolerance, ShapeMismatch, ZeroSpace
+from ncshilov.timing import StageTimes
 
 PHASE_GRID = 64
 DECISION_BAND = 1e-6
@@ -149,7 +153,8 @@ class BoundaryResult:
         return [self.classes[i] for i in self.kept]
 
 
-def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
+def boundary(fs: FunctionSpace, tol: float = 1e-7,
+             stats: StageTimes | None = None) -> BoundaryResult:
     """Shilov boundary of the space by LP point elimination.
 
     Raises ConeDoesNotSpan, carrying its certificate measure, when the
@@ -158,8 +163,11 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
     that LP or a point verdict gives no certificate.  Each scan removes the
     first loose class it meets and starts over.  A class found Essential is
     not tested again: removing a point only drops constraints from its LP,
-    so its sup stays above 1 + tol."""
-    _require_spanning_functions(fs)
+    so its sup stays above 1 + tol.  ``stats``, when given, receives the
+    wall-clock time of the spanning-cone LP and of each point test."""
+    stats = stats if stats is not None else StageTimes()
+    with stats.stage("spanning-cone LP"):
+        _require_spanning_functions(fs)
     values = fs.basis.T  # (m, d): the value vector of the basis at each point
     m = fs.points
     # drop points where every function vanishes, then merge unseparated ones
@@ -197,7 +205,9 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
             if idx in essential:
                 continue
             others = [c for c in active if c != idx]
-            sup, status = _point_sup(fs, vals, idx, others, tol)
+            with stats.stage(f"LP point test {classes[idx]}") as timed:
+                sup, status = _point_sup(fs, vals, idx, others, tol)
+                timed.detail = status
             verdicts.append(PointVerdict(point_class=classes[idx], sup_value=sup,
                                          status=status))
             if status == "inconclusive":
@@ -213,76 +223,52 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7) -> BoundaryResult:
 
 
 def _point_sup(fs: FunctionSpace, vals, idx, others, tol):
-    """sup{|f(idx)| : f in X, max over others |f| <= 1}.
+    """sup{|f(idx)| : f in X, max over others |f| <= 1}, by one LP.
 
-    Real spans: two exact LPs.  Complex spans: a phase grid on both the
-    objective and the constraint disks gives an upper bound (outer polygon)
-    and a rescaled feasible point gives a lower bound; disagreement across
-    the decision band is inconclusive.  f = 0 is feasible in every LP here,
-    so an "infeasible" status (HiGHS reports some unbounded LPs that way
-    when presolve is on) is read as unbounded; any other failed LP makes
-    the verdict inconclusive."""
-    if fs.is_real:
-        obj_row = vals[idx].real  # f(idx) = coeffs . obj_row, real coefficients
-        rows = np.stack([vals[o].real for o in others])
-        best = 0.0
-        for sign in (1.0, -1.0):
-            res = linprog(c=-sign * obj_row,
-                          A_ub=np.concatenate([rows, -rows]),
-                          b_ub=np.ones(2 * len(others)),
-                          bounds=[(None, None)] * fs.dim, method="highs")
-            if res.status in (2, 3):
-                return np.inf, "essential"
-            if not res.success:
-                return np.nan, "inconclusive"
-            best = max(best, -res.fun)
-        sup = best
-        if sup <= 1.0 + tol:
-            return sup, "loose"
-        if sup > 1.0 + max(tol, DECISION_BAND):
-            return sup, "essential"
-        return sup, "inconclusive"
-
-    # complex case: realify coefficients, phase-discretize moduli
-    rows = np.stack([vals[o] for o in others])
-    obj = vals[idx]
+    Real spans: one exact LP, max f(idx); the ball is invariant under
+    f -> -f, so -f(idx) has the same sup.  Complex spans: the constraint
+    disks are replaced by their outer polygons Re(conj(w) f(o)) <= 1 over
+    the PHASE_GRID roots of unity w, and Re f(idx) is maximized; the
+    polygon ball is invariant under f -> w f, which permutes the
+    objectives Re(conj(w) f(idx)), so this one optimum is the phase-grid
+    upper bound on |f(idx)| for every w.  The optimizer rescaled into the
+    true ball gives a lower bound; disagreement across the decision band is
+    inconclusive.  f = 0 is feasible in every LP here, so an "infeasible"
+    status (HiGHS reports some unbounded LPs that way when presolve is on)
+    is read as unbounded; any other failed LP makes the verdict
+    inconclusive."""
     d = fs.dim
-    phases = np.exp(2j * np.pi * np.arange(PHASE_GRID) / PHASE_GRID)
-    # constraint polygon: Re(conj(phase) f(o)) <= 1 for every phase
-    a_ub = []
-    for o in range(rows.shape[0]):
-        for ph in phases:
-            r = np.conj(ph) * rows[o]
-            a_ub.append(np.concatenate([r.real, -r.imag]))
-    a_ub = np.stack(a_ub)
-    b_ub = np.ones(a_ub.shape[0])
-    best_upper = 0.0
-    best_vec = None
-    for ph in phases:
-        r = np.conj(ph) * obj
-        c = -np.concatenate([r.real, -r.imag])
-        res = linprog(c=c, A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(None, None)] * (2 * d), method="highs")
-        if res.status in (2, 3):
-            return np.inf, "essential"
-        if not res.success:
-            return np.nan, "inconclusive"
-        if -res.fun > best_upper:
-            best_upper = -res.fun
-            best_vec = res.x
-    # polygon outer-approximates the disks, so best_upper >= true sup;
-    # rescale the optimizer into the true ball for the lower bound
-    lower = 0.0
-    if best_vec is not None:
-        coeffs = best_vec[:d] + 1j * best_vec[d:]
-        f_others = rows @ coeffs
-        scale = max(1.0, float(np.abs(f_others).max(initial=0.0)))
-        lower = float(abs(np.dot(obj, coeffs)) / scale)
-    if best_upper <= 1.0 + tol:
-        return best_upper, "loose"
-    if lower > 1.0 + tol:
+    if fs.is_real:
+        # f(idx) = coeffs . vals[idx] with real coefficients; |f(o)| <= 1
+        # is the pair of rows +-vals[o]
+        obj = vals[idx].real
+        rows = np.concatenate([vals[others].real, -vals[others].real])
+    else:
+        # realified coefficients (Re c, Im c), one row per disk and phase
+        phases = np.exp(2j * np.pi * np.arange(PHASE_GRID) / PHASE_GRID)
+        disks = (np.conj(phases)[None, :, None] * vals[others][:, None, :]).reshape(-1, d)
+        obj = np.concatenate([vals[idx].real, -vals[idx].imag])
+        rows = np.concatenate([disks.real, -disks.imag], axis=1)
+    res = linprog(c=-obj, A_ub=rows, b_ub=np.ones(rows.shape[0]),
+                  bounds=[(None, None)] * rows.shape[1], method="highs")
+    if res.status in (2, 3):
+        return np.inf, "essential"
+    if not res.success:
+        return np.nan, "inconclusive"
+    upper = -res.fun
+    if upper <= 1.0 + tol:
+        return upper, "loose"
+    if fs.is_real:  # the LP is exact
+        lower, band = upper, max(tol, DECISION_BAND)
+    else:
+        # the polygon outer-approximates the disks, so upper >= the true
+        # sup; rescale the optimizer into the true ball for the lower bound
+        coeffs = res.x[:d] + 1j * res.x[d:]
+        scale = max(1.0, float(np.abs(vals[others] @ coeffs).max(initial=0.0)))
+        lower, band = float(abs(vals[idx] @ coeffs)) / scale, tol
+    if lower > 1.0 + band:
         return lower, "essential"
-    return best_upper, "inconclusive"
+    return upper, "inconclusive"
 
 
 def diagonal_embedding(fs: FunctionSpace) -> stargen.MatrixSpace:
@@ -291,14 +277,16 @@ def diagonal_embedding(fs: FunctionSpace) -> stargen.MatrixSpace:
     return stargen.validate_space(gens)
 
 
-def crosscheck_diagonal(fs: FunctionSpace, seed: int = 0, tol: float = 1e-7) -> dict:
+def crosscheck_diagonal(fs: FunctionSpace, seed: int = 0, tol: float = 1e-7,
+                        stats: StageTimes | None = None) -> dict:
     """Run the matrix pipeline on the diagonal embedding and compare with
     the LP boundary: surviving blocks must be size one and match the
     surviving point classes exactly.  The LP :class:`BoundaryResult` is
-    returned under ``"lp_result"``."""
-    lp = boundary(fs, tol=tol)
+    returned under ``"lp_result"``.  ``stats`` is handed to both
+    pipelines."""
+    lp = boundary(fs, tol=tol, stats=stats)
     x = diagonal_embedding(fs)
-    env = envelope_mod.compute_envelope(x, seed=seed, tol=tol)
+    env = envelope_mod.compute_envelope(x, seed=seed, tol=tol, stats=stats)
     all_size_one = all(k == 1 for k in env.abstract_blocks)
     # map each retained central projection to the set of original points
     # where it is supported

@@ -248,6 +248,27 @@ def test_boundary_command(tmp_path):
     assert report["boundary"]["diagonal_crosscheck"]["matches"]
 
 
+@pytest.mark.parametrize("command, payload", [("envelope", DIAG_HALF), ("boundary", FN_HALF)])
+def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, capsys,
+                                                                    command, payload):
+    inp = _write(tmp_path, "space.json", payload)
+    plain, timed = str(tmp_path / "plain.json"), str(tmp_path / "timed.json")
+    assert main([command, "--input", inp, "--out", plain]) == EXIT_OK
+    assert "stage timings" not in capsys.readouterr().out
+    assert main([command, "--input", inp, "--out", timed, "--stats"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "timed.json").read_bytes()
+    # the cc oracle's stages name their route and iteration count
+    stages = ["stage timings (wall clock):", " ms  cone_spans", " ms  C*(X) generation and split",
+              " by choi bound, "]
+    if command == "envelope":
+        stages.append(" ms  certify_embedding")
+    else:
+        stages += [" ms  spanning-cone LP", " ms  LP point test (2,): loose"]
+    for stage in stages:
+        assert stage in out, (stage, out)
+
+
 def test_boundary_rejects_matrix_kind(tmp_path):
     inp = _write(tmp_path, "space.json", DIAG_HALF)
     assert main(["boundary", "--input", inp]) == EXIT_PARSE

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncshilov import matcore
+from ncshilov import conesolver, envelope, matcore
 from ncshilov.conesolver import (
     CC_NO,
     CC_YES,
@@ -23,6 +23,8 @@ from ncshilov.conesolver import (
 )
 from ncshilov.errors import BadProgram, NonFinite
 from ncshilov.matcore import herm_to_rvec
+from ncshilov.selftest import loose_instance
+from ncshilov.stargen import validate_space
 
 
 def _m2_basis():
@@ -294,7 +296,7 @@ def test_cc_planted_excess_is_decided_at_level_q(seed):
     gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
     prog = ChoiAgreementProgram(gens, y0, y1, support)
     sol = _hkm_max_scale(*prog.rows())
-    bound, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    bound, _, _ = _certified_cb_bound(prog, sol.x, sol.s)
     target = 1.0 + 1e-5
     spec = LinearMapSpec(dom, [target / bound * y for y in img])
     res = cc_test(spec, tol=1e-7)
@@ -401,9 +403,73 @@ def test_choi_solve_bounds_known_cb_norms():
         prog = ChoiAgreementProgram(gens, y0, y1, support)
         sol = _hkm_max_scale(*prog.rows())
         assert sol.status == IPM_OPTIMAL
-        bound, residual = _certified_cb_bound(prog, sol.x, sol.s)
+        bound, residual, _ = _certified_cb_bound(prog, sol.x, sol.s)
         assert cb - 1e-12 <= bound <= cb + 1e-8
         assert residual <= 1e-10
+
+
+def _completion_maps_of_criterion_4_instance_0(monkeypatch):
+    """The maps cc_test decides while criterion 4's first space (rng 404)
+    gets its envelope."""
+    rng = np.random.default_rng(404)
+    gens = loose_instance(rng, a=int(rng.integers(2, 4)), b=int(rng.integers(1, 3)),
+                          extra_blocks=int(rng.integers(0, 2)))
+    specs = []
+    real = conesolver.cc_test
+    monkeypatch.setattr(conesolver, "cc_test",
+                        lambda spec, **kw: specs.append(spec) or real(spec, **kw))
+    envelope.compute_envelope(validate_space(gens), seed=0)
+    return specs
+
+
+def test_cc_yes_stops_at_its_first_certified_iterate(monkeypatch):
+    # the identity on M_2 (cb-norm exactly 1), half of it, and the
+    # completion maps of criterion 4's first instance: each Yes comes from
+    # an iterate before the optimum and carries a Choi point and s from
+    # which the bound is re-derived here
+    basis = _m2_basis()
+    specs = [LinearMapSpec(basis, basis), LinearMapSpec(basis, [0.5 * b for b in basis])]
+    specs += _completion_maps_of_criterion_4_instance_0(monkeypatch)
+    assert len(specs) == 4
+    tol = 1e-7
+    for spec in specs:
+        res = cc_test(spec, tol=tol)
+        assert res.verdict == CC_YES
+        prog = ChoiAgreementProgram(*_paulsen_family(spec))
+        assert res.iterations < _hkm_max_scale(*prog.rows()).iterations
+        # the bound of _certified_cb_bound, written out from the carried data
+        c, s = res.choi_point, res.scale
+        n = c.shape[0]
+        assert np.abs(c - c.conj().T).max() == 0.0
+        w = np.linalg.eigvalsh(c)
+        delta = n * np.finfo(float).eps * np.abs(w).max()
+        if w[0] < delta:
+            c = c + (delta - w[0]) * np.eye(n)
+        r = prog.contract(prog.embed(c)) - prog.y0 - s * prog.y1
+        r_norms = np.array([np.linalg.norm(ra, 2) for ra in r])
+        g_norms = np.array([np.linalg.norm(g, "nuc") for g in prog.g])
+        bound = (1.0 + 2.0 * float(g_norms @ r_norms)) / s
+        assert bound <= 1.0 + tol
+        assert bound == pytest.approx(res.cb_estimate, rel=1e-9)
+
+
+def test_choi_rows_drop_only_vacuous_rows():
+    # the rows vanishing on the support read 0 = 0; (p, q, d) = (3, 2, 3)
+    # keeps 56 of its 8 x 16 rows
+    rng = np.random.default_rng(8)
+    dom = [matcore.random_complex(rng, (3, 3)) for _ in range(3)]
+    img = [matcore.random_complex(rng, (2, 2)) for _ in range(3)]
+    gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
+    f, a, b = ChoiAgreementProgram(gens, y0, y1, support).rows()
+    assert f.shape == (56, 12, 12)
+    assert np.all(np.abs(f).reshape(56, -1).max(axis=1) > 0)
+    # g_0 lives on the upper-left p x p block, which the support pairs only
+    # with the upper-left q x q block of the image: a required image entry
+    # in the lower-right block is a vacuous row with nonzero data
+    y0 = y0.copy()
+    y0[0, 2, 2] = 1.0
+    with pytest.raises(BadProgram):
+        ChoiAgreementProgram(gens, y0, y1, support).rows()
 
 
 def test_two_block_objective_program_reaches_the_smaller_eigenvalue():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ncshilov import funcspace
 from ncshilov.errors import ConeDoesNotSpan, ZeroSpace
@@ -61,6 +62,57 @@ def test_boundary_nonspanning_cone_carries_its_measure_from_one_lp(monkeypatch):
     assert nu + np.linalg.norm(mc - nu * ones) <= funcspace.CONE_TOL
     assert bound <= funcspace.CONE_TOL
     assert mu == pytest.approx([0.0, 0.5, 0.5], abs=1e-9)
+
+
+def _own_sup(fs, vals, idx, others):
+    """max of the point LP over both signs (real) or all PHASE_GRID phases
+    of the objective (complex): the LPs the sup used to take."""
+    if fs.is_real:
+        rows = np.stack([vals[o].real for o in others])
+        objectives = [s * vals[idx].real for s in (1.0, -1.0)]
+        a_ub = np.concatenate([rows, -rows])
+    else:
+        phases = np.exp(2j * np.pi * np.arange(funcspace.PHASE_GRID) / funcspace.PHASE_GRID)
+        disks = [np.conj(w) * vals[o] for o in others for w in phases]
+        a_ub = np.stack([np.concatenate([r.real, -r.imag]) for r in disks])
+        objectives = [np.concatenate([(np.conj(w) * vals[idx]).real,
+                                      -(np.conj(w) * vals[idx]).imag]) for w in phases]
+    best = 0.0
+    for c in objectives:
+        res = linprog(c=-c, A_ub=a_ub, b_ub=np.ones(a_ub.shape[0]),
+                      bounds=[(None, None)] * a_ub.shape[1], method="highs")
+        assert res.status == 0
+        best = max(best, -res.fun)
+    return best
+
+
+@pytest.mark.parametrize("gens, is_real", [
+    ([[1, 0, 0.75, 0.5], [0, 1, -0.75, 0.25]], True),
+    ([[1, 1j, 0.3 + 0.3j, 2 + 1j]], False),  # with its conjugate, f(2) = 0.3 (f(0) + f(1))
+])
+def test_point_sup_is_one_lp(monkeypatch, gens, is_real):
+    # the ball is invariant under f -> -f and under the phase-grid
+    # rotations, so one LP gives the max over every sign or phase
+    fs = validate_function_space(gens)
+    assert fs.is_real == is_real
+    calls = []
+    real = funcspace.linprog
+    monkeypatch.setattr(funcspace, "linprog",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    vals = fs.basis.T
+    statuses = set()
+    for idx in range(fs.points):
+        others = [o for o in range(fs.points) if o != idx]
+        calls.clear()
+        sup, status = funcspace._point_sup(fs, vals, idx, others, 1e-7)
+        assert len(calls) == 1
+        statuses.add(status)
+        own = _own_sup(fs, vals, idx, others)
+        if is_real or status != "essential":
+            assert sup == pytest.approx(own, abs=1e-9)
+        else:  # a complex Essential reports the rescaled lower bound
+            assert 1.0 + 1e-7 < sup <= own + 1e-9
+    assert "loose" in statuses and "essential" in statuses
 
 
 def test_boundary_single_point():
