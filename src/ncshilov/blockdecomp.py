@@ -3,9 +3,10 @@
 Center, minimal central projections, and multiplicity stripping: the
 algebra is presented as a direct sum of full matrix blocks M_k repeated
 with multiplicity m.  Splitting is randomized (spectral projections of a
-random central element, then of a random commutant element on each block)
-and every sample is cross-checked against a re-randomized run instead of
-being trusted.
+random central element, then the cyclic subspace of an eigenvector of a
+random element of each block), and each sample is accepted only on its
+own exact certificate: a verified central partition of dim Z projections,
+and an invariant copy on which the block acts injectively.
 """
 
 from __future__ import annotations
@@ -91,29 +92,24 @@ def minimal_central_projections(alg: AlgebraPresentation, seed: int = 0) -> list
     """Minimal central projections of the algebra.
 
     A random Hermitian central element is eigendecomposed and its spectral
-    projections grouped by gap; the partition must reproduce under a fresh
-    sample before it is accepted.  Each projection is verified central,
-    idempotent and selfadjoint, and they sum to the unit."""
+    projections grouped by gap.  They are accepted when they are verified
+    central, idempotent, selfadjoint, pairwise orthogonal and summing to
+    the unit, and there are exactly dim Z of them: r orthogonal nonzero
+    projections in an r-dimensional commutative algebra are its minimal
+    ones.  A sample that merges blocks fails the count and is redrawn."""
     zbasis = center(alg)
     if zbasis.shape[0] == 0:
         raise NotAFactor("algebra has empty center; closure failed upstream")
     rng = np.random.default_rng(seed)
     last = None
-    for attempt in range(MAX_RETRIES):
-        first = _random_central_projections(alg, zbasis, rng)
-        second = _random_central_projections(alg, zbasis, rng)
-        if first is None or second is None:
+    for _ in range(MAX_RETRIES):
+        projs = _random_central_projections(alg, zbasis, rng)
+        if projs is None:
             last = "spectral collision"
             continue
-        if len(first) != len(second):
-            last = "partition mismatch"
+        if len(projs) != zbasis.shape[0]:
+            last = f"{len(projs)} projections for a center of dimension {zbasis.shape[0]}"
             continue
-        # match projections of the two runs by trace pairing
-        matched = _match_projections(first, second)
-        if matched is None:
-            last = "partition mismatch"
-            continue
-        projs = first
         if not _verify_central_partition(alg, projs):
             last = "verification failure"
             continue
@@ -124,22 +120,6 @@ def minimal_central_projections(alg: AlgebraPresentation, seed: int = 0) -> list
 def _trace_key(p):
     # deterministic tiebreaker: fingerprint of the diagonal
     return tuple(np.round(np.real(np.diagonal(p)), 9))
-
-
-def _match_projections(first, second, tol=1e-7):
-    used = set()
-    for p in first:
-        hit = None
-        for j, q in enumerate(second):
-            if j in used:
-                continue
-            if np.abs(p - q).max() <= tol * max(1.0, np.abs(p).max()):
-                hit = j
-                break
-        if hit is None:
-            return None
-        used.add(hit)
-    return True
 
 
 def _verify_central_partition(alg, projs, tol=1e-8):
@@ -166,38 +146,30 @@ class BlockInfo:
 
     ``projection``: the minimal central projection p in ambient coordinates.
     ``k``: full-matrix size, ``m``: multiplicity (rank p = k m).
-    ``range_basis``: (rank, n) isometry columns spanning range(p).
-    ``aligner``: unitary Q on range(p) coordinates conjugating each
-    compressed algebra element to a k x k block repeated m times.
+    ``copy``: (n, k) isometry onto one irreducible copy inside range(p), a
+    subspace the algebra leaves invariant and acts on as all of M_k; for
+    m = 1 it spans range(p).
     """
 
     projection: np.ndarray
     k: int
     m: int
-    range_basis: np.ndarray
-    aligner: np.ndarray
+    copy: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.k * self.m
 
     def strip(self, b) -> np.ndarray:
-        """The k x k component of an algebra element on this block."""
-        comp = self.range_basis.conj().T @ np.asarray(b, dtype=np.complex128) @ self.range_basis
-        aligned = self.aligner.conj().T @ comp @ self.aligner
-        return np.array(aligned[: self.k, : self.k])
-
-    def conjugation_residual(self, b) -> float:
-        comp = self.range_basis.conj().T @ np.asarray(b, dtype=np.complex128) @ self.range_basis
-        aligned = self.aligner.conj().T @ comp @ self.aligner
-        model = np.kron(np.eye(self.m), aligned[: self.k, : self.k])
-        return float(np.abs(aligned - model).max(initial=0.0))
+        """The k x k component of an algebra element on this block: its
+        compression to the copy, a *-homomorphism of the algebra onto M_k."""
+        return self.copy.conj().T @ np.asarray(b, dtype=np.complex128) @ self.copy
 
 
 @dataclass
 class BlockDecomposition:
     """Full Wedderburn data: minimal central projections with block sizes
-    (k_i, m_i) and per-block alignment isometries."""
+    (k_i, m_i) and one irreducible copy per block."""
 
     blocks: list[BlockInfo]
 
@@ -214,10 +186,17 @@ class BlockDecomposition:
 def strip_multiplicity(alg: AlgebraPresentation, p, seed: int = 0) -> BlockInfo:
     """Identify the compressed block algebra with M_k repeated m times.
 
-    Within range(p) the compressed algebra is a factor: k^2 = dim, and a
-    random Hermitian element of its commutant splits range(p) into m
-    eigenspaces of dimension k.  Schur intertwiners align the copies, and
-    the conjugation residual is verified before returning."""
+    Within range(p) the compressed algebra B p is a factor, B p = M_k ⊗ 1_m
+    up to a unitary: k^2 = dim and m = rank / k.  For m > 1 one copy is cut
+    out.  A unit vector xi in an eigenspace of a random Hermitian element
+    of B p is a product vector, so B p xi is one irreducible copy; its
+    orthonormal basis c must have rank exactly k.  Two checks certify it:
+    B p leaves range(c) invariant (the reduction residual
+    ||b c - c (c* b c)|| over the basis), so compression to it is a
+    *-homomorphism; and the images c* b c of the HS-orthonormal basis of
+    B p have HS Gram matrix I/m, so that homomorphism is injective, hence
+    onto M_k.  A sample whose eigenvalue is not simple on M_k fails them
+    and is redrawn."""
     p = hermitize(p)
     v = matcore.support_isometry(p)
     rank = v.shape[1]
@@ -229,78 +208,28 @@ def strip_multiplicity(alg: AlgebraPresentation, p, seed: int = 0) -> BlockInfo:
     m, rem = divmod(rank, k)
     if rem:
         raise NotAFactor(f"rank {rank} not divisible by block size {k}")
+    if m == 1:
+        return BlockInfo(projection=p, k=k, m=m, copy=v)
+    hb = hermitian_part_basis(comp_basis)
     rng = np.random.default_rng(seed)
     last = None
-    for attempt in range(MAX_RETRIES):
-        try:
-            aligner = _align_block(comp_basis, rank, k, m, rng)
-        except DegenerateSample as exc:
-            last = str(exc)
+    for _ in range(MAX_RETRIES):
+        h = np.einsum("t,tab->ab", rng.standard_normal(hb.shape[0]), hb)
+        xi = matcore.herm_eig(h)[1][:, 0]
+        u, sv, _ = np.linalg.svd((comp_basis @ xi).T, full_matrices=False)
+        cyclic_rank = int(np.sum(sv > 1e-8 * sv[0]))
+        if cyclic_rank != k:
+            last = f"cyclic subspace of rank {cyclic_rank} != k = {k}"
             continue
-        info = BlockInfo(projection=p, k=k, m=m, range_basis=v, aligner=aligner)
-        worst = max(info.conjugation_residual(v @ cb @ v.conj().T) for cb in comp_basis)
-        if worst <= 1e-7:
-            return info
-        last = f"conjugation residual {worst:.2e}"
+        c = u[:, :k]
+        images = c.conj().T @ comp_basis @ c
+        reduction = float(np.abs(comp_basis @ c - c @ images).max())
+        gram = np.einsum("sab,tab->st", images.conj(), images)
+        gram_residual = float(np.abs(m * gram - np.eye(dim)).max())
+        if max(reduction, gram_residual) <= 1e-7:
+            return BlockInfo(projection=p, k=k, m=m, copy=v @ c)
+        last = f"reduction residual {reduction:.2e}, Gram residual {gram_residual:.2e}"
     raise DegenerateSample(f"multiplicity stripping failed after {MAX_RETRIES} retries: {last}")
-
-
-def _align_block(comp_basis, rank, k, m, rng):
-    """Unitary Q with Q* (compressed b) Q = 1_m ⊗ (k x k block) for all b."""
-    if m == 1:
-        # single copy: any orthonormal coordinates work
-        return np.eye(rank, dtype=np.complex128)
-    # commutant of the compressed algebra inside M_rank; with row-major
-    # vectorization, vec(Z b - b Z) = (I ⊗ b^T - b ⊗ I) vec(Z)
-    eye = np.eye(rank, dtype=np.complex128)
-    rows = [np.kron(eye, bj.T) - np.kron(bj, eye) for bj in comp_basis]
-    a = np.concatenate(rows, axis=0)
-    comm = matcore.null_space(a, rtol=1e-9, floor=1.0).reshape(-1, rank, rank)
-    if comm.shape[0] != m * m:
-        raise DegenerateSample(
-            f"commutant dimension {comm.shape[0]} != m^2 = {m * m}")
-    hb = hermitian_part_basis(comm)
-    h = np.einsum("t,tab->ab", rng.standard_normal(hb.shape[0]), hb)
-    projs = _spectral_projections(hermitize(h))
-    if projs is None or len(projs) != m:
-        raise DegenerateSample("commutant sample did not split into m eigenspaces")
-    cols = []
-    for pr in projs:
-        w, u = matcore.herm_eig(pr)
-        cols.append(u[:, :k])
-    # intertwiners aligning copy j with copy 0
-    d0 = [cols[0].conj().T @ cb @ cols[0] for cb in comp_basis]
-    aligned_cols = [cols[0]]
-    for j in range(1, m):
-        dj = [cols[j].conj().T @ cb @ cols[j] for cb in comp_basis]
-        a_j = _schur_intertwiner(dj, d0)
-        if a_j is None:
-            raise DegenerateSample("no unitary intertwiner between copies")
-        aligned_cols.append(cols[j] @ a_j)
-    q = np.concatenate(aligned_cols, axis=1)
-    # columns ordered copy-major: Q*bQ = blkdiag(x, x, ..., x) = 1_m ⊗ x
-    return q
-
-
-def _schur_intertwiner(dj, d0):
-    """Unitary A with dj[t] A = A d0[t] for all t (one-dimensional Schur
-    solution space, normalized to a unitary).
-
-    With row-major vectorization, vec(dj A - A d0) =
-    (dj ⊗ I - I ⊗ d0^T) vec(A)."""
-    k = d0[0].shape[0]
-    eye = np.eye(k, dtype=np.complex128)
-    rows = [np.kron(a, eye) - np.kron(eye, b.T) for a, b in zip(dj, d0)]
-    a = np.concatenate(rows, axis=0)
-    null = matcore.null_space(a, rtol=1e-9, floor=1.0)
-    if null.shape[0] != 1:
-        return None
-    cand = null[0].reshape(k, k)
-    # Schur: the solution is a scalar multiple of a unitary
-    u, sv, wh = np.linalg.svd(cand)
-    if sv[0] < 1e-10 or (sv[0] - sv[-1]) > 1e-6 * sv[0]:
-        return None
-    return u @ wh
 
 
 def decompose(alg: AlgebraPresentation, seed: int = 0) -> BlockDecomposition:

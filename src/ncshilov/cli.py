@@ -15,6 +15,7 @@ at the working tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -339,12 +340,9 @@ def cmd_unitize(args) -> int:
     env = envelope_mod.compute_envelope(x, seed=args.seed, tol=args.tol)
     x1 = unitize_mod.build_x1(env)
     unit_mode = args.unit
-    d, coeffs = unitize_mod.distance_to_unit(
-        x if unit_mode == unitize_mod.UNIT_AMBIENT else env.compressed_space(),
-        unit=unit_mode, env=env)
-    dom = unitize_mod.dominating_element(
-        x if unit_mode == unitize_mod.UNIT_AMBIENT else env.compressed_space(),
-        unit=unit_mode, env=env)
+    space = x if unit_mode == unitize_mod.UNIT_AMBIENT else env.compressed_space()
+    d, coeffs = unitize_mod.distance_to_unit(space, unit=unit_mode, env=env)
+    dom = unitize_mod.dominating_element(space, unit=unit_mode, env=env)
     ap = unitize_mod.check_envelope_of_unitization(env, seed=args.seed, tol=args.tol)
     body = {
         "envelope": _envelope_payload(env, args.seed + 1),
@@ -540,8 +538,14 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -28,8 +28,9 @@ class UnitNotInAlgebra(NcShilovError):
 
 
 class DegenerateSample(NcShilovError):
-    """Randomized spectral splitting collided twice in a row; retries
-    exhausted."""
+    """Every randomized splitting sample failed its certificate (a
+    spectral collision, a wrong projection count, a copy of the wrong rank
+    or residual); retries exhausted."""
 
 
 class NotAFactor(NcShilovError):

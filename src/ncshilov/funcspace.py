@@ -5,11 +5,11 @@ pointwise-nonnegative cone spans it, the boundary is computed by the same
 recipe as the matrix pipeline, but with linear programs: merge points that
 X does not separate, drop points where everything vanishes, then remove
 points one at a time whenever the sup of |f(k)| over the unit ball taken
-on the other points stays at most 1.  Each point test is one LP: the ball
-is invariant under f -> -f (and, for complex spans, under the rotations
-of the phase grid that approximates it), so one objective gives the sup
-(:func:`_point_sup`).  The spanning hypothesis is decided
-first by one LP whose primal and dual are the two certificates: a
+on the other points stays at most 1.  Each point test is one exact LP
+over the real part of X, which has the same sup because X is
+conjugation-closed, and whose ball is invariant under f -> -f, so one
+objective gives the sup (:func:`_point_sup`).  The spanning hypothesis is
+decided first by one LP whose primal and dual are the two certificates: a
 function in X positive on the support, or a probability measure
 orthogonal to X (:func:`_require_spanning_functions`).
 
@@ -31,7 +31,6 @@ from ncshilov import stargen
 from ncshilov.errors import ConeDoesNotSpan, InconclusiveAtTolerance, ShapeMismatch, ZeroSpace
 from ncshilov.timing import StageTimes
 
-PHASE_GRID = 64
 DECISION_BAND = 1e-6
 CONE_TOL = 1e-9  # the spanning-cone verdict's tolerance
 
@@ -193,8 +192,10 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7,
     if not classes:
         raise ZeroSpace("space vanishes at every point")
 
-    # collapsed space on the classes
-    vals = np.stack(reps, axis=0)  # (n_classes, d)
+    # the point LPs run over the real part X_r, whose values at the classes
+    # they read; a real-valued basis is already a basis of X_r
+    rb = fs.basis if fs.is_real else fs.real_basis()
+    vals = rb[:, [c[0] for c in classes]].T.real  # (n_classes, dim X_r)
     active = list(range(len(classes)))
     essential: set[int] = set()
     verdicts: list[PointVerdict] = []
@@ -206,7 +207,7 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7,
                 continue
             others = [c for c in active if c != idx]
             with stats.stage(f"LP point test {classes[idx]}") as timed:
-                sup, status = _point_sup(fs, vals, idx, others, tol)
+                sup, status = _point_sup(vals, idx, others, tol)
                 timed.detail = status
             verdicts.append(PointVerdict(point_class=classes[idx], sup_value=sup,
                                          status=status))
@@ -222,53 +223,32 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7,
                           verdicts=verdicts)
 
 
-def _point_sup(fs: FunctionSpace, vals, idx, others, tol):
-    """sup{|f(idx)| : f in X, max over others |f| <= 1}, by one LP.
+def _point_sup(vals, idx, others, tol):
+    """sup{|f(idx)| : f in X, max over others |f| <= 1}, by one exact LP.
 
-    Real spans: one exact LP, max f(idx); the ball is invariant under
-    f -> -f, so -f(idx) has the same sup.  Complex spans: the constraint
-    disks are replaced by their outer polygons Re(conj(w) f(o)) <= 1 over
-    the PHASE_GRID roots of unity w, and Re f(idx) is maximized; the
-    polygon ball is invariant under f -> w f, which permutes the
-    objectives Re(conj(w) f(idx)), so this one optimum is the phase-grid
-    upper bound on |f(idx)| for every w.  The optimizer rescaled into the
-    true ball gives a lower bound; disagreement across the decision band is
-    inconclusive.  f = 0 is feasible in every LP here, so an "infeasible"
-    status (HiGHS reports some unbounded LPs that way when presolve is on)
-    is read as unbounded; any other failed LP makes the verdict
-    inconclusive."""
-    d = fs.dim
-    if fs.is_real:
-        # f(idx) = coeffs . vals[idx] with real coefficients; |f(o)| <= 1
-        # is the pair of rows +-vals[o]
-        obj = vals[idx].real
-        rows = np.concatenate([vals[others].real, -vals[others].real])
-    else:
-        # realified coefficients (Re c, Im c), one row per disk and phase
-        phases = np.exp(2j * np.pi * np.arange(PHASE_GRID) / PHASE_GRID)
-        disks = (np.conj(phases)[None, :, None] * vals[others][:, None, :]).reshape(-1, d)
-        obj = np.concatenate([vals[idx].real, -vals[idx].imag])
-        rows = np.concatenate([disks.real, -disks.imag], axis=1)
-    res = linprog(c=-obj, A_ub=rows, b_ub=np.ones(rows.shape[0]),
+    ``vals`` holds, for each class, the values of a real basis of the real
+    part X_r; the LP maximizes g(idx) over g in X_r with |g(o)| <= 1 (the
+    pair of rows +-vals[o]).  That is the sup over X: X is
+    conjugation-closed, so for f in X and theta = arg f(idx) the function
+    g = Re(e^(-i theta) f) lies in X_r, with |g| <= |f| everywhere and
+    g(idx) = |f(idx)|; and the ball is invariant under g -> -g, so one
+    objective serves both signs.  f = 0 is feasible in every LP here, so an
+    "infeasible" status (HiGHS reports some unbounded LPs that way when
+    presolve is on) is read as unbounded; any other failed LP makes the
+    verdict inconclusive."""
+    rows = np.concatenate([vals[others], -vals[others]])
+    res = linprog(c=-vals[idx], A_ub=rows, b_ub=np.ones(rows.shape[0]),
                   bounds=[(None, None)] * rows.shape[1], method="highs")
     if res.status in (2, 3):
         return np.inf, "essential"
     if not res.success:
         return np.nan, "inconclusive"
-    upper = -res.fun
-    if upper <= 1.0 + tol:
-        return upper, "loose"
-    if fs.is_real:  # the LP is exact
-        lower, band = upper, max(tol, DECISION_BAND)
-    else:
-        # the polygon outer-approximates the disks, so upper >= the true
-        # sup; rescale the optimizer into the true ball for the lower bound
-        coeffs = res.x[:d] + 1j * res.x[d:]
-        scale = max(1.0, float(np.abs(vals[others] @ coeffs).max(initial=0.0)))
-        lower, band = float(abs(vals[idx] @ coeffs)) / scale, tol
-    if lower > 1.0 + band:
-        return lower, "essential"
-    return upper, "inconclusive"
+    sup = -res.fun
+    if sup <= 1.0 + tol:
+        return sup, "loose"
+    if sup > 1.0 + max(tol, DECISION_BAND):
+        return sup, "essential"
+    return sup, "inconclusive"
 
 
 def diagonal_embedding(fs: FunctionSpace) -> stargen.MatrixSpace:

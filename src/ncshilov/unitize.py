@@ -305,12 +305,18 @@ def transport_witness(coeffs, a, eps_from, eps_to, hb):
 
 
 def _resolve_unit(x: MatrixSpace, unit: str, env=None):
+    """The unit matrix for the space ``x``: the identity of its ambient
+    M_n, or the envelope unit, for which ``x`` must be the envelope copy
+    (``env.compressed_space()``, in range(q) coordinates)."""
     if unit == UNIT_AMBIENT:
-        return np.eye(x.ambient_dim, dtype=np.complex128), x
+        return np.eye(x.ambient_dim, dtype=np.complex128)
     if unit == UNIT_ENVELOPE:
         if env is None:
             raise ShapeMismatch("envelope unit requested but no envelope given")
-        return env.unit(), env.compressed_space()
+        if x.ambient_dim != env.envelope_dim:
+            raise ShapeMismatch(f"envelope unit is {env.envelope_dim} x {env.envelope_dim}, "
+                                f"the space is in M_{x.ambient_dim}")
+        return env.unit()
     raise ShapeMismatch(f"unknown unit mode {unit!r}")
 
 
@@ -322,8 +328,8 @@ def distance_to_unit(x: MatrixSpace, unit: str = UNIT_AMBIENT, env=None,
     The minimization runs over the selfadjoint part only; for a Hermitian
     target this loses nothing (averaging an optimizer with its adjoint
     never increases the norm)."""
-    unit_matrix, space = _resolve_unit(x, unit, env)
-    hb = space.hermitian_basis()
+    unit_matrix = _resolve_unit(x, unit, env)
+    hb = x.hermitian_basis()
     value, coeffs = minimize_opnorm(unit_matrix, hb, tol=tol, real_coeffs=True)
     return float(value), coeffs.real
 
@@ -346,9 +352,9 @@ def dominating_element(x: MatrixSpace, unit: str = UNIT_AMBIENT, env=None,
     down to v / lambda_min(v), which just dominates the unit (the unit is
     the identity of the space's coordinates in both unit modes); Found
     witnesses are re-verified PSD-dominant."""
-    unit_matrix, space = _resolve_unit(x, unit, env)
-    n = space.ambient_dim
-    hb = space.hermitian_basis()
+    unit_matrix = _resolve_unit(x, unit, env)
+    n = x.ambient_dim
+    hb = x.hermitian_basis()
     rows = matcore.null_space(herm_to_rvec(hb))
     prog = ConicProgram([n], rows, -rows @ herm_to_rvec(unit_matrix))
     out = solve_feasibility(prog, tol=min(tol, 1e-7))

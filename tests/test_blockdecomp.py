@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from ncshilov import matcore
+from ncshilov import blockdecomp, matcore
 from ncshilov.blockdecomp import (
+    MAX_RETRIES,
     center,
     decompose,
     minimal_central_projections,
     strip_multiplicity,
 )
+from ncshilov.errors import DegenerateSample
+from ncshilov.selftest import random_unitary
 from ncshilov.stargen import generate_star_algebra, validate_space
 
 
@@ -20,6 +23,20 @@ def _unit(i, j, n):
 def _full_matrix_algebra(n):
     return generate_star_algebra(
         validate_space([_unit(i, j, n) for i in range(n) for j in range(n)]))
+
+
+def _strip_defects(block, basis):
+    """How far ``block.strip`` is from a *-homomorphism onto M_k over a
+    basis of the algebra: the largest deviation from multiplicativity and
+    from *-preservation, and the rank of the images (k^2 when they span
+    M_k)."""
+    imgs = [block.strip(b) for b in basis]
+    mult = max(np.abs(block.strip(a @ b) - ia @ ib).max()
+               for a, ia in zip(basis, imgs) for b, ib in zip(basis, imgs))
+    star = max(np.abs(block.strip(a.conj().T) - ia.conj().T).max()
+               for a, ia in zip(basis, imgs))
+    rank = np.linalg.matrix_rank(np.stack(imgs).reshape(len(imgs), -1), tol=1e-8)
+    return max(mult, star), rank
 
 
 def _two_block_algebra(rng):
@@ -98,8 +115,29 @@ def test_strip_multiplicity_tensor_copy():
     alg = generate_star_algebra(validate_space(gens))
     dec = decompose(alg, seed=0)
     assert dec.block_sizes == [(2, 2)]
-    worst = max(dec.blocks[0].conjugation_residual(b) for b in alg.basis)
-    assert worst <= 1e-7
+    defect, rank = _strip_defects(dec.blocks[0], alg.basis)
+    assert defect <= 1e-7 and rank == 4
+
+
+@pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (3, 2), (1, 3)])
+def test_strip_is_a_star_homomorphism_onto_the_block(k, m):
+    # M_k ⊗ 1_m, hidden by a random unitary, inside a zero corner
+    rng = np.random.default_rng(31 + 10 * k + m)
+    n = k * m + 1
+    u = random_unitary(rng, n)
+    gens = []
+    for _ in range(3):
+        g = np.zeros((n, n), dtype=complex)
+        g[:k * m, :k * m] = np.kron(matcore.random_complex(rng, (k, k)), np.eye(m))
+        gens.append(u @ g @ u.conj().T)
+    alg = generate_star_algebra(validate_space(gens))
+    dec = decompose(alg, seed=k + m)
+    assert dec.block_sizes == [(k, m)]
+    block = dec.blocks[0]
+    assert np.abs(block.copy.conj().T @ block.copy - np.eye(k)).max() <= 1e-10
+    defect, rank = _strip_defects(block, alg.basis)
+    assert defect <= 1e-8
+    assert rank == k * k
 
 
 def test_dimension_identities():
@@ -133,8 +171,8 @@ def test_block_diagonalization_residual():
     dec = decompose(alg, seed=2)
     assert sorted(dec.block_sizes) == [(2, 2), (3, 1)]
     for blk in dec.blocks:
-        for b in alg.basis:
-            assert blk.conjugation_residual(b) <= 1e-7
+        defect, rank = _strip_defects(blk, alg.basis)
+        assert defect <= 1e-7 and rank == blk.k ** 2
 
 
 def test_projections_are_central_idempotent():
@@ -149,3 +187,22 @@ def test_projections_are_central_idempotent():
             assert np.abs(p @ b - b @ p).max() <= 1e-8
         total += p
     assert np.abs(total - alg.unit).max() <= 1e-8
+
+
+def test_central_sample_merging_blocks_fails_the_count(monkeypatch):
+    # a sample that merges two blocks is still a verified central
+    # partition; only its count, 2 for a 3-dimensional center, rejects it
+    alg = generate_star_algebra(validate_space([_unit(i, i, 3) for i in range(3)]))
+    real = blockdecomp._random_central_projections
+    merged = []
+
+    def merging(alg, zbasis, rng):
+        projs = sorted(real(alg, zbasis, rng), key=lambda p: np.real(p[0, 0]))
+        merged.append([projs[0] + projs[1]] + projs[2:])
+        return merged[-1]
+
+    monkeypatch.setattr(blockdecomp, "_random_central_projections", merging)
+    with pytest.raises(DegenerateSample, match="2 projections for a center of dimension 3"):
+        minimal_central_projections(alg, seed=0)
+    assert len(merged) == MAX_RETRIES
+    assert all(blockdecomp._verify_central_partition(alg, projs) for projs in merged)

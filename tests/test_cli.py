@@ -172,6 +172,18 @@ def test_cone_rejects_malformed_eps(tmp_path, capsys, monkeypatch):
         assert "parse error" in capsys.readouterr().err
 
 
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: calls.append(1) or real())
+    cli._parser.cache_clear()
+    inp = _write(tmp_path, "space.json", DIAG_HALF)
+    for bad in ("nan", "abc"):
+        assert main(["cone", "--input", inp, "--element", "unused.json", "--kind", "x1",
+                     "--eps", bad]) == EXIT_PARSE
+    assert calls == [1]
+
+
 def test_exit_code_cone_does_not_span(tmp_path):
     nonspan = _matrix_file([[[0, 1], [1, 0]]], 2)
     inp = _write(tmp_path, "nonspan.json", nonspan)

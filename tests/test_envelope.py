@@ -3,8 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ncshilov import blockdecomp, matcore, stargen
-from ncshilov.conesolver import CC_YES, LinearMapSpec, cc_test, sampled_cb_lower_bound
+from ncshilov import blockdecomp, conesolver, matcore, stargen
+from ncshilov.conesolver import (
+    CC_YES,
+    ROUTE_CHOI_BOUND,
+    ROUTE_DUAL_WITNESS,
+    LinearMapSpec,
+    cc_test,
+    sampled_cb_lower_bound,
+)
 from ncshilov.envelope import (
     ESSENTIAL,
     LOOSE,
@@ -174,8 +181,51 @@ def test_composed_embedding_bound_covers_the_direct_certificate(crit4_instance0_
     cut_coords = u[:, :int(round(float(np.real(np.trace(cut)))))]
     direct = LinearMapSpec(list(env.compressed_basis),
                            [cut_coords.conj().T @ b @ cut_coords for b in env.source.basis])
-    assert cc_test(direct, rng_seed=env.seed + 7).verdict == CC_YES
+    assert cc_test(direct).verdict == CC_YES
     assert sampled_cb_lower_bound(direct, max_level=3, samples=300, seed=1) <= env.embedding_cb
+
+
+def test_envelope_decides_without_the_sampler(monkeypatch, crit4_instance0_env):
+    # Loose verdicts rest on the certified Choi bound alone
+    calls = []
+    monkeypatch.setattr(conesolver, "sampled_cb_lower_bound",
+                        lambda *a, **k: calls.append(1))
+    env = compute_envelope(crit4_instance0_env.source, seed=0)
+    assert env.eliminations() >= 2
+    assert calls == []
+
+
+def _two_copy_space(m):
+    """g ⊕ (V* g V ⊗ 1_m) for three positive g in M_3, V a 3 x 2 isometry:
+    C*(X) is M_3 ⊕ M_2 ⊗ 1_m, and neither block's compression has a
+    kernel."""
+    rng = np.random.default_rng(37)
+    v = random_unitary(rng, 3)[:, :2]
+    gens = []
+    for _ in range(3):
+        g = matcore.random_psd(rng, 3)
+        big = np.zeros((3 + 2 * m, 3 + 2 * m), dtype=complex)
+        big[:3, :3] = g
+        big[3:, 3:] = np.kron(v.conj().T @ g @ v, np.eye(m))
+        gens.append(big)
+    return validate_space(gens)
+
+
+def test_block_with_multiplicity_gets_the_verdict_of_its_single_copy_twin():
+    verdicts = {}
+    for m in (1, 2):
+        x = _two_copy_space(m)
+        alg = stargen.generate_star_algebra(x)
+        dec = blockdecomp.decompose(alg, seed=0)
+        assert sorted(dec.block_sizes) == [(2, m), (3, 1)]
+        # both blocks reach the cc oracle, the M_2 one through strip
+        verdicts[m] = {b.k: is_block_loose(x, alg.unit, b) for b in dec.blocks}
+    for k, twin in verdicts[1].items():
+        v = verdicts[2][k]
+        assert (v.status, v.route) == (twin.status, twin.route)
+    assert verdicts[2][2].status == LOOSE and verdicts[2][2].route == ROUTE_CHOI_BOUND
+    assert verdicts[2][3].route == ROUTE_DUAL_WITNESS
+    assert verdicts[2][3].cb_estimate == pytest.approx(verdicts[1][3].cb_estimate, rel=1e-6)
 
 
 def _reference_gram_norms(env, levels, samples, seed):
@@ -302,8 +352,15 @@ def test_transported_blocks_equal_a_fresh_split_of_the_envelope():
             match = fresh.blocks[int(np.argmax(overlaps))]
             assert (match.k, match.m) == (b.k, b.m)
             assert np.abs(match.projection - b.projection).max() <= 1e-8
-            # the transported stripping data still reads off k x k copies
-            assert max(b.conjugation_residual(a) for a in env.algebra.basis) <= 1e-8
+            # the transported copy still strips the envelope algebra onto M_k
+            # by a *-homomorphism
+            imgs = [b.strip(a) for a in env.algebra.basis]
+            for a, ia in zip(env.algebra.basis, imgs):
+                assert np.abs(b.strip(a.conj().T) - ia.conj().T).max() <= 1e-8
+                for c, ic in zip(env.algebra.basis, imgs):
+                    assert np.abs(b.strip(a @ c) - ia @ ic).max() <= 1e-8
+            flat = np.stack(imgs).reshape(len(imgs), -1)
+            assert np.linalg.matrix_rank(flat, tol=1e-8) == b.k ** 2
 
 
 @pytest.mark.parametrize("scan_order", [SCAN_DESCENDING_RANK, SCAN_ASCENDING_RANK])
@@ -425,9 +482,8 @@ def test_induced_isomorphism_block_mismatch():
 def test_unitization_morphism_is_cp():
     x = _diag_space([1, 0, 0.5], [0, 1, 0.5])
     env = compute_envelope(x, seed=0)
-    um = unitization_morphism(x, env, seed=1)
+    um = unitization_morphism(x, env)
     assert um.choi_positive
-    assert um.sampled_positive
     assert um.unital_residual <= 1e-10
 
 
@@ -436,5 +492,5 @@ def test_unitization_morphism_identity_case():
     x = validate_space([matcore.random_psd(rng, 4) for _ in range(3)])
     env = compute_envelope(x, seed=0)
     assert env.eliminations() == 0
-    um = unitization_morphism(x, env, seed=1)
-    assert um.is_completely_positive
+    um = unitization_morphism(x, env)
+    assert um.choi_positive

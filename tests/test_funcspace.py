@@ -64,26 +64,33 @@ def test_boundary_nonspanning_cone_carries_its_measure_from_one_lp(monkeypatch):
     assert mu == pytest.approx([0.0, 0.5, 0.5], abs=1e-9)
 
 
-def _own_sup(fs, vals, idx, others):
-    """max of the point LP over both signs (real) or all PHASE_GRID phases
-    of the objective (complex): the LPs the sup used to take."""
-    if fs.is_real:
-        rows = np.stack([vals[o].real for o in others])
-        objectives = [s * vals[idx].real for s in (1.0, -1.0)]
-        a_ub = np.concatenate([rows, -rows])
-    else:
-        phases = np.exp(2j * np.pi * np.arange(funcspace.PHASE_GRID) / funcspace.PHASE_GRID)
-        disks = [np.conj(w) * vals[o] for o in others for w in phases]
-        a_ub = np.stack([np.concatenate([r.real, -r.imag]) for r in disks])
-        objectives = [np.concatenate([(np.conj(w) * vals[idx]).real,
-                                      -(np.conj(w) * vals[idx]).imag]) for w in phases]
+def _sign_sup(vals, idx, others):
+    """max of the point LP over both signs of the objective."""
+    rows = np.stack([vals[o] for o in others])
     best = 0.0
-    for c in objectives:
-        res = linprog(c=-c, A_ub=a_ub, b_ub=np.ones(a_ub.shape[0]),
-                      bounds=[(None, None)] * a_ub.shape[1], method="highs")
+    for sign in (1.0, -1.0):
+        res = linprog(c=-sign * vals[idx], A_ub=np.concatenate([rows, -rows]),
+                      b_ub=np.ones(2 * len(others)), bounds=[(None, None)] * vals.shape[1],
+                      method="highs")
         assert res.status == 0
         best = max(best, -res.fun)
     return best
+
+
+def _polygon_sup(fs, idx, others, phases=64):
+    """Upper bound on the sup over complex coefficients: the disks
+    |f(o)| <= 1 replaced by their outer polygons over ``phases`` roots of
+    unity, Re f(idx) maximized.  The true sup is at least cos(pi / phases)
+    times it."""
+    vals, d = fs.basis.T, fs.dim
+    w = np.exp(2j * np.pi * np.arange(phases) / phases)
+    disks = (np.conj(w)[None, :, None] * vals[others][:, None, :]).reshape(-1, d)
+    res = linprog(c=-np.concatenate([vals[idx].real, -vals[idx].imag]),
+                  A_ub=np.concatenate([disks.real, -disks.imag], axis=1),
+                  b_ub=np.ones(disks.shape[0]), bounds=[(None, None)] * (2 * d),
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
 
 
 @pytest.mark.parametrize("gens, is_real", [
@@ -91,28 +98,48 @@ def _own_sup(fs, vals, idx, others):
     ([[1, 1j, 0.3 + 0.3j, 2 + 1j]], False),  # with its conjugate, f(2) = 0.3 (f(0) + f(1))
 ])
 def test_point_sup_is_one_lp(monkeypatch, gens, is_real):
-    # the ball is invariant under f -> -f and under the phase-grid
-    # rotations, so one LP gives the max over every sign or phase
+    # one LP over the real part gives the sup: the ball is invariant under
+    # f -> -f, and for complex spans Re(e^(-i theta) f) attains |f(idx)|
     fs = validate_function_space(gens)
     assert fs.is_real == is_real
     calls = []
     real = funcspace.linprog
     monkeypatch.setattr(funcspace, "linprog",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    vals = fs.basis.T
+    vals = fs.basis.T.real if is_real else fs.real_basis().T
     statuses = set()
     for idx in range(fs.points):
         others = [o for o in range(fs.points) if o != idx]
         calls.clear()
-        sup, status = funcspace._point_sup(fs, vals, idx, others, 1e-7)
+        sup, status = funcspace._point_sup(vals, idx, others, 1e-7)
         assert len(calls) == 1
         statuses.add(status)
-        own = _own_sup(fs, vals, idx, others)
-        if is_real or status != "essential":
-            assert sup == pytest.approx(own, abs=1e-9)
-        else:  # a complex Essential reports the rescaled lower bound
-            assert 1.0 + 1e-7 < sup <= own + 1e-9
+        assert sup == pytest.approx(_sign_sup(vals, idx, others), abs=1e-9)
+        if not is_real:  # the sup over complex coefficients, by an outer polygon
+            upper = _polygon_sup(fs, idx, others)
+            assert upper * np.cos(np.pi / 64) - 1e-9 <= sup <= upper + 1e-9
     assert "loose" in statuses and "essential" in statuses
+
+
+def test_complex_space_verdicts_match_its_real_part_and_the_matrix_pipeline():
+    # two complex generators on five points, and two more points where
+    # f = sum_j c_j f(p_j) with c >= 0 of sum 0.9: those two are loose
+    rng = np.random.default_rng(41)
+    for trial in range(4):
+        base = rng.uniform(0.0, 1.0, (2, 5)) + 1j * rng.uniform(-0.5, 0.5, (2, 5))
+        planted = rng.dirichlet(np.ones(5), size=2).T * 0.9
+        fs = validate_function_space(np.concatenate([base, base @ planted], axis=1))
+        assert not fs.is_real
+        rep = crosscheck_diagonal(fs, seed=trial)
+        assert rep["matches"], rep
+        lp = rep["lp_result"]
+        assert lp.boundary_points == [(p,) for p in range(5)]
+        real_part = boundary(validate_function_space(fs.real_basis()))
+        assert real_part.boundary_points == lp.boundary_points
+        assert [(v.point_class, v.status) for v in real_part.verdicts] == \
+            [(v.point_class, v.status) for v in lp.verdicts]
+        for a, b in zip(real_part.verdicts, lp.verdicts):
+            assert a.sup_value == pytest.approx(b.sup_value, rel=1e-7)
 
 
 def test_boundary_single_point():

@@ -392,6 +392,25 @@ def test_distance_c3_is_one_fifth():
                              tol=1e-5).positive
 
 
+def test_envelope_unit_queries_take_the_given_envelope_copy(monkeypatch):
+    _, env, _, _ = _c3_env()
+    space = env.compressed_space()
+    monkeypatch.setattr(type(env), "compressed_space",
+                        lambda self: pytest.fail("envelope copy rebuilt"))
+    d, _ = distance_to_unit(space, unit=UNIT_ENVELOPE, env=env)
+    assert d == pytest.approx(0.2, abs=1e-4)
+    assert dominating_element(space, unit=UNIT_ENVELOPE, env=env).found
+    # a third point that carries no norm is cut: the source space lives in
+    # M_3, the envelope unit in M_2
+    half = validate_space([np.diag([1, 0, 0.5]).astype(complex),
+                           np.diag([0, 1, 0.5]).astype(complex)])
+    env = compute_envelope(half, seed=0)
+    assert env.envelope_dim == 2
+    for query in (distance_to_unit, dominating_element):
+        with pytest.raises(ShapeMismatch, match="envelope unit"):
+            query(half, unit=UNIT_ENVELOPE, env=env)
+
+
 def _assert_tight_witness(dom, hb, unit):
     assert dom.found and not dom.inconclusive
     w = np.einsum("t,tab->ab", dom.coeffs.astype(complex), hb)
