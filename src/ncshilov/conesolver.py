@@ -3,7 +3,7 @@
 Every conic program here is solved by one engine, :func:`_hkm`: a dense
 primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector steps) over a product of Hermitian PSD blocks with a
-linear objective, a scalar variable being a 1 x 1 block.  Two program
+linear objective, a scalar variable being a 1 x 1 block.  Three program
 shapes feed it:
 
 * :class:`ConicProgram` holds scalar pairing constraints
@@ -15,6 +15,14 @@ shapes feed it:
   strictly PSD point, and otherwise the dual multipliers give the
   separating functional, both checked afresh.  :func:`solve_margin` runs
   that program under a caller's own stop test.
+
+* The dual-form margin program of :func:`solve_dual_margin`: maximize
+  lambda subject to the linear matrix inequality
+  ``F0 + sum_i u_i F_i - lambda I >= 0`` over free real coordinates u.
+  It is posed as the engine's own dual, so its Schur matrix has one row
+  per coordinate u_i plus a trace row, however large the blocks are; the
+  caller's stop test sees (u, lambda) and the trace-one primal point X,
+  which is where a separating functional comes from.
 
 * :class:`ChoiAgreementProgram` is the structured program behind the
   complete-contractivity oracle: a Choi variable constrained to agree, as a
@@ -234,6 +242,7 @@ IPM_OPTIMAL = "optimal"
 IPM_ITERATION_CAP = "iteration cap"
 IPM_NUMERICAL_FAILURE = "numerical failure"
 IPM_STOPPED = "stopped"
+IPM_UNBOUNDED = "dual unbounded"
 IPM_TOL = 1e-10
 IPM_MAX_ITER = 60
 
@@ -528,6 +537,47 @@ def _separating(phi, x_particular, tol, scale):
         return SolveOutcome(status=INFEASIBLE, dual_witness=phi, witness_margin=margin,
                             witness_cone_residual=wmax)
     return None
+
+
+def solve_dual_margin(f0, fs, stop) -> IpmSolve:
+    """Maximize lambda subject to ``F0_v + sum_i u_i F_iv - lambda I >= 0``
+    on every block v, over real u.
+
+    ``f0`` holds one Hermitian matrix per block and ``fs`` one stack of m
+    Hermitian matrices per block.  This is the dual of the trace-one primal
+    ``minimize sum_v <F0_v, X_v>`` over X >= 0 with ``sum_v <F_iv, X_v> = 0``
+    for every i and ``tr X = 1``, so one :func:`_hkm` solve on m + 1 rows
+    runs it, with (-u, lambda) as the engine's y.  ``stop(u, lambda, X)``
+    is called on every iterate, with (u, lambda) read off the dual slack
+    C - A^T y, which is exactly F0 + sum u_i F_i - lambda I, and X the
+    primal blocks; the solve ends when it returns something other than
+    None.  A primal point with ``sum_v <F0_v, X_v> < 0`` bounds lambda
+    below zero, once its constraint residuals are accounted for.
+
+    When I lies in the span of the F_i the primal is infeasible and lambda
+    unbounded: stop is then called once, with X None, on the point of that
+    ray where lambda = 1, and the returned solve has no iterates."""
+    dims = [h.shape[0] for h in f0]
+    a = np.concatenate([np.concatenate([herm_to_rvec(fv) for fv in fs], axis=1),
+                        np.concatenate([herm_to_rvec(np.eye(n)) for n in dims])[None]])
+    b = np.zeros(a.shape[0])
+    b[-1] = 1.0
+    cvec = np.concatenate([herm_to_rvec(h) for h in f0])
+    prepared = ConicProgram(dims, a, b, objective=cvec).prepare()
+    if prepared.inconsistent_y is not None:
+        y = prepared.inconsistent_y[0]  # A^T y = 0 with y_lambda = <b, y> > 0
+        t = 1.0 + max(op_norm(h) for h in f0)
+        stopped = stop(-t * y[:-1] / y[-1], 1.0, None)
+        return IpmSolve(x=[], z=[], status=IPM_STOPPED if stopped is not None else IPM_UNBOUNDED,
+                        iterations=0, gap=0.0, primal_infeasibility=np.inf,
+                        dual_infeasibility=0.0, stopped=stopped)
+    lift = np.linalg.pinv(a.T)
+
+    def dual_stop(x, aty, _worst):
+        y = lift @ np.concatenate([herm_to_rvec(h) for h in aty])
+        return stop(-y[:-1], float(y[-1]), x)
+
+    return _hkm(prepared.f, prepared.rhs, prepared.blocks_of(cvec), stop=dual_stop)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,16 @@ decreasing eps schedule; verdicts record both, and razor-thin cases come
 back Inconclusive rather than guessed.  Distance-to-unit and the
 dominating-element predicate give the order-unit dichotomy: exactly one of
 d(X, 1) = 1 or "some v in X dominates 1" holds.
+
+The Karn condition at one eps and the domination question are each one
+dual-form margin solve (:func:`conesolver.solve_dual_margin`): maximize
+lambda over the linear matrix inequality in the free coordinates of u (or
+v) less lambda I.  Each answer's certificate comes from one side of that
+solve.  Yes (a witness u, a dominating v) comes from the dual side: the
+coordinates of an iterate with lambda > 0, re-verified as matrices.  No (a
+separating functional, a PSD matrix orthogonal to X_sa) comes from the
+primal side: the trace-one primal point X, with the bound that makes it a
+proof written out and checked afresh.
 """
 
 from __future__ import annotations
@@ -23,11 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ncshilov import conesolver, envelope as envelope_mod, matcore
-from ncshilov.conesolver import ConicProgram, minimize_opnorm, solve_feasibility
+from ncshilov.conesolver import minimize_opnorm
 from ncshilov.errors import ShapeMismatch
 from ncshilov.matcore import (
     amplify,
-    herm_to_rvec,
     hermitize,
     op_norm,
     orthonormalize,
@@ -145,12 +154,16 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
     formula.
 
     No immediately when A has an eigenvalue below -tol; otherwise one
-    feasibility solve per scheduled eps for u in M_k(X) with 0 <= u <=
-    (1 - delta) and v + (A + eps)^(1/2) u (A + eps)^(1/2) >= 0.  Yes needs
-    every scheduled eps feasible (witnesses re-verified) and v + A ⊗ 1 >= 0,
-    the limit of v + (A + eps) ⊗ 1 >= 0, which every eps > 0 implies; No
-    needs a dual certificate at some eps, or a vector on which v + A ⊗ 1
-    is negative; Marginal solves surface as Inconclusive."""
+    dual-form margin solve per scheduled eps (:func:`_karn_solve`) for u
+    in M_k(X) with 0 <= u <= (1 - delta) and
+    v + (A + eps)^(1/2) u (A + eps)^(1/2) >= 0.  Yes needs every scheduled
+    eps feasible, each by a witness u read off the dual side of its solve
+    and re-verified (``witness_u``), and v + A ⊗ 1 >= 0, the limit of
+    v + (A + eps) ⊗ 1 >= 0, which every eps > 0 implies.  No needs, at
+    some eps, a separating functional phi = -X / ||X|| from the primal side
+    (``dual_witness``, with its pairing bound c as ``margin``; see
+    :func:`_karn_separation`), or a vector on which v + A ⊗ 1 is negative.
+    A solve that ends with neither certificate gives Inconclusive."""
     eps_schedule = tuple(eps_schedule)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
         raise ShapeMismatch("eps schedule must be positive")
@@ -183,30 +196,22 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
 
     hb = matcore.hermitian_part_basis(basis)
     n = env.envelope_dim
-    fixed = _karn_fixed_constraints(hb, n, k, delta)
+    units, level = _level_basis(hb, k)
+    v_sa = hermitize(v, rtol=1e-8)
     for eps in eps_schedule:
-        root = _psd_sqrt(a + eps * np.eye(k))
-        big_root = np.kron(root, np.eye(n))
-        out = solve_feasibility(_karn_program(fixed, k * n, v, big_root), tol=min(tol, 1e-7))
-        if out.status == conesolver.FEASIBLE:
-            u = out.primal_point[0]
-            coeffs = _herm_coeffs(hb, u, k, n)
-            ok, detail = _verify_karn_witness(hb, coeffs, v, big_root, delta, tol, k)
-            if not ok:
-                return ConeVerdict(member=MEMBER_INCONCLUSIVE,
-                                   certificate={"eps": eps, "reason": detail},
-                                   eps_schedule_used=eps_schedule, delta=delta, tol=tol)
-            witnesses[eps] = coeffs
-        elif out.status == conesolver.INFEASIBLE:
-            return ConeVerdict(member=MEMBER_NO,
-                               certificate={"eps": eps,
-                                            "dual_witness": out.dual_witness,
-                                            "margin": out.witness_margin},
-                               eps_schedule_used=eps_schedule, delta=delta, tol=tol)
-        else:
+        big_root = np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
+        sol = _karn_solve(units, level, hb, v_sa, big_root, delta, tol)
+        if sol.stopped is None:
+            reason = (f"no certificate: Karn solve {sol.status} after {sol.iterations} "
+                      f"iterations (gap {sol.gap:.1e})")
             return ConeVerdict(member=MEMBER_INCONCLUSIVE,
-                               certificate={"eps": eps, "reason": out.diagnostics},
+                               certificate={"eps": eps, "reason": reason},
                                eps_schedule_used=eps_schedule, delta=delta, tol=tol)
+        member, cert = sol.stopped
+        if member == MEMBER_NO:
+            return ConeVerdict(member=MEMBER_NO, certificate={"eps": eps, **cert},
+                               eps_schedule_used=eps_schedule, delta=delta, tol=tol)
+        witnesses[eps] = cert
     # the schedule stops at a positive eps, so an element just outside the
     # cone can be feasible at every scheduled eps
     limit = psd_check(hermitize(v + np.kron(a, unit), rtol=1e-8), tol=tol)
@@ -224,48 +229,76 @@ def _psd_sqrt(m):
     return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
-def _karn_fixed_constraints(hb, n, k, delta):
-    """The eps-independent rows and right-hand sides of the Karn program
-    over the blocks [U, S1, S2], built once per query: U pinned to M_k(X)
-    (its coordinates in the kernel of the selfadjoint part of M_k(X)
-    vanish), and S1 + U = (1 - delta) I."""
-    kn = k * n
-    # kron(E, h) over the Hermitian units E of M_k and h in hb: a real-ON
-    # basis of the selfadjoint part of M_k(X)
-    level = np.einsum("sij,tab->stiajb", rvec_to_herm(np.eye(k * k), k), hb)
-    pins = matcore.null_space(herm_to_rvec(level.reshape(-1, kn, kn)))
-    eye = np.eye(kn * kn)
-    rows = np.block([[pins, np.zeros((pins.shape[0], 2 * kn * kn))],
-                     [eye, eye, np.zeros_like(eye)]])
-    rhs = np.concatenate([np.zeros(pins.shape[0]), herm_to_rvec((1.0 - delta) * np.eye(kn))])
-    return rows, rhs
+def _level_basis(hb, k):
+    """The Hermitian units E_s of M_k and the real-ON basis kron(E_s, h_t) of
+    the selfadjoint part of M_k(X), flattened s-major."""
+    units = rvec_to_herm(np.eye(k * k), k)
+    kn = k * hb.shape[1]
+    return units, np.einsum("sij,tab->stiajb", units, hb).reshape(-1, kn, kn)
 
 
-def _karn_program(fixed, kn, v, big_root):
-    """Feasibility program for the witness u at one eps.
+def _karn_solve(units, level, hb, v, big_root, delta, tol):
+    """Karn's condition at one eps as the dual-form margin program of
+    :func:`conesolver.solve_dual_margin`: maximize lambda subject to
+    (U, (1 - delta) - U, v + R U R) - lambda I >= 0 blockwise, with
+    U = sum_i u_i H_i over the level basis H_i (:func:`_karn_lmi`).
 
-    Blocks: U (kn, the candidate), S1 = (1 - delta) - U, S2 = v + R U R;
-    ``fixed`` holds the rows of :func:`_karn_fixed_constraints`.  Row j of
-    S2 - R U R = v pairs with the unit matrix E_j of the coordinates, so
-    its U part is the vectorized transport R E_j R."""
-    rows, rhs = fixed
-    eye = np.eye(kn * kn)
-    transport = herm_to_rvec(hermitize(big_root @ rvec_to_herm(eye, kn) @ big_root, rtol=1e-8))
-    rows = np.block([[rows], [-transport, np.zeros_like(eye), eye]])
-    rhs = np.concatenate([rhs, herm_to_rvec(hermitize(v, rtol=1e-8))])
-    return ConicProgram([kn, kn, kn], rows, rhs)
+    Yes comes from the dual side: an iterate with lambda > 0 gives u, whose
+    (k, k, d) coordinates over ``hb`` must pass :func:`_verify_karn_witness`.
+    No comes from the primal side (:func:`_karn_separation`).  The solve's
+    ``stopped`` is (MEMBER_YES, coordinates) or (MEMBER_NO, certificate)."""
+    k, d = units.shape[1], hb.shape[0]
+
+    def stop(u, lam, x):
+        if lam > 0:
+            coeffs = np.einsum("sij,st->ijt", units, u.reshape(k * k, d))
+            if _verify_karn_witness(hb, coeffs, v, big_root, delta, tol, k)[0]:
+                return MEMBER_YES, coeffs
+        cert = _karn_separation(x, v, big_root, level, delta)
+        return None if cert is None else (MEMBER_NO, cert)
+
+    return conesolver.solve_dual_margin(*_karn_lmi(level, v, big_root, delta), stop)
 
 
-def _herm_coeffs(hb, u, k, n):
-    """Real coefficients of a level-k Hermitian element over the level
-    Hermitian basis, folded back to (k, k, d) coordinates over hb."""
-    d = hb.shape[0]
-    coeffs = np.zeros((k, k, d), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            block = u[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            coeffs[i, j] = np.einsum("tab,ab->t", hb.conj(), block)
-    return coeffs
+def _karn_lmi(level, v, big_root, delta):
+    """(F0, F) of the Karn program: the point F0 + sum_i u_i F_i is
+    (U, (1 - delta) I - U, v + R U R) with U = sum_i u_i H_i."""
+    kn = level.shape[1]
+    return ([np.zeros((kn, kn)), (1.0 - delta) * np.eye(kn), v],
+            [level, -level, big_root @ level @ big_root])
+
+
+def _karn_separation(x, v, big_root, level, delta):
+    """No certificate from the primal point X = (X_U, X_1, X_2) of the Karn
+    program, or None.
+
+    phi = -X / ||X|| = (P_U, P_1, P_2) pairs with a point (U, (1 - delta) - U,
+    v + R U R) as c + <G, U>, where c = (1 - delta) tr P_1 + <P_2, v> =
+    -<F0, X> / ||X|| and G = P_U - P_1 + R P_2 R, and only G's part in the
+    selfadjoint part of M_k(X) meets U.  A feasible point has HS norm
+    ||U||_2 <= sqrt(kn), tr U, tr S1 <= kn and tr S2 <= tr+ v + ||R||^2 kn, while phi
+    pairs with it at most by its positive parts, so the program is
+    infeasible when
+
+        c > ||proj G|| sqrt(kn) + kn (P_U^+ + P_1^+) + P_2^+ tr S2,
+
+    P^+ the largest eigenvalue of P when positive.  It is accepted when c
+    exceeds the right-hand side by more than 1e-9 max(1, |c|), which covers
+    the rounding of a re-check, and holds phi as ``dual_witness`` and c as
+    ``margin``."""
+    kn = level.shape[1]
+    nrm = np.sqrt(sum(np.linalg.norm(xv) ** 2 for xv in x))
+    pu, p1, p2 = (-xv / nrm for xv in x)
+    c = (1.0 - delta) * float(np.trace(p1).real) + float(np.vdot(p2, v).real)
+    g = pu - p1 + big_root @ p2 @ big_root
+    slack = c - np.linalg.norm(np.einsum("bxy,xy->b", level.conj(), g).real) * np.sqrt(kn)
+    if not slack > 0:
+        return None
+    gain = [max(0.0, float(np.linalg.eigvalsh(p)[-1])) for p in (pu, p1, p2)]
+    tr_s2 = max(0.0, float(np.trace(v).real)) + op_norm(big_root) ** 2 * kn
+    if slack - kn * (gain[0] + gain[1]) - gain[2] * tr_s2 > 1e-9 * max(1.0, abs(c)):
+        return {"dual_witness": [pu, p1, p2], "margin": c}
+    return None
 
 
 def _verify_karn_witness(hb, coeffs, v, big_root, delta, tol, k):
@@ -347,33 +380,44 @@ def dominating_element(x: MatrixSpace, unit: str = UNIT_AMBIENT, env=None,
                        tol: float = 1e-7) -> DominationResult:
     """Find selfadjoint v in X with v >= unit, or report that none exists.
 
-    One feasibility solve: S = v - unit over the shifted selfadjoint span.
-    The solve's point lies deep inside the cone, so a found v is scaled
-    down to v / lambda_min(v), which just dominates the unit (the unit is
-    the identity of the space's coordinates in both unit modes); Found
-    witnesses are re-verified PSD-dominant."""
+    One dual-form margin solve (:func:`conesolver.solve_dual_margin`) over
+    v = sum_t c_t h_t, h_t the Hermitian basis: maximize lambda subject to
+    v - unit - lambda I >= 0.  Found comes from the dual side: an iterate
+    with lambda > 0 gives v, which is scaled down to v / lambda_min(v), so
+    that it just dominates the unit (the unit is the identity of the
+    space's coordinates in both unit modes), and re-verified.  Not found
+    comes from the primal side: the trace-one primal point X, less its part
+    in X_sa, is a matrix W orthogonal to X_sa with tr W > 0, checked
+    afresh.  Any v >= unit in X_sa has 0 = <v, W> = tr W + <v - unit, W>,
+    so when W >= 0 there is none; when W's eigenvalues reach down to
+    -1e-9 tr W, the most accepted, every such v has tr(v - unit) >= 1e9.
+    Neither certificate gives Inconclusive."""
     unit_matrix = _resolve_unit(x, unit, env)
-    n = x.ambient_dim
     hb = x.hermitian_basis()
-    rows = matcore.null_space(herm_to_rvec(hb))
-    prog = ConicProgram([n], rows, -rows @ herm_to_rvec(unit_matrix))
-    out = solve_feasibility(prog, tol=min(tol, 1e-7))
-    if out.status == conesolver.FEASIBLE:
-        s = out.primal_point[0]
-        v = s + unit_matrix
-        coeffs = np.einsum("tab,ab->t", hb.conj(), v).real
-        v_fit = np.einsum("t,tab->ab", coeffs, hb)
-        lowest = float(np.linalg.eigvalsh(v_fit)[0])
-        if lowest > 1.0:
-            coeffs, v_fit = coeffs / lowest, v_fit / lowest
-        chk = psd_check(hermitize(v_fit - unit_matrix, rtol=1e-6), tol=10 * tol)
-        if chk.positive and matcore.span_residual(hb, v) < 1e-6:
-            return DominationResult(found=True, coeffs=coeffs, min_eig=chk.min_eig)
-        return DominationResult(found=False, inconclusive=True,
-                                reason="candidate failed re-verification")
-    if out.status == conesolver.INFEASIBLE:
-        return DominationResult(found=False, min_eig=None)
-    return DominationResult(found=False, inconclusive=True, reason=out.diagnostics)
+
+    def stop(coeffs, lam, xs):
+        if lam > 0:
+            v_fit = np.einsum("t,tab->ab", coeffs, hb)
+            lowest = float(np.linalg.eigvalsh(v_fit)[0])
+            if lowest > 1.0:
+                coeffs, v_fit = coeffs / lowest, v_fit / lowest
+            chk = psd_check(hermitize(v_fit - unit_matrix, rtol=1e-6), tol=10 * tol)
+            if chk.positive:
+                return DominationResult(found=True, coeffs=coeffs, min_eig=chk.min_eig)
+        if xs is None:
+            return None
+        w = xs[0] - matcore.project_onto_span(hb, xs[0])
+        trace = float(np.trace(w).real)
+        if trace > 0 and psd_check(hermitize(w / trace, rtol=1e-6), tol=1e-9).positive:
+            return DominationResult(found=False)
+        return None
+
+    sol = conesolver.solve_dual_margin([-unit_matrix], [hb], stop)
+    if sol.stopped is not None:
+        return sol.stopped
+    return DominationResult(found=False, inconclusive=True,
+                            reason=f"no certificate: domination solve {sol.status} after "
+                                   f"{sol.iterations} iterations (gap {sol.gap:.1e})")
 
 
 def check_envelope_of_unitization(env: envelope_mod.EnvelopePresentation,

@@ -6,6 +6,7 @@ from ncshilov.envelope import compute_envelope
 from ncshilov.errors import InconclusiveAtTolerance, ShapeMismatch
 from ncshilov.matcore import amplify, op_norm
 from ncshilov.selftest import (
+    _space_coords,
     compressed_positives,
     loose_instance,
     random_positive_level,
@@ -17,9 +18,12 @@ from ncshilov.unitize import (
     MEMBER_YES,
     UNIT_AMBIENT,
     UNIT_ENVELOPE,
+    DEFAULT_EPS_SCHEDULE,
     UnitizedElement,
-    _karn_fixed_constraints,
-    _karn_program,
+    _karn_lmi,
+    _level_basis,
+    _psd_sqrt,
+    _verify_karn_witness,
     build_x1,
     check_envelope_of_unitization,
     distance_to_unit,
@@ -154,8 +158,10 @@ def _per_entry_karn_rows(hb, n, k, delta, v, r):
 
 
 def test_karn_rows_hold_on_points_built_from_the_definition():
-    # U Hermitian in M_k(X), S1 = (1 - delta) I - U and S2 = v + R U R meet
-    # every row, and the rows span what the per-entry rows span
+    # every point F0 + sum u_i F_i of the Karn family is (U, (1 - delta) I - U,
+    # v + R U R) with U in the selfadjoint part of M_k(X), so it meets every
+    # per-entry row; and the U parts span exactly what the reference pins
+    # leave free, so the family is the whole affine set of the rows
     rng = np.random.default_rng(0)
     n, k, delta = 3, 2, 1e-4
     kn = k * n
@@ -163,18 +169,22 @@ def test_karn_rows_hold_on_points_built_from_the_definition():
     r = matcore.random_psd(rng, kn)
     r /= op_norm(r)
     v = matcore.random_hermitian(rng, kn)
-    prog = _karn_program(_karn_fixed_constraints(hb, n, k, delta), kn, v, r)
+    f0, fs = _karn_lmi(_level_basis(hb, k)[1], v, r, delta)
     ref_rows, ref_rhs = _per_entry_karn_rows(hb, n, k, delta, v, r)
+    m = k * k * hb.shape[0]
+    assert all(f.shape == (m, kn, kn) for f in fs)
     for _ in range(3):
-        c = matcore.random_complex(rng, (k, k, hb.shape[0]))
-        u = matcore.hermitize(amplify(c + c.conj().transpose(1, 0, 2), hb))
-        point = np.concatenate([matcore.herm_to_rvec(h) for h in
-                                (u, (1.0 - delta) * np.eye(kn) - u, v + r @ u @ r)])
-        assert np.abs(prog.rows @ point - prog.rhs).max() <= 1e-12
-        assert np.abs(ref_rows @ point - ref_rhs).max() <= 1e-12
-    rank = np.linalg.matrix_rank(ref_rows)
-    assert np.linalg.matrix_rank(prog.rows) == rank
-    assert np.linalg.matrix_rank(np.concatenate([prog.rows, ref_rows])) == rank
+        u = rng.standard_normal(m)
+        point = [c + np.einsum("i,iab->ab", u, f) for c, f in zip(f0, fs)]
+        assert np.abs(point[1] - ((1.0 - delta) * np.eye(kn) - point[0])).max() <= 1e-12
+        assert np.abs(point[2] - (v + r @ point[0] @ r)).max() <= 1e-12
+        vec = np.concatenate([matcore.herm_to_rvec(h) for h in point])
+        assert np.abs(ref_rows @ vec - ref_rhs).max() <= 1e-12
+    u_parts = matcore.herm_to_rvec(fs[0])
+    pins = ref_rows[: kn * kn, : kn * kn]
+    assert np.linalg.matrix_rank(u_parts) == m
+    assert np.abs(pins @ u_parts.T).max() <= 1e-12
+    assert np.linalg.matrix_rank(pins) + m == kn * kn
 
 
 def test_karn_positive_v_zero_scalar():
@@ -281,6 +291,100 @@ def test_karn_no_certificate_passes_the_separation_recheck(k, c):
     slack = _karn_separation_slack(r.certificate, v, np.eye(k), k, hb,
                                    env.envelope_dim, r.delta)
     assert slack > 0
+
+
+def _planted_element(rng, env, positives, k, member):
+    """A planted Karn member v = w - R u0 R (R at the smallest scheduled eps,
+    0 <= u0 of norm below 1, w = t (1 ⊗ s) with ||w|| at most 0.3 ||R u0 R||,
+    so that v is never PSD and u = 0 never answers), or a planted non-member
+    v = -c (1 ⊗ s) with c lambda_min(s) at least 1.5 ||A + eps|| at every
+    scheduled eps, so v + R u R is negative definite whenever ||u|| <= 1;
+    s is the sum of the positives, positive definite on the envelope."""
+    n = env.envelope_dim
+    a = matcore.random_hermitian(rng, k)
+    a = a + (abs(np.linalg.eigvalsh(a)[0]) + rng.uniform(0.05, 1.0)) * np.eye(k)
+    s = sum(positives)
+    if member:
+        u0 = random_positive_level(rng, positives, k)
+        u0 *= rng.uniform(0.2, 0.8) / op_norm(u0)
+        r = np.kron(_psd_sqrt(a + min(DEFAULT_EPS_SCHEDULE) * np.eye(k)), np.eye(n))
+        shift = r @ u0 @ r
+        t = rng.uniform(0.05, 0.3) * op_norm(shift) / op_norm(s)
+        v = t * np.kron(np.eye(k), s) - shift
+    else:
+        reach = np.linalg.eigvalsh(a)[-1] + max(DEFAULT_EPS_SCHEDULE)
+        v = -rng.uniform(1.5, 3.0) * reach / np.linalg.eigvalsh(s)[0] * np.kron(np.eye(k), s)
+    return UnitizedElement(level=k, v_coords=_space_coords(env, v, k), scalar_part=a)
+
+
+def test_planted_answers_carry_certificates_that_recheck():
+    # Yes from the dual side: every witness passes the witness check; No from
+    # the primal side: phi = -X / ||X|| is NSD, its margin is the c recomputed
+    # from (v, eps, delta), and the separation re-check has positive slack
+    rng = np.random.default_rng(17)
+    spaces = [loose_instance(rng, a=3, b=1), [matcore.random_psd(rng, 3) for _ in range(3)]]
+    answers = {True: 0, False: 0}
+    for gens in spaces:
+        env = compute_envelope(validate_space(gens), seed=0)
+        positives = compressed_positives(env, gens)
+        hb = matcore.hermitian_part_basis(env.compressed_basis)
+        n = env.envelope_dim
+        for k in (1, 2):
+            for member in (True, True, False, False):
+                elem = _planted_element(rng, env, positives, k, member)
+                r = xplus_cone_member(env, elem)
+                assert r.member == (MEMBER_YES if member else MEMBER_NO)
+                answers[member] += 1
+                v = amplify(elem.v_coords, env.compressed_basis)
+                a = elem.scalar_part
+                if member:
+                    assert not r.certificate.get("u_zero")
+                    assert set(r.certificate["witness_u"]) == set(r.eps_schedule_used)
+                    for eps, coeffs in r.certificate["witness_u"].items():
+                        root = np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
+                        assert _verify_karn_witness(hb, coeffs, v, root, r.delta, r.tol, k)[0]
+                    continue
+                cert = r.certificate
+                pu, p1, p2 = cert["dual_witness"]
+                assert all(np.linalg.eigvalsh(p)[-1] <= 0 for p in (pu, p1, p2))
+                c = (1.0 - r.delta) * np.trace(p1).real + np.vdot(p2, v).real
+                assert cert["margin"] == pytest.approx(c, abs=1e-12)
+                assert _karn_separation_slack(cert, v, a, k, hb, n, r.delta) > 0
+    assert answers == {True: 8, False: 8}
+
+
+def test_each_solve_has_one_row_per_coordinate(monkeypatch):
+    # the Karn program has k^2 d + 1 rows and the domination program d + 1,
+    # before and after prepare (none of them is dependent)
+    prepared, solved = [], []
+    real_prepare, real_hkm = conesolver.ConicProgram.prepare, conesolver._hkm
+
+    def prepare(self):
+        prepared.append(self.rows.shape[0])
+        return real_prepare(self)
+
+    def hkm(f, b, c, stop=None):
+        solved.append(b.size)
+        return real_hkm(f, b, c, stop=stop)
+
+    monkeypatch.setattr(conesolver.ConicProgram, "prepare", prepare)
+    monkeypatch.setattr(conesolver, "_hkm", hkm)
+    _, env, g1, _ = _c3_env()
+    k, d = 2, env.source.dim
+    for c, member, solves in ((0.5, MEMBER_YES, 3), (2.0, MEMBER_NO, 1)):
+        coords = np.zeros((k, k, d), dtype=complex)
+        for i in range(k):
+            coords[i, i] = -c * _coords(env, g1).reshape(-1)
+        prepared.clear()
+        solved.clear()
+        elem = UnitizedElement(level=k, v_coords=coords, scalar_part=np.eye(k))
+        assert xplus_cone_member(env, elem).member == member
+        assert prepared == solved == [k * k * d + 1] * solves
+    space = env.compressed_space()
+    prepared.clear()
+    solved.clear()
+    assert dominating_element(space, unit=UNIT_ENVELOPE, env=env).found
+    assert prepared == solved == [space.hermitian_basis().shape[0] + 1]
 
 
 def test_karn_feasible_at_every_scheduled_eps_outside_the_limit_is_no():
