@@ -3,18 +3,10 @@
 Every conic program here is solved by one engine, :func:`_hkm`: a dense
 primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector steps) over a product of Hermitian PSD blocks with a
-linear objective, a scalar variable being a 1 x 1 block.  Three program
-shapes feed it:
-
-* :class:`ConicProgram` holds scalar pairing constraints
-  ``sum_v Re<F_jv, X_v> = rhs_j`` against Hermitian variable blocks, with an
-  optional real-linear objective, as real rows in the coordinates of
-  :func:`matcore.herm_to_rvec`.  Without an objective,
-  :func:`solve_feasibility` poses a phase-I margin program (maximize
-  lambda with X_v - lambda I >= 0): an iterate with lambda > 0 gives a
-  strictly PSD point, and otherwise the dual multipliers give the
-  separating functional, both checked afresh.  :func:`solve_margin` runs
-  that program under a caller's own stop test.
+linear objective, a scalar variable being a 1 x 1 block.  Two program
+shapes feed it, each posed on :class:`ConicProgram` (scalar pairing
+constraints ``sum_v Re<F_jv, X_v> = rhs_j`` against Hermitian variable
+blocks, as real rows in the coordinates of :func:`matcore.herm_to_rvec`):
 
 * The dual-form margin program of :func:`solve_dual_margin`: maximize
   lambda subject to the linear matrix inequality
@@ -22,12 +14,17 @@ shapes feed it:
   It is posed as the engine's own dual, so its Schur matrix has one row
   per coordinate u_i plus a trace row, however large the blocks are; the
   caller's stop test sees (u, lambda) and the trace-one primal point X,
-  which is where a separating functional comes from.
+  which is where a separating functional comes from.  Every solve outside
+  the cc oracle is one of these: feasibility over an affine set
+  (:func:`solve_feasibility`), operator-norm distance to a subspace
+  (:func:`minimize_opnorm`), and, in other modules, the spanning-cone,
+  Karn and domination programs.
 
 * :class:`ChoiAgreementProgram` is the structured program behind the
-  complete-contractivity oracle: a Choi variable constrained to agree, as a
-  linear map, with a given map on a Hermitian orthonormal family, plus one
-  scalar scaling variable, whose largest admissible value is sought.
+  complete-contractivity oracle (:func:`_hkm_max_scale`): a Choi variable
+  constrained to agree, as a linear map, with a given map on a Hermitian
+  orthonormal family, plus one scalar scaling variable, whose largest
+  admissible value is sought.
 
 The complete-contractivity test reduces, as usual, to complete positivity
 of the associated unital map on the 2x2 operator system over the map's
@@ -81,10 +78,6 @@ ROUTE_ZERO_MAP = "zero map"
 ROUTE_CHOI_BOUND = "choi bound"
 ROUTE_DUAL_WITNESS = "dual witness"
 
-# An objective program counts as solved at this relative gap and
-# infeasibility.
-OBJECTIVE_TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # Program containers
@@ -137,6 +130,9 @@ class _DensePrepared:
     orthonormal constraint rows as one stack of Hermitian matrices per
     block, ``rhs`` their right-hand sides, ``c`` the objective blocks (None
     without an objective) and ``x_particular`` the least-norm affine point.
+    ``row_lift`` = U_r S_r^-1 from the SVD A = U_r S_r V_r^T that gives the
+    orthonormal rows V_r^T: it takes multipliers y of those rows to the
+    multipliers of the given rows with the same combination A^T y.
 
     When the affine system itself is inconsistent the program is infeasible
     outright; the certificate ``inconsistent_y`` = (y, <b, y>, ||A^T y||)
@@ -154,6 +150,7 @@ class _DensePrepared:
             keep = s > 1e-12 * top
             rank = int(np.sum(keep))
             self.rows = vh[:rank]
+            self.row_lift = u[:, :rank] / s[:rank]
             self.rhs = (u[:, :rank].T @ b) / s[:rank]
             gap = a @ (self.rows.T @ self.rhs) - b
             if np.linalg.norm(gap) > 1e-7 * (1.0 + np.linalg.norm(b)):
@@ -162,6 +159,7 @@ class _DensePrepared:
                                        float(np.linalg.norm(a.T @ y)))
         else:
             self.rows = np.zeros((0, self.offsets[-1]))
+            self.row_lift = np.zeros((0, 0))
             self.rhs = np.zeros(0)
         self.f = self.blocks_of(self.rows)
         self.c = self.blocks_of(cvec) if np.any(cvec) else None
@@ -210,7 +208,6 @@ class SolveOutcome:
     residual: float = np.inf
     witness_margin: float = 0.0
     witness_cone_residual: float = np.inf
-    objective_value: float | None = None
     iterations: int = 0
     diagnostics: str = ""
 
@@ -263,9 +260,9 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
     onto the linearized constraints so that a lossy solve cannot build up
     primal infeasibility.  Stops at relative gap and infeasibilities below
     ``IPM_TOL``, after ``IPM_MAX_ITER`` iterations, when a factor fails or
-    the iterates overflow, or when ``stop(x, A^T y, worst)``, called on every iterate with the largest
-    of the three measures, returns something other than None; the last
-    iterate is returned in every case.
+    the iterates overflow, or when ``stop(x, y, worst)``, called on every
+    iterate with the largest of the three measures, returns something other
+    than None; the last iterate is returned in every case.
     """
     m = b.size
     dims = [fv.shape[1] for fv in f]
@@ -300,7 +297,7 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
         dinf = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd)) / cnorm)
         worst = max(gap, pinf, dinf)
         if stop is not None:
-            stopped = stop(x, aty, worst)
+            stopped = stop(x, y, worst)
             if stopped is not None:
                 status = IPM_STOPPED
                 break
@@ -352,10 +349,12 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
             sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
             dx, dy, dz = direction([sigma * mu * zi - xv - herm(dxv @ dzv @ zi)
                                     for xv, dxv, dzv, zi in zip(x, dx, dz, zinv)])
-            ap, ad = min(1.0, 0.98 * step(lx, dx)), min(1.0, 0.98 * step(lz, dz))
-            x = [herm(xv + ap * dxv) for xv, dxv in zip(x, dx)]
-            y = y + ad * dy
-            z = [herm(zv + ad * dzv) for zv, dzv in zip(z, dz)]
+            # equal primal and dual step lengths (as in SeDuMi, Sturm 1999):
+            # unequal ones lose centrality where the optimum is degenerate
+            alpha = min(1.0, 0.98 * step(lx, dx), 0.98 * step(lz, dz))
+            x = [herm(xv + alpha * dxv) for xv, dxv in zip(x, dx)]
+            y = y + alpha * dy
+            z = [herm(zv + alpha * dzv) for zv, dzv in zip(z, dz)]
         except np.linalg.LinAlgError:
             status = IPM_NUMERICAL_FAILURE
             break
@@ -390,7 +389,7 @@ def _pairing(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Feasibility and objective solves
+# Feasibility and margin solves
 # ---------------------------------------------------------------------------
 
 
@@ -401,22 +400,23 @@ def check_tol(tol):
 
 
 def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
-    """Decide feasibility of ``{X >= 0 blockwise} ∩ {affine constraints}``,
-    or minimize the program's objective over that set.
+    """Decide feasibility of ``{X >= 0 blockwise} ∩ {affine constraints}``.
 
-    Without an objective this is the phase-I margin solve of
-    :func:`_phase_one`: Feasible outcomes return an exactly-PSD primal
-    point whose affine residual is below ``tol``, Infeasible outcomes a
-    separating functional checked afresh, and anything razor-thin comes
-    back Marginal for the caller to treat as inconclusive.  With an
-    objective the program is solved in standard form; the outcome is
-    Feasible at the first iterate with relative gap and infeasibilities
-    below ``OBJECTIVE_TOL`` that, corrected onto the affine set and
-    projected onto the cone, meets the constraints within ``tol``.  When
-    no iterate does, a phase-I solve may still prove the constraints
-    infeasible, and the outcome is Marginal when it does not.
-    """
+    One :func:`solve_dual_margin` solve over the affine set: X = X0 +
+    sum_i u_i N_i with X0 the least-norm affine point and N_i an ON basis
+    of the kernel of the constraints, maximizing lambda with X - lambda I
+    >= 0.  Feasible outcomes come from the dual side: an iterate with
+    lambda > 0 whose point X, corrected onto the affine set and projected
+    onto the cone, meets the constraints within ``tol``.  Infeasible
+    outcomes come from the primal side: the trace-one primal point is
+    orthogonal to every N_i, so minus its projection onto the row space is
+    a functional phi that pairs with every affine point as with X0, and it
+    must pass :func:`_separating`.  Anything razor-thin comes back Marginal
+    for the caller to treat as inconclusive.  A program with an objective
+    is refused (BadProgram)."""
     check_tol(tol)
+    if program.objective is not None:
+        raise BadProgram("solve_feasibility decides feasibility; the program has an objective")
     prepared = program.prepare()
     if prepared.inconsistent_y is not None:
         y, margin, cone_res = prepared.inconsistent_y
@@ -427,90 +427,29 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
             witness_cone_residual=cone_res,
             diagnostics="affine constraints are inconsistent",
         )
-    if prepared.c is None:
-        return _phase_one(prepared, tol)
-
-    def stop(x, _aty, worst):
-        if worst <= OBJECTIVE_TOL:
-            point, residual = prepared.polish(x)
-            if residual <= tol:
-                return SolveOutcome(status=FEASIBLE, primal_point=point, residual=residual,
-                                    objective_value=_pairing(prepared.c, point))
-        return None
-
-    sol = _hkm(prepared.f, prepared.rhs, prepared.c, stop=stop)
-    out = sol.stopped or _phase_one(prepared, tol)
-    out.iterations += sol.iterations
-    if out.status == FEASIBLE and sol.stopped is None:
-        return SolveOutcome(
-            status=MARGINAL, iterations=out.iterations,
-            diagnostics=(f"objective solve {sol.status} after {sol.iterations} "
-                         f"iterations (gap {sol.gap:.1e}, infeasibility "
-                         f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})"))
-    return out
-
-
-def solve_margin(prepared: _DensePrepared, stop) -> IpmSolve | None:
-    """The phase-I margin program of a prepared program: maximize lambda
-    subject to X_v - lambda I >= 0 and the constraints.
-
-    With X_v = Y_v + lambda I and lambda = s - c0, where c0 exceeds the
-    norm of the least-norm affine point (so that the program is strictly
-    feasible), this is one :func:`_hkm` solve: maximize s over Y >= 0,
-    s >= 0 with A(Y) + s A(I) = b + c0 A(I).  It ends when
-    ``stop(lambda, X, phi)`` returns something other than None; phi = A^T y
-    on the Y blocks lies in the row space, so it pairs with every affine
-    point as with the least-norm one, and -phi is the dual slack there.
-    Returns the last iterate, its scalar block shifted to hold lambda, or
-    None when the affine constraints are inconsistent."""
-    if prepared.inconsistent_y is not None:
-        return None
-    dims = prepared.dims
-    c0 = 1.0 + max(np.linalg.norm(h) for h in prepared.x_particular)
-    t = sum(np.trace(fv, axis1=1, axis2=2).real for fv in prepared.f)  # A(I)
-    # the rows [F, t] are orthonormal again after (I + t t^T)^-1/2,
-    # which is I - kappa t t^T
-    tt = float(t @ t)
-    kappa = (1.0 - 1.0 / np.sqrt(1.0 + tt)) / tt if tt > 0 else 0.0
-    f = [fv - kappa * np.multiply.outer(t, np.tensordot(t, fv, axes=1)) for fv in prepared.f]
-    f.append(((1.0 - kappa * tt) * t).astype(np.complex128)[:, None, None])
-    rhs = prepared.rhs + c0 * t
-    rhs = rhs - kappa * t * (t @ rhs)
-    c = [np.zeros((n, n), dtype=np.complex128) for n in dims] + [-np.ones((1, 1))]
-
-    def margin_stop(x, aty, _worst):
-        lam = x[-1][0, 0].real - c0
-        return stop(lam, [xv + lam * np.eye(n) for xv, n in zip(x[:-1], dims)], aty[:-1])
-
-    sol = _hkm(f, rhs, c, stop=margin_stop)
-    sol.x[-1] = sol.x[-1] - c0
-    return sol
-
-
-def _phase_one(prepared: _DensePrepared, tol) -> SolveOutcome:
-    """Feasibility by :func:`solve_margin`: Feasible at the first iterate
-    with lambda > 0 whose point X, corrected onto the affine set and
-    projected onto the cone, meets the constraints within ``tol`` (even when
-    lambda is unbounded); Infeasible as soon as phi passes
-    :func:`_separating`; Marginal when no iterate gives either answer."""
     scale = max(1.0, float(np.abs(prepared.rhs).max(initial=0.0)))
+    free = prepared.blocks_of(matcore.null_space(prepared.rows))
 
-    def stop(lam, points, phi):
+    def stop(u, lam, x):
         if lam > 0:
-            point, residual = prepared.polish(points)
+            point, residual = prepared.polish(
+                [x0 + np.tensordot(u, fv, axes=1) for x0, fv in zip(prepared.x_particular, free)])
             if residual <= tol:
                 return SolveOutcome(status=FEASIBLE, primal_point=point, residual=residual)
+        if x is None:
+            return None
+        xv = np.concatenate([herm_to_rvec(h) for h in x])
+        phi = prepared.blocks_of(-prepared.rows.T @ (prepared.rows @ xv))
         return _separating(phi, prepared.x_particular, tol, scale)
 
-    sol = solve_margin(prepared, stop)
+    sol = solve_dual_margin(prepared.x_particular, free, stop)
     if sol.stopped is not None:
         sol.stopped.iterations = sol.iterations
         return sol.stopped
     return SolveOutcome(
         status=MARGINAL, iterations=sol.iterations,
-        diagnostics=(f"no certificate: phase-I solve {sol.status} after "
-                     f"{sol.iterations} iterations at margin "
-                     f"{sol.x[-1][0, 0].real:.2e}"),
+        diagnostics=(f"no certificate: margin solve {sol.status} after "
+                     f"{sol.iterations} iterations (gap {sol.gap:.1e})"),
     )
 
 
@@ -571,10 +510,9 @@ def solve_dual_margin(f0, fs, stop) -> IpmSolve:
         return IpmSolve(x=[], z=[], status=IPM_STOPPED if stopped is not None else IPM_UNBOUNDED,
                         iterations=0, gap=0.0, primal_infeasibility=np.inf,
                         dual_infeasibility=0.0, stopped=stopped)
-    lift = np.linalg.pinv(a.T)
 
-    def dual_stop(x, aty, _worst):
-        y = lift @ np.concatenate([herm_to_rvec(h) for h in aty])
+    def dual_stop(x, y, _worst):
+        y = prepared.row_lift @ y
         return stop(-y[:-1], float(y[-1]), x)
 
     return _hkm(prepared.f, prepared.rhs, prepared.blocks_of(cvec), stop=dual_stop)
@@ -585,79 +523,61 @@ def solve_dual_margin(f0, fs, stop) -> IpmSolve:
 # ---------------------------------------------------------------------------
 
 
-def minimize_opnorm(target, subspace_basis, tol: float = 1e-8,
-                    real_coeffs: bool = False):
-    """Minimize ``||target - x||`` over x in the span of ``subspace_basis``.
+def minimize_opnorm(target, subspace_basis, tol: float = 1e-8):
+    """Minimize ``||target - x||`` over x in the real span of
+    ``subspace_basis`` (for a complex span, pass the stack with
+    ``1j * stack`` appended).
 
-    Standard epigraph form: one Hermitian block [[t I, R], [R*, t I]] >= 0
-    with R pinned to target - span, minimizing t, solved as an objective
-    program of :func:`solve_feasibility`.  Returns ``(value, coeffs)``; the
-    value is recomputed directly from the returned coefficients, so it is
-    always attained by them.  Raises InconclusiveAtTolerance when the solve
-    is not Feasible.
-
-    ``real_coeffs`` restricts to real combinations (minimization over the
-    selfadjoint part of a space).
+    One :func:`solve_dual_margin` solve over the real coordinates u:
+    maximize lambda subject to [[0, R], [R*, 0]] - lambda I >= 0 with
+    R = target - sum_i u_i h_i, whose optimum is -min ||R||.  Each iterate
+    carries both bounds.  The upper one comes from the dual side: value =
+    ||R(u)||, recomputed from the coordinates u, so it is attained by them.
+    The lower one comes from the primal side: W, the off-diagonal block of
+    the trace-one primal point projected off the span, pairs to zero with
+    every x in the span, so ``||target - x|| >= |Re<target, W>| / ||W||_1``
+    for all of them, less an allowance for the rounding of W and of the
+    pairing.  The solve stops when value exceeds that bound by at most
+    ``tol * max(1, value)``, or when value <= tol.  Returns
+    ``(value, coeffs)`` with real coefficients; raises
+    InconclusiveAtTolerance when no iterate certifies.
     """
     t0 = matcore.as_cmatrix(target)
     stack = np.asarray(subspace_basis, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[1:] != t0.shape:
         raise ShapeMismatch("basis elements must share the target's shape")
     p, q = t0.shape
-    n = p + q
-    d = stack.shape[0]
-    if d == 0:
-        return op_norm(t0), np.zeros(0, dtype=np.complex128)
+    if stack.shape[0] == 0:
+        return op_norm(t0), np.zeros(0)
 
-    # R in target - span: its components orthogonal to the span are the
-    # target's, read off the upper corner of X
-    comp = _offdiag_complement_rows(stack, p, q, real=real_coeffs)
-    corner = np.zeros((comp.shape[0], n, n), dtype=np.complex128)
-    corner[:, :p, p:] = 0.5 * comp
-    rows = [herm_to_rvec(corner)]
-    rhs = [np.sum(comp.conj() * t0, axis=(1, 2)).real]
-    # diagonal blocks must equal t * identity: their traceless parts vanish
-    # and their normalized traces agree
-    for k, lo in ((p, 0), (q, p)):
-        pins = matcore.null_space(herm_to_rvec(np.eye(k)[None]))
-        block = np.zeros((pins.shape[0], n * n))
-        block[:, matcore.herm_block_coords(n, lo, k)] = pins
-        rows.append(block)
-        rhs.append(np.zeros(pins.shape[0]))
-    trace = np.zeros((1, n * n))
-    trace[0, :p], trace[0, p:n] = 1.0 / p, -1.0 / q
-    prog = ConicProgram([n], np.concatenate(rows + [trace]), np.concatenate(rhs + [[0.0]]),
-                        objective=herm_to_rvec(np.eye(n) / n))
-    out = solve_feasibility(prog, tol=max(tol, 1e-9))
-    if out.status != FEASIBLE:
-        raise InconclusiveAtTolerance(f"norm minimization solve {out.status}: "
-                                      f"{out.diagnostics}")
-    r = out.primal_point[0][:p, p:]
-    x_opt = (t0 - r).reshape(-1)
-    flat = stack.reshape(d, -1).T
-    if real_coeffs:
-        a = np.concatenate([flat.real, flat.imag])
-        y = np.concatenate([x_opt.real, x_opt.imag])
-        coeffs = np.linalg.lstsq(a, y, rcond=None)[0].astype(np.complex128)
-    else:
-        coeffs = np.linalg.lstsq(flat, x_opt, rcond=None)[0]
-    resid = t0 - np.einsum("t,tab->ab", coeffs, stack)
-    return op_norm(resid), coeffs
+    def offdiag(m):
+        out = np.zeros(m.shape[:-2] + (p + q, p + q), dtype=np.complex128)
+        out[..., :p, p:] = m
+        out[..., p:, :p] = np.swapaxes(m, -1, -2).conj()
+        return out
 
+    on_span = matcore.orthonormalize_real(stack)
+    # bounds the rounding of <target, W> and of W's projection, so that a W
+    # lost in rounding (as when target lies in the span) proves nothing
+    rounding = 8 * np.finfo(float).eps * (stack.shape[0] + 1) * (p * q + 1) * np.linalg.norm(t0)
 
-def _offdiag_complement_rows(stack, p, q, real=False):
-    """Real-ON basis of the orthogonal complement of the span inside the
-    p x q matrices viewed as a real vector space."""
-    d = stack.shape[0]
-    flat = stack.reshape(d, p * q)
-    if real:
-        rows = np.concatenate([flat.real, flat.imag], axis=1)
-    else:
-        rows = np.concatenate(
-            [np.concatenate([flat.real, flat.imag], axis=1),
-             np.concatenate([-flat.imag, flat.real], axis=1)], axis=0)
-    comp = matcore.null_space(rows)
-    return (comp[:, : p * q] + 1j * comp[:, p * q :]).reshape(-1, p, q)
+    def stop(u, _lam, x):
+        value = op_norm(t0 - np.einsum("t,tab->ab", u, stack))
+        x12 = x[0][:p, p:]
+        w = x12 - np.einsum("t,tab->ab", np.einsum("tab,ab->t", on_span.conj(), x12).real,
+                            on_span)
+        w_norm = float(np.linalg.svd(w, compute_uv=False).sum())
+        pairing = abs(np.vdot(t0, w).real) - rounding * np.linalg.norm(x12)
+        lower = pairing / w_norm if w_norm > 0 else 0.0
+        if value <= tol or value - lower <= tol * max(1.0, value):
+            return value, u
+        return None
+
+    sol = solve_dual_margin([offdiag(t0)], [-offdiag(stack)], stop)
+    if sol.stopped is None:
+        raise InconclusiveAtTolerance(f"norm minimization solve {sol.status} after "
+                                      f"{sol.iterations} iterations (gap {sol.gap:.1e})")
+    return sol.stopped
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +718,7 @@ def _hkm_max_scale(f, a, b, stop=None) -> ScaleSolve:
     prepared = ConicProgram([n, 1], rows, b, objective=cvec).prepare()
     scale_stop = None
     if stop is not None:
-        def scale_stop(x, _aty, _worst):
+        def scale_stop(x, _y, _worst):
             return stop(x[0], float(x[1][0, 0].real))
     sol = _hkm(prepared.f, prepared.rhs, prepared.c, stop=scale_stop)
     return ScaleSolve(**{**vars(sol), "x": sol.x[0], "z": sol.z[0],

@@ -215,11 +215,13 @@ def orthonormalize_real(stack) -> np.ndarray:
 def null_space(a, rtol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
     """Orthonormal rows N spanning the kernel of ``a`` (``a @ N.T = 0``).
 
-    One full SVD; singular values above ``rtol * max(s_max, floor)`` count
+    One SVD, full only when ``a`` is wide (a tall ``a`` has all its right
+    singular vectors in the thin one, and a full U would cost its height
+    squared); singular values above ``rtol * max(s_max, floor)`` count
     toward the rank, so ``floor`` makes the cut absolute for operators of
     known O(1) scale.  An ``a`` without rows has the whole space as kernel.
     """
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.sum(s > rtol * max(s[0], floor))) if s.size else 0
     return vh[rank:].conj()
 

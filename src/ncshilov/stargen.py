@@ -215,22 +215,25 @@ def cone_spans(x: MatrixSpace, tol: float = 1e-7) -> ConeSpanResult:
     u >= 0 definite on R, so X spans its cone (each Hermitian h in X is
     c u - (c u - h) with c = ||h|| / lambda_min(u|R)), or some W >= 0,
     nonzero on R, is orthogonal to X, so positives of X have range in
-    ker W.  These are the primal and the dual of one margin program
-    (:func:`conesolver.solve_margin`): maximize lambda_min over trace-one
-    elements of X compressed to R, with optimum lambda*.  The one solve
-    stops as soon as either certificate verifies afresh:
+    ker W.  These are the dual and the primal side of one margin program
+    (:func:`conesolver.solve_dual_margin`): maximize lambda_min over the
+    trace-one elements of X compressed to R, written as c0 + sum_j u_j F_j
+    with c0 the least-norm trace-one element and F_j an ON basis of the
+    trace-zero elements, with optimum lambda*.  The one solve stops as soon
+    as either certificate verifies afresh:
 
-    * Spans: u, the iterate projected onto X and scaled to trace one, has
-      lambda_min(u|R) > tol.  The answer is u and 2 c_i u + h_i, scaled to
-      trace one, for the d - 1 HS-orthonormal Hermitian directions h_i of
-      X orthogonal to u: d positives definite on R that span X.
-    * Does not span: W, the PSD part of the iterate's dual slack at trace
-      one, gives lambda* <= y0 + rho <= tol, where y0 is W's pairing with
-      the least-norm trace-one element of X and rho the HS norm of W - y0 I
-      projected onto X: a trace-one positive v in X has lambda_min(v|R) <=
-      <W, v> = y0 + <W - y0 I, v> <= y0 + rho, as ||v||_HS <= 1.  Below
-      zero, no positive element has trace one: the cone is {0}.  So is it
-      when no element of X has trace one: then W = P_R / r, with no solve.
+    * Spans, from the dual side: u, the iterate's trace-one element of X,
+      has lambda_min(u|R) > tol.  The answer is u and 2 c_i u + h_i, scaled
+      to trace one, for the d - 1 HS-orthonormal Hermitian directions h_i
+      of X orthogonal to u: d positives definite on R that span X.
+    * Does not span, from the primal side: W, the PSD part of the
+      trace-one primal point scaled to trace one, gives lambda* <= y0 + rho
+      <= tol, where y0 is W's pairing with c0 and rho the HS norm of
+      W - y0 I projected onto X: a trace-one positive v in X has
+      lambda_min(v|R) <= <W, v> = y0 + <W - y0 I, v> <= y0 + rho, as
+      ||v||_HS <= 1.  Below zero, no positive element has trace one: the
+      cone is {0}.  So is it when no element of X has trace one: then
+      W = P_R / r, with no solve.
 
     A verdict at tolerance, as with :func:`conesolver.cc_test`: Spans iff
     lambda* > tol.  Inconclusive (a solver failure or the iteration cap)
@@ -250,37 +253,34 @@ def cone_spans(x: MatrixSpace, tol: float = 1e-7) -> ConeSpanResult:
                               span_dim=0 if bound < 0 else None, margin_bound=bound,
                               certificate=r_basis @ w_r @ r_basis.conj().T)
 
-    def stop(_lam, points, phi):
-        coeffs = np.einsum("tab,ab->t", on_r.conj(), points[0]).real
-        trace = float(coeffs @ t)
-        if trace > 0:
-            coeffs = coeffs / trace
-            margin = float(np.linalg.eigvalsh(np.einsum("t,tab->ab", coeffs, on_r))[0])
-            if margin > tol:
-                return ConeSpanResult(spans=True, positive_basis=_spanning_set(hb, coeffs, margin),
-                                      span_dim=d, margin_bound=margin)
-        ev, evec = np.linalg.eigh(-phi[0])
+    tt = float(t @ t)
+    if tt <= 1e-24 * r:  # X is orthogonal to I: no element has trace one
+        return not_spanning(np.eye(r) / r, -np.inf)
+    free = matcore.null_space(t[None])  # trace-zero coordinates
+
+    def stop(u, _lam, points):
+        coeffs = t / tt + u @ free
+        margin = float(np.linalg.eigvalsh(np.einsum("t,tab->ab", coeffs, on_r))[0])
+        if margin > tol:
+            return ConeSpanResult(spans=True, positive_basis=_spanning_set(hb, coeffs, margin),
+                                  span_dim=d, margin_bound=margin)
+        ev, evec = np.linalg.eigh(points[0])
         ev = np.clip(ev, 0.0, None)
         if ev.sum() > 0:
             w_r = (evec * (ev / ev.sum())) @ evec.conj().T
             wc = np.einsum("tab,ab->t", on_r.conj(), w_r).real
-            y0 = float(wc @ t) / float(t @ t)
+            y0 = float(wc @ t) / tt
             bound = y0 + float(np.linalg.norm(wc - y0 * t))
             if bound <= tol:
                 return not_spanning(w_r, bound)
         return None
 
-    # trace V = 1, and the coordinates of V orthogonal to span(on_r) vanish
-    pins = matcore.null_space(matcore.herm_to_rvec(on_r))
-    program = conesolver.ConicProgram([r], np.r_[matcore.herm_to_rvec(np.eye(r))[None], pins],
-                                      np.r_[1.0, np.zeros(pins.shape[0])])
-    sol = conesolver.solve_margin(program.prepare(), stop)
-    if sol is None:  # the trace-one constraint is inconsistent: X is orthogonal to I
-        return not_spanning(np.eye(r) / r, -np.inf)
+    sol = conesolver.solve_dual_margin([np.einsum("t,tab->ab", t / tt, on_r)],
+                                       [np.einsum("jt,tab->jab", free, on_r)], stop)
     return sol.stopped or ConeSpanResult(
         spans=False, positive_basis=none, span_dim=None, inconclusive=True,
         diagnostics=(f"margin solve {sol.status} after {sol.iterations} "
-                     f"iterations at lambda {sol.x[-1][0, 0].real:.2e}"))
+                     f"iterations (gap {sol.gap:.1e})"))
 
 
 def _spanning_set(hb, coeffs, margin):

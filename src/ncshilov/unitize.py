@@ -15,15 +15,18 @@ back Inconclusive rather than guessed.  Distance-to-unit and the
 dominating-element predicate give the order-unit dichotomy: exactly one of
 d(X, 1) = 1 or "some v in X dominates 1" holds.
 
-The Karn condition at one eps and the domination question are each one
-dual-form margin solve (:func:`conesolver.solve_dual_margin`): maximize
-lambda over the linear matrix inequality in the free coordinates of u (or
-v) less lambda I.  Each answer's certificate comes from one side of that
-solve.  Yes (a witness u, a dominating v) comes from the dual side: the
-coordinates of an iterate with lambda > 0, re-verified as matrices.  No (a
-separating functional, a PSD matrix orthogonal to X_sa) comes from the
-primal side: the trace-one primal point X, with the bound that makes it a
-proof written out and checked afresh.
+The Karn condition at one eps, the domination question and the distance
+to the unit are each one dual-form margin solve
+(:func:`conesolver.solve_dual_margin`): maximize lambda over the linear
+matrix inequality in the free coordinates of u (or v) less lambda I.  Each
+answer's certificate comes from one side of that solve.  Yes (a witness
+u, a dominating v) comes from the dual side: the coordinates of an
+iterate with lambda > 0, re-verified as matrices.  No (a separating
+functional, a PSD matrix orthogonal to X_sa) comes from the primal side:
+the trace-one primal point X, with the bound that makes it a proof
+written out and checked afresh.  The distance takes its attained value
+from the dual side and its lower bound from the primal side
+(:func:`conesolver.minimize_opnorm`).
 """
 
 from __future__ import annotations
@@ -363,8 +366,8 @@ def distance_to_unit(x: MatrixSpace, unit: str = UNIT_AMBIENT, env=None,
     never increases the norm)."""
     unit_matrix = _resolve_unit(x, unit, env)
     hb = x.hermitian_basis()
-    value, coeffs = minimize_opnorm(unit_matrix, hb, tol=tol, real_coeffs=True)
-    return float(value), coeffs.real
+    value, coeffs = minimize_opnorm(unit_matrix, hb, tol=tol)
+    return float(value), coeffs
 
 
 @dataclass

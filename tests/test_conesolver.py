@@ -92,6 +92,8 @@ def test_bad_program_shapes():
         ConicProgram([2], rows, [1.0], objective=np.zeros(3))
     with pytest.raises(BadProgram):
         solve_feasibility(ConicProgram([2], np.zeros((0, 4)), []), tol=1e-2)
+    with pytest.raises(BadProgram, match="objective"):
+        solve_feasibility(ConicProgram([2], rows, [1.0], objective=herm_to_rvec(np.eye(2))))
 
 
 def test_program_rejects_nonfinite_data():
@@ -168,7 +170,7 @@ def test_minimize_opnorm_matches_grid_oracle():
     target = np.eye(3, dtype=complex)
     oracle_val, oa, ob = _grid_refine_2d(target, g1, g2)
     assert oracle_val == pytest.approx(0.2, abs=1e-4)
-    val, coeffs = minimize_opnorm(target, np.stack([g1, g2]), real_coeffs=True)
+    val, coeffs = minimize_opnorm(target, np.stack([g1, g2]))
     assert val == pytest.approx(0.2, abs=1e-6)
     assert coeffs.real == pytest.approx([0.8, 0.8], abs=1e-4)
 
@@ -177,7 +179,8 @@ def test_minimize_opnorm_target_in_span():
     rng = np.random.default_rng(1)
     basis = np.stack([matcore.random_complex(rng, (3, 3)) for _ in range(2)])
     target = 0.3 * basis[0] - 1.2j * basis[1]
-    val, _ = minimize_opnorm(target, basis)
+    # the complex span is the real span of the stack and i times it
+    val, _ = minimize_opnorm(target, np.concatenate([basis, 1j * basis]))
     assert val <= 1e-6
 
 
@@ -186,7 +189,7 @@ def test_minimize_opnorm_never_exceeds_target_norm():
     for _ in range(4):
         target = matcore.random_complex(rng, (3, 3))
         basis = np.stack([matcore.random_complex(rng, (3, 3)) for _ in range(2)])
-        val, _ = minimize_opnorm(target, basis)
+        val, _ = minimize_opnorm(target, np.concatenate([basis, 1j * basis]))
         assert val <= matcore.op_norm(target) + 1e-9
 
 
@@ -303,6 +306,31 @@ def test_cc_planted_excess_is_decided_at_level_q(seed):
     assert res.verdict == CC_NO
     assert res.level == 3
     assert _witness_ratio(spec, res) == pytest.approx(target, abs=1e-8)
+
+
+def test_cc_decides_a_map_whose_cb_norm_is_one_without_stalling():
+    # the third of three random (3, 2, 3) maps, scaled to cb-norm 1 and just
+    # above it: with unequal primal and dual step lengths these solves lost
+    # centrality and ran into the iteration cap (Marginal at cb 1 and
+    # 1 + 1e-6); each must now be decided, every solve within 30 iterations
+    rng = np.random.default_rng(1)
+    maps = [([matcore.random_complex(rng, (3, 3)) for _ in range(3)],
+             [matcore.random_complex(rng, (2, 2)) for _ in range(3)]) for _ in range(3)]
+    dom, img = maps[2]
+    gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
+    prog = ChoiAgreementProgram(gens, y0, y1, support)
+    sol = _hkm_max_scale(*prog.rows())
+    assert sol.status == IPM_OPTIMAL and sol.iterations <= 30
+    bound, _, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    for target in (1.0, 1.0 + 1e-5, 1.0 + 1e-6, 1.01):
+        spec = LinearMapSpec(dom, [target / bound * y for y in img])
+        res = cc_test(spec, tol=1e-7)
+        assert res.iterations <= 30
+        if target == 1.0:
+            assert res.verdict == CC_YES
+        else:
+            assert res.verdict == CC_NO and res.level == 2
+            assert _witness_ratio(spec, res) == pytest.approx(target, abs=1e-8)
 
 
 def test_cc_not_implies_sampler_with_witness_seed():
@@ -473,18 +501,20 @@ def test_choi_rows_drop_only_vacuous_rows():
 
 
 def test_two_block_objective_program_reaches_the_smaller_eigenvalue():
-    # min Re tr(C1 X1) + Re tr(C2 X2) subject to tr X1 + tr X2 = 1 puts all
-    # the weight on the smallest eigenvalue of either block
+    # maximize lambda with C1 - lambda I >= 0 and C2 - lambda I >= 0: the
+    # smaller of the two smallest eigenvalues, and the trace-one primal
+    # X = (X1, X2) puts all its weight there
     rng = np.random.default_rng(17)
     for n1, n2 in ((2, 3), (3, 1), (4, 2)):
         c1, c2 = matcore.random_hermitian(rng, n1), matcore.random_hermitian(rng, n2)
-        prog = ConicProgram([n1, n2], np.concatenate([_trace_row(n1), _trace_row(n2)], axis=1),
-                            [1.0], objective=np.concatenate([herm_to_rvec(c1), herm_to_rvec(c2)]))
-        out = solve_feasibility(prog, 1e-8)
-        assert out.status == FEASIBLE
+        seen = []
+        sol = conesolver.solve_dual_margin(
+            [c1, c2], [np.zeros((0, n1, n1)), np.zeros((0, n2, n2))],
+            lambda u, lam, x: seen.append((lam, x)))
+        assert sol.status == IPM_OPTIMAL
+        lam, (x1, x2) = seen[-1]
         best = min(np.linalg.eigvalsh(c1)[0], np.linalg.eigvalsh(c2)[0])
-        assert out.objective_value == pytest.approx(best, abs=1e-7)
-        x1, x2 = out.primal_point
+        assert lam == pytest.approx(best, abs=1e-7)
         assert np.trace(x1).real + np.trace(x2).real == pytest.approx(1.0, abs=1e-8)
         assert matcore.psd_check(x1, tol=1e-12).positive
         assert matcore.psd_check(x2, tol=1e-12).positive

@@ -253,8 +253,8 @@ def test_cone_spans_returns_d_positives_from_one_solve(monkeypatch):
     thin = [validate_space([np.diag([1.0, delta]).astype(complex), sigma_x])
             for delta in (1e-3, 1e-4, 1e-5)]
     calls = []
-    real = conesolver.solve_margin
-    monkeypatch.setattr(conesolver, "solve_margin",
+    real = conesolver.solve_dual_margin
+    monkeypatch.setattr(conesolver, "solve_dual_margin",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     for i, x in enumerate(spaces + thin):
         calls.clear()

@@ -12,7 +12,7 @@ from ncshilov.selftest import (
     random_positive_level,
     random_unitized_element,
 )
-from ncshilov.stargen import validate_space
+from ncshilov.stargen import cone_spans, validate_space
 from ncshilov.unitize import (
     MEMBER_NO,
     MEMBER_YES,
@@ -354,8 +354,10 @@ def test_planted_answers_carry_certificates_that_recheck():
 
 
 def test_each_solve_has_one_row_per_coordinate(monkeypatch):
-    # the Karn program has k^2 d + 1 rows and the domination program d + 1,
-    # before and after prepare (none of them is dependent)
+    # the Karn program has k^2 d + 1 rows, the domination and distance
+    # programs d + 1 and the spanning-cone program d (its d - 1 trace-zero
+    # coordinates and the trace row), before and after prepare (none of
+    # them is dependent)
     prepared, solved = [], []
     real_prepare, real_hkm = conesolver.ConicProgram.prepare, conesolver._hkm
 
@@ -384,7 +386,16 @@ def test_each_solve_has_one_row_per_coordinate(monkeypatch):
     prepared.clear()
     solved.clear()
     assert dominating_element(space, unit=UNIT_ENVELOPE, env=env).found
-    assert prepared == solved == [space.hermitian_basis().shape[0] + 1]
+    d_sa = space.hermitian_basis().shape[0]
+    assert prepared == solved == [d_sa + 1]
+    prepared.clear()
+    solved.clear()
+    assert distance_to_unit(space, unit=UNIT_ENVELOPE, env=env)[0] < 1.0
+    assert prepared == solved == [d_sa + 1]
+    prepared.clear()
+    solved.clear()
+    assert cone_spans(space).spans
+    assert prepared == solved == [d_sa]
 
 
 def test_karn_feasible_at_every_scheduled_eps_outside_the_limit_is_no():
@@ -473,11 +484,16 @@ def test_distance_ambient_e11():
 
 
 def test_distance_raises_when_the_norm_solve_fails(monkeypatch):
-    # a solver failure must not come back as the answer d(X, 1) = 1
-    def marginal(program, tol=1e-7):
-        return conesolver.SolveOutcome(status=conesolver.MARGINAL, diagnostics="forced")
+    # a solver failure must not come back as the answer d(X, 1) = 1: here
+    # no iterate of the norm solve is accepted as certified
+    real = conesolver.solve_dual_margin
 
-    monkeypatch.setattr(conesolver, "solve_feasibility", marginal)
+    def uncertified(f0, fs, stop):
+        sol = real(f0, fs, lambda u, lam, x: None)
+        assert sol.stopped is None
+        return sol
+
+    monkeypatch.setattr(conesolver, "solve_dual_margin", uncertified)
     e11 = np.zeros((2, 2), dtype=complex)
     e11[0, 0] = 1.0
     with pytest.raises(InconclusiveAtTolerance):
