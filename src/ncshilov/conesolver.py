@@ -32,19 +32,19 @@ domain: ``cb-norm(psi) <= 1/s`` iff the s-scaled system map admits a
 completely positive extension to the full matrix algebra, iff a Choi
 matrix of size (2p)(2q) is PSD under the agreement constraints.  We
 maximize the admissible scaling s, so 1/s* is the cb-norm.  The oracle
-needs a verdict, not the optimum.  A CompletelyContractive verdict does
-not rest on the solver's own status: on an iterate the Choi matrix is
-shifted to be PSD, with a margin that covers the rounding error of its
-computed eigenvalues, and the agreement residuals are recomputed; from
-these and s follows an upper bound on the cb-norm
-(:func:`_certified_cb_bound`), and the solve stops at the first iterate
-where it is at most 1 + tol; that bound alone proves the verdict.
-Otherwise the solve runs to its optimum and supplies the answer No there:
-its dual slack yields a level-q element y of the domain
-(:func:`_dual_witness`), and ||psi_q(y)|| / ||y||, recomputed directly
-from y, must exceed 1 + tol.  :func:`sampled_cb_lower_bound` decides
-nothing here; it is an independent Monte-Carlo reference that Yes
-verdicts can be checked against.
+needs a verdict, not the optimum, so the solve stops at the first iterate
+that proves either answer.  Neither rests on the solver's own status.
+Yes: the iterate's Choi matrix is shifted to be PSD, with a margin that
+covers the rounding error of its computed eigenvalues, and the agreement
+residuals are recomputed; from these and s follows an upper bound on the
+cb-norm (:func:`_certified_cb_bound`), which proves the verdict when it
+is at most 1 + tol.  No: the iterate's dual slack yields a level-q
+element y of the domain (:func:`_dual_witness`), and ||psi_q(y)|| /
+||y||, recomputed directly from y, proves the verdict when it exceeds
+1 + tol.  The solve runs on toward its optimum only while neither holds.
+:func:`sampled_cb_lower_bound` decides nothing here; it is an
+independent Monte-Carlo reference that Yes verdicts can be checked
+against.
 """
 
 from __future__ import annotations
@@ -260,9 +260,11 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
     onto the linearized constraints so that a lossy solve cannot build up
     primal infeasibility.  Stops at relative gap and infeasibilities below
     ``IPM_TOL``, after ``IPM_MAX_ITER`` iterations, when a factor fails or
-    the iterates overflow, or when ``stop(x, y, worst)``, called on every
-    iterate with the largest of the three measures, returns something other
-    than None; the last iterate is returned in every case.
+    the iterates overflow, or when ``stop(x, y, z, worst)``, called on
+    every iterate with the primal blocks, the multipliers, the dual slack
+    blocks and the largest of the three measures, returns something other
+    than None; the last iterate is returned in every case, and it is always
+    one the stop test has seen.
     """
     m = b.size
     dims = [fv.shape[1] for fv in f]
@@ -297,7 +299,7 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
         dinf = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd)) / cnorm)
         worst = max(gap, pinf, dinf)
         if stop is not None:
-            stopped = stop(x, y, worst)
+            stopped = stop(x, y, z, worst)
             if stopped is not None:
                 status = IPM_STOPPED
                 break
@@ -511,7 +513,7 @@ def solve_dual_margin(f0, fs, stop) -> IpmSolve:
                         iterations=0, gap=0.0, primal_infeasibility=np.inf,
                         dual_infeasibility=0.0, stopped=stopped)
 
-    def dual_stop(x, y, _worst):
+    def dual_stop(x, y, _z, _worst):
         y = prepared.row_lift @ y
         return stop(-y[:-1], float(y[-1]), x)
 
@@ -707,10 +709,11 @@ class ScaleSolve(IpmSolve):
 def _hkm_max_scale(f, a, b, stop=None) -> ScaleSolve:
     """Maximize s over ``{X >= 0, s >= 0 : Re<F_i, X> + a_i s = b_i}``: the
     two-block case [X, s] of :func:`_hkm`, with objective -s, after the
-    rows are orthonormalized.  ``stop(X, s)``, when given, is called on
-    every iterate with its Choi block and scaling, and ends the solve at
-    the first iterate where it returns something other than None (kept in
-    ``stopped``, with status ``IPM_STOPPED``)."""
+    rows are orthonormalized.  ``stop(X, s, Z)``, when given, is called on
+    every iterate with its Choi block, its scaling and the Choi block of
+    its dual slack, and ends the solve at the first iterate where it
+    returns something other than None (kept in ``stopped``, with status
+    ``IPM_STOPPED``)."""
     n = f.shape[1]
     rows = np.concatenate([herm_to_rvec(f), np.asarray(a)[:, None]], axis=1)
     cvec = np.zeros(n * n + 1)
@@ -718,8 +721,8 @@ def _hkm_max_scale(f, a, b, stop=None) -> ScaleSolve:
     prepared = ConicProgram([n, 1], rows, b, objective=cvec).prepare()
     scale_stop = None
     if stop is not None:
-        def scale_stop(x, _y, _worst):
-            return stop(x[0], float(x[1][0, 0].real))
+        def scale_stop(x, _y, z, _worst):
+            return stop(x[0], float(x[1][0, 0].real), z[0])
     sol = _hkm(prepared.f, prepared.rhs, prepared.c, stop=scale_stop)
     return ScaleSolve(**{**vars(sol), "x": sol.x[0], "z": sol.z[0],
                          "s": float(sol.x[1][0, 0].real)})
@@ -779,7 +782,12 @@ class CcResult:
     route.  A Yes by the Choi bound carries its certificate:
     ``choi_point``, the PSD Choi block on the program's support after the
     shift of :func:`_certified_cb_bound`, and ``scale``, the s it was
-    certified at; ``cb_estimate`` is the bound they give."""
+    certified at; ``cb_estimate`` is the bound they give, an upper bound
+    in [cb, 1 + tol].  A No carries its level-q witness
+    (``violating_coeffs``, with ||y|| = 1) and ``cb_estimate`` =
+    ``violation_norm`` = ||psi_q(y)||, a lower bound in (1 + tol, cb].
+    ``residual`` is the largest agreement residual of the Choi iterate the
+    verdict was read at."""
 
     verdict: str
     cb_estimate: float
@@ -805,17 +813,21 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
     the agreement residuals R_a recomputed there, the cb-norm is at most
     ``(1 + 2 sum_a ||g_a||_1 ||R_a||) / s`` (see :func:`_certified_cb_bound`).
     The bound is at least 1/s, so no iterate with a smaller s can pass.
-    The solve stops at the first iterate whose bound is at most ``1 + tol``
-    and returns CompletelyContractive on that bound alone: it is a proof,
-    so no sampled lower bound is consulted.  The certified bound is the
-    reported ``cb_estimate``, so it lies anywhere in [cb, 1 + tol], and the
-    certifying point and s are carried in the result.  Without a
-    certified iterate the solve runs to its optimum, where a Not verdict
-    carries a level-q element y read from the dual point
-    (:func:`_dual_witness`), with ||y|| = 1 and ||psi_q(y)|| > 1 + tol
-    both recomputed directly; at the optimum the witness attains the
-    cb-norm.  Anything else is Marginal, with the solver's status in the
-    diagnostics.
+    An iterate whose bound is at most ``1 + tol`` ends the solve with
+    CompletelyContractive on that bound alone: it is a proof, so no
+    sampled lower bound is consulted.  The certified bound is the reported
+    ``cb_estimate``, so it lies anywhere in [cb, 1 + tol], and the
+    certifying point and s are carried in the result.  Failing that, the
+    same iterate's dual slack gives a level-q element y
+    (:func:`_dual_witness`, skipped at the start point, whose slack gives
+    none); when ||psi_q(y)|| > 1 + max(tol, 1e-9), with ||y|| = 1, both
+    recomputed directly, the solve ends with Not completely contractive,
+    and the witness ratio is the reported ``cb_estimate``: a lower bound
+    anywhere in (1 + tol, cb].  A proven cb <= 1 + tol and a witness above
+    it cannot both hold, so the Yes side is tested first without changing
+    any Yes.  The solve runs on toward the optimum only while neither
+    certificate holds; one that ends without either is Marginal, with the
+    solver's status in the diagnostics.
     """
     if all(np.abs(y).max(initial=0.0) < 1e-14 for y in map_spec.on_images):
         return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map",
@@ -823,32 +835,40 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
 
     gens, y0, y1, support = _paulsen_family(map_spec)
     prog = ChoiAgreementProgram(gens, y0, y1, support)
+    pq = map_spec.p * map_spec.q
 
-    def certified(x, s):
-        if not s >= 1.0 / (1.0 + tol):
-            return None
-        cert = _certified_cb_bound(prog, x, s)
-        return cert if cert[0] <= 1.0 + tol else None
+    def decide(x, s, z):
+        if s >= 1.0 / (1.0 + tol):
+            cert = _certified_cb_bound(prog, x, s)
+            if cert[0] <= 1.0 + tol:
+                return CC_YES, cert
+        # the start point z = I has Z12 = 0, hence T = 0 and no witness
+        if z[:pq, pq:].any():
+            witness = _dual_witness(map_spec, z)
+            if witness[1] > 1.0 + max(tol, 1e-9):
+                return CC_NO, witness
+        return None
 
-    sol = _hkm_max_scale(*prog.rows(), stop=certified)
-    if sol.stopped is not None:
-        bound, residual, point = sol.stopped
+    sol = _hkm_max_scale(*prog.rows(), stop=decide)
+    if sol.stopped is not None and sol.stopped[0] == CC_YES:
+        bound, residual, point = sol.stopped[1]
         return CcResult(verdict=CC_YES, cb_estimate=bound, residual=residual,
                         iterations=sol.iterations, choi_point=point, scale=sol.s,
                         diagnostics=f"CP extension certified, cb <= {bound:.9f}")
 
     bound, residual, _ = _certified_cb_bound(prog, sol.x, sol.s)
-    solver = (f"Choi solve {sol.status} after {sol.iterations} iterations "
-              f"(gap {sol.gap:.1e}, infeasibility "
-              f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})")
-    coeffs, value = _dual_witness(map_spec, sol.z)
-    if value > 1.0 + max(tol, 1e-9):
-        return CcResult(verdict=CC_NO, cb_estimate=max(bound, value), level=map_spec.q,
+    if sol.stopped is not None:
+        coeffs, value = sol.stopped[1]
+        return CcResult(verdict=CC_NO, cb_estimate=value, level=map_spec.q,
                         violating_coeffs=coeffs, violation_norm=value,
                         residual=residual, iterations=sol.iterations,
                         diagnostics=f"dual witness at level {map_spec.q}, "
                                     f"||psi(y)|| = {value:.9f}",
                         route=ROUTE_DUAL_WITNESS)
+    solver = (f"Choi solve {sol.status} after {sol.iterations} iterations "
+              f"(gap {sol.gap:.1e}, infeasibility "
+              f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})")
+    _, value = _dual_witness(map_spec, sol.z)
     return CcResult(verdict=CC_MARGINAL, cb_estimate=bound, residual=residual,
                     iterations=sol.iterations,
                     diagnostics=f"{solver}; certified cb bound {bound:.9f} exceeds "
@@ -861,11 +881,12 @@ def _dual_witness(map_spec: LinearMapSpec, z):
 
     On the support, whose first pq indices are the (k < p, b < q) corner,
     z = [[Z11, Z12], [Z12*, Z22]] >= 0, so T = Z11^-1/2 Z12 Z22^-1/2
-    (pseudo-inverse roots) has ||T|| <= 1.  At the optimum conj(T), read as
-    a level-q element of the domain, attains the cb-norm 1/s (Paulsen's
-    off-diagonal argument run backwards; Smith's lemma makes level q
-    enough).  Both norms are recomputed from the returned coefficients, so
-    the value is attained whatever the quality of z.
+    (pseudo-inverse roots) has ||T|| <= 1.  conj(T), read as a level-q
+    element of the domain, attains the cb-norm 1/s at the optimum only
+    (Paulsen's off-diagonal argument run backwards; Smith's lemma makes
+    level q enough); at an earlier iterate its ratio is some lower bound.
+    Both norms are recomputed from the returned coefficients, so the value
+    is a true lower bound for the cb-norm whatever the quality of z.
     """
     p, q = map_spec.p, map_spec.q
     pq = p * q

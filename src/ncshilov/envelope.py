@@ -61,6 +61,15 @@ SCAN_ASCENDING_RANK = "ascending_rank"
 
 @dataclass
 class LoosenessVerdict:
+    """A block's verdict with the certificate data behind it.
+
+    ``cb_estimate`` comes from the cc oracle: on a Loose verdict it is the
+    certified upper bound on the completion map's cb-norm, in
+    [cb, 1 + tol]; on an Essential dual-witness verdict it is the witness
+    ratio, a lower bound in (1 + tol, cb]; on a Marginal one, the last
+    iterate's certified bound, above 1 + tol; None on a kernel verdict.
+    """
+
     status: str
     block_rank: int
     block_k: int
@@ -184,7 +193,9 @@ def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
     whose norm drops under the compression (gap re-verified numerically).
     Witness coefficients are over ``x.basis``.  Every verdict records its
     route (a kernel, or the cc oracle's route), and every one that rests on
-    the Choi solve its iteration count and agreement residual."""
+    the Choi solve its iteration count, agreement residual and
+    ``cb_estimate``: the certified upper bound on the completion map's
+    cb-norm for Loose, the witness's lower bound for Essential."""
     p = block.projection
     keep = unit - p
     keep_rank = int(round(float(np.real(np.trace(keep)))))

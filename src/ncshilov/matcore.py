@@ -300,18 +300,6 @@ def rvec_to_herm(v, n) -> np.ndarray:
     return m
 
 
-def herm_block_coords(n, lo, k) -> np.ndarray:
-    """Positions, among the :func:`herm_to_rvec` coordinates of an n x n
-    matrix, of the coordinates of its k x k diagonal block at offset
-    ``lo``, in the block's own coordinate order."""
-    i, j = _triu_cache(n)
-    slot = np.zeros((n, n), dtype=int)
-    slot[i, j] = n + np.arange(i.size)
-    a, b = _triu_cache(k)
-    upper = slot[lo + a, lo + b]
-    return np.concatenate([lo + np.arange(k), upper, upper + i.size])
-
-
 def random_complex(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -2,9 +2,10 @@
 
 A space is presented by any spanning set of n x n matrices; adjoints are
 adjoined automatically (with a flag) so the validated space is selfadjoint.
-Closures are computed by alternating pairwise-product passes with
-Hilbert-Schmidt orthonormalization; the triple-product closure iterates
-span(Z Z*) first, which keeps the work polynomial in the ambient dimension.
+Closures are computed by passes that multiply the current span by the
+generators only (X + X* for the algebra, span(Z Z*) for the triple
+products), with Hilbert-Schmidt orthonormalization, so each pass costs
+d |B| products rather than |B|^2.
 """
 
 from __future__ import annotations
@@ -108,48 +109,44 @@ def validate_space(generators) -> MatrixSpace:
                        adjoints_added=full.shape[0] > plain.shape[0])
 
 
-def _product_closure_pass(basis):
-    """One pass of span(basis ∪ basis * basis), orthonormalized."""
-    prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(-1, *basis.shape[1:])
-    return orthonormalize(np.concatenate([basis, prods]))
-
-
 def generate_star_algebra(x: MatrixSpace | np.ndarray) -> AlgebraPresentation:
     """Smallest *-subalgebra of M_n containing the space.
 
-    Iterates pairwise-product closure until the dimension stabilizes
-    (bounded by n^2 passes), then attaches the unit projection.
+    With S an orthonormal basis of X + X*, each pass takes
+    B <- span(B ∪ S B), starting from B = S, until the dimension stops
+    growing (at most n^2 passes); then S B ⊆ B, so B is closed under left
+    multiplication by every word in S, hence under products.  The unit
+    projection is attached at the end.
     """
     basis = x.basis if isinstance(x, MatrixSpace) else np.asarray(x, dtype=np.complex128)
-    basis = np.concatenate([basis, basis.conj().transpose(0, 2, 1)])
-    basis = orthonormalize(basis)
-    n = basis.shape[1]
-    for _ in range(n * n):
-        new = _product_closure_pass(basis)
-        if new.shape[0] == basis.shape[0]:
-            basis = new
-            break
-        basis = new
-    e = unit_projection(basis)
-    return AlgebraPresentation(basis=basis, unit=e)
+    gens = orthonormalize(np.concatenate([basis, basis.conj().transpose(0, 2, 1)]))
+    basis = _left_closure(gens, gens)
+    return AlgebraPresentation(basis=basis, unit=unit_projection(basis))
 
 
 def generate_tro(x: MatrixSpace | np.ndarray) -> np.ndarray:
     """Smallest subspace closed under a b* c containing the space.
 
-    Each pass computes span(Z Z*) pairwise, orthonormalizes it, and then
-    multiplies back into Z, which spans the same triple products as the
-    cubic loop at quadratic cost.
+    Z = X + X* is *-closed, so the triple products of the closure are
+    spanned by words x1 y1* x2 y2* ... z with letters in Z; with
+    L = span{x y* : x, y in Z}, computed once, each pass takes
+    T <- span(T ∪ L T) until the dimension stops growing.
     """
     basis = x.basis if isinstance(x, MatrixSpace) else np.asarray(x, dtype=np.complex128)
-    basis = np.concatenate([basis, basis.conj().transpose(0, 2, 1)])
-    basis = orthonormalize(basis)
+    basis = orthonormalize(np.concatenate([basis, basis.conj().transpose(0, 2, 1)]))
+    n = basis.shape[1]
+    left = orthonormalize(np.einsum("iab,jcb->ijac", basis, basis.conj()).reshape(-1, n, n))
+    return _left_closure(left, basis)
+
+
+def _left_closure(left, basis):
+    """Smallest span containing ``basis`` and closed under left
+    multiplication by the span of ``left``, orthonormalized: passes of
+    B <- span(B ∪ left B) until the dimension stops growing."""
     n = basis.shape[1]
     for _ in range(n * n):
-        left = np.einsum("iab,jcb->ijac", basis, basis.conj()).reshape(-1, n, n)
-        left = orthonormalize(left)
-        triples = np.einsum("iab,jbc->ijac", left, basis).reshape(-1, n, n)
-        new = orthonormalize(np.concatenate([basis, triples]))
+        prods = np.einsum("iab,jbc->ijac", left, basis).reshape(-1, n, n)
+        new = orthonormalize(np.concatenate([basis, prods]))
         if new.shape[0] == basis.shape[0]:
             return new
         basis = new

@@ -13,6 +13,7 @@ from ncshilov.conesolver import (
     ConicProgram,
     LinearMapSpec,
     _certified_cb_bound,
+    _dual_witness,
     _haar_coeffs,
     _hkm_max_scale,
     _paulsen_family,
@@ -277,6 +278,20 @@ def _witness_ratio(spec, res):
     return matcore.op_norm(spec.apply_level(res.violating_coeffs)) / matcore.op_norm(y)
 
 
+def _attained_cb_norm(spec):
+    """The cb-norm as the dual witness attains it at the optimum: the Choi
+    solve run with no stop, then the witness read off its dual slack."""
+    sol = _hkm_max_scale(*ChoiAgreementProgram(*_paulsen_family(spec)).rows())
+    return _dual_witness(spec, sol.z)[1]
+
+
+def _assert_no_contract(spec, res, tol, attained):
+    """The cc_test contract for a No: level q, and a recomputed witness
+    ratio above 1 + tol that is a lower bound for the cb-norm."""
+    assert res.verdict == CC_NO and res.level == spec.q
+    assert 1.0 + tol < _witness_ratio(spec, res) <= attained + 1e-8
+
+
 @pytest.mark.parametrize("c", [0.55, 0.7, 0.9])
 def test_cc_dual_witness_attains_transpose_cb_norm(c):
     # the transpose on M_2 has cb-norm 2, so c times it has cb-norm 2c
@@ -288,24 +303,43 @@ def test_cc_dual_witness_attains_transpose_cb_norm(c):
     assert _witness_ratio(spec, res) == pytest.approx(2 * c, abs=1e-8)
 
 
+def _scaled_map(dom, img, target):
+    """The map dom -> img scaled by target / (its certified bound at the
+    optimum), so that its cb-norm is target."""
+    prog = ChoiAgreementProgram(*_paulsen_family(LinearMapSpec(dom, img)))
+    sol = _hkm_max_scale(*prog.rows())
+    bound, _, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    return LinearMapSpec(dom, [target / bound * y for y in img])
+
+
+def _planted_excess_map(seed, target):
+    """A random map M_4 -> M_3 on a 4-dimensional domain, scaled to
+    cb-norm target."""
+    rng = np.random.default_rng(seed)
+    dom = [matcore.random_complex(rng, (4, 4)) for _ in range(4)]
+    img = [matcore.random_complex(rng, (3, 3)) for _ in range(4)]
+    return _scaled_map(dom, img, target)
+
+
+def _stall_map():
+    """The third of three random (3, 2, 3) maps drawn from default_rng(1)."""
+    rng = np.random.default_rng(1)
+    maps = [([matcore.random_complex(rng, (3, 3)) for _ in range(3)],
+             [matcore.random_complex(rng, (2, 2)) for _ in range(3)]) for _ in range(3)]
+    return maps[2]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cc_planted_excess_is_decided_at_level_q(seed):
     # a random map M_4 -> M_3 scaled so that its cb-norm is 1 + 1e-5, far
     # outside the tolerance band: the answer is No, with a level-3 witness
-    # that attains the cb-norm
-    rng = np.random.default_rng(seed)
-    dom = [matcore.random_complex(rng, (4, 4)) for _ in range(4)]
-    img = [matcore.random_complex(rng, (3, 3)) for _ in range(4)]
-    gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
-    prog = ChoiAgreementProgram(gens, y0, y1, support)
-    sol = _hkm_max_scale(*prog.rows())
-    bound, _, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    # above 1 + tol; run to the optimum, the witness attains the cb-norm
     target = 1.0 + 1e-5
-    spec = LinearMapSpec(dom, [target / bound * y for y in img])
+    spec = _planted_excess_map(seed, target)
     res = cc_test(spec, tol=1e-7)
-    assert res.verdict == CC_NO
-    assert res.level == 3
-    assert _witness_ratio(spec, res) == pytest.approx(target, abs=1e-8)
+    attained = _attained_cb_norm(spec)
+    assert attained == pytest.approx(target, abs=1e-8)
+    _assert_no_contract(spec, res, 1e-7, attained)
 
 
 def test_cc_decides_a_map_whose_cb_norm_is_one_without_stalling():
@@ -313,10 +347,7 @@ def test_cc_decides_a_map_whose_cb_norm_is_one_without_stalling():
     # above it: with unequal primal and dual step lengths these solves lost
     # centrality and ran into the iteration cap (Marginal at cb 1 and
     # 1 + 1e-6); each must now be decided, every solve within 30 iterations
-    rng = np.random.default_rng(1)
-    maps = [([matcore.random_complex(rng, (3, 3)) for _ in range(3)],
-             [matcore.random_complex(rng, (2, 2)) for _ in range(3)]) for _ in range(3)]
-    dom, img = maps[2]
+    dom, img = _stall_map()
     gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
     prog = ChoiAgreementProgram(gens, y0, y1, support)
     sol = _hkm_max_scale(*prog.rows())
@@ -329,8 +360,9 @@ def test_cc_decides_a_map_whose_cb_norm_is_one_without_stalling():
         if target == 1.0:
             assert res.verdict == CC_YES
         else:
-            assert res.verdict == CC_NO and res.level == 2
-            assert _witness_ratio(spec, res) == pytest.approx(target, abs=1e-8)
+            attained = _attained_cb_norm(spec)
+            assert attained == pytest.approx(target, abs=1e-8)
+            _assert_no_contract(spec, res, 1e-7, attained)
 
 
 def test_cc_not_implies_sampler_with_witness_seed():
@@ -479,6 +511,55 @@ def test_cc_yes_stops_at_its_first_certified_iterate(monkeypatch):
         bound = (1.0 + 2.0 * float(g_norms @ r_norms)) / s
         assert bound <= 1.0 + tol
         assert bound == pytest.approx(res.cb_estimate, rel=1e-9)
+
+
+def test_cc_no_stops_at_its_first_dual_witness():
+    # 0.9 times the transpose on M_2, the doubling map and three planted
+    # (4, 3, 4) maps: each No comes from the first iterate whose dual slack
+    # gives a witness above 1 + tol, found here by rerunning the solve
+    # without a stop, and reports that witness's ratio as its cb_estimate
+    basis = _m2_basis()
+    specs = [LinearMapSpec(basis, [0.9 * b.T.copy() for b in basis]),
+             LinearMapSpec(basis, [2 * b for b in basis])]
+    specs += [_planted_excess_map(seed, 1.0 + 1e-5) for seed in (0, 1, 2)]
+    tol = 1e-7
+    for spec in specs:
+        res = cc_test(spec, tol=tol)
+        slacks = []
+        sol = _hkm_max_scale(*ChoiAgreementProgram(*_paulsen_family(spec)).rows(),
+                             stop=lambda x, s, z: slacks.append(z))
+        assert res.iterations < sol.iterations
+        first = next(k for k, z in enumerate(slacks)
+                     if k > 0 and _dual_witness(spec, z)[1] > 1.0 + tol)
+        assert res.iterations == first
+        assert np.array_equal(res.violating_coeffs, _dual_witness(spec, slacks[first])[0])
+        assert res.cb_estimate == res.violation_norm
+        assert res.cb_estimate == pytest.approx(_witness_ratio(spec, res), rel=1e-12)
+        _assert_no_contract(spec, res, tol, _dual_witness(spec, sol.z)[1])
+
+
+def test_cc_no_stop_never_preempts_a_yes(monkeypatch):
+    # with the No side disabled (every witness ratio 0) each Yes map of this
+    # file and of criterion 4's first instance stops at the same iterate
+    # with the same certificate, bit for bit
+    basis = _m2_basis()
+    rng = np.random.default_rng(3)
+    v = np.linalg.qr(matcore.random_complex(rng, (4, 4)))[0][:, :2]
+    dom = [matcore.random_complex(rng, (4, 4)) for _ in range(3)]
+    specs = [LinearMapSpec(basis, basis), LinearMapSpec(basis, [0.5 * b for b in basis]),
+             LinearMapSpec(basis, [np.array([[np.trace(b) / 2]]) for b in basis]),
+             LinearMapSpec(dom, [v.conj().T @ b @ v for b in dom]),
+             _scaled_map(*_stall_map(), 1.0)]
+    specs += _completion_maps_of_criterion_4_instance_0(monkeypatch)
+    tol = 1e-7
+    results = [cc_test(spec, tol=tol) for spec in specs]
+    monkeypatch.setattr(conesolver, "_dual_witness", lambda spec, z: (None, 0.0))
+    for spec, res in zip(specs, results):
+        alone = cc_test(spec, tol=tol)
+        assert res.verdict == alone.verdict == CC_YES
+        assert (res.iterations, res.cb_estimate, res.residual, res.scale) == \
+            (alone.iterations, alone.cb_estimate, alone.residual, alone.scale)
+        assert np.array_equal(res.choi_point, alone.choi_point)
 
 
 def test_choi_rows_drop_only_vacuous_rows():

@@ -17,6 +17,7 @@ from ncshilov.envelope import (
     LOOSE,
     SCAN_ASCENDING_RANK,
     SCAN_DESCENDING_RANK,
+    _completion_map,
     _sample_norms,
     certify_embedding,
     compute_envelope,
@@ -211,8 +212,16 @@ def _two_copy_space(m):
     return validate_space(gens)
 
 
+def _attained_cb_norm(spec):
+    """The cb-norm as the dual witness attains it at the optimum: the Choi
+    solve run with no stop, then the witness read off its dual slack."""
+    prog = conesolver.ChoiAgreementProgram(*conesolver._paulsen_family(spec))
+    sol = conesolver._hkm_max_scale(*prog.rows())
+    return conesolver._dual_witness(spec, sol.z)[1]
+
+
 def test_block_with_multiplicity_gets_the_verdict_of_its_single_copy_twin():
-    verdicts = {}
+    verdicts, attained = {}, {}
     for m in (1, 2):
         x = _two_copy_space(m)
         alg = stargen.generate_star_algebra(x)
@@ -220,12 +229,18 @@ def test_block_with_multiplicity_gets_the_verdict_of_its_single_copy_twin():
         assert sorted(dec.block_sizes) == [(2, m), (3, 1)]
         # both blocks reach the cc oracle, the M_2 one through strip
         verdicts[m] = {b.k: is_block_loose(x, alg.unit, b) for b in dec.blocks}
+        m3 = next(b for b in dec.blocks if b.k == 3)
+        spec, _ = _completion_map(x.basis, alg.unit - m3.projection, m3)
+        attained[m] = _attained_cb_norm(spec)
     for k, twin in verdicts[1].items():
         v = verdicts[2][k]
         assert (v.status, v.route) == (twin.status, twin.route)
     assert verdicts[2][2].status == LOOSE and verdicts[2][2].route == ROUTE_CHOI_BOUND
     assert verdicts[2][3].route == ROUTE_DUAL_WITNESS
-    assert verdicts[2][3].cb_estimate == pytest.approx(verdicts[1][3].cb_estimate, rel=1e-6)
+    assert attained[2] == pytest.approx(attained[1], rel=1e-6)
+    # a No reports its witness ratio, a certified lower bound for the cb-norm
+    for m in (1, 2):
+        assert 1.0 + 1e-7 < verdicts[m][3].cb_estimate <= attained[m] + 1e-8
 
 
 def _reference_gram_norms(env, levels, samples, seed):
