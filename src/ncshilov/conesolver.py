@@ -786,15 +786,16 @@ class CcResult:
     in [cb, 1 + tol].  A No carries its level-q witness
     (``violating_coeffs``, with ||y|| = 1) and ``cb_estimate`` =
     ``violation_norm`` = ||psi_q(y)||, a lower bound in (1 + tol, cb].
-    ``residual`` is the largest agreement residual of the Choi iterate the
-    verdict was read at."""
+    ``residual`` is the largest agreement residual of the Choi iterate a
+    Yes or Marginal verdict was read at; a No, whose witness is checked
+    without the Choi iterate, carries none."""
 
     verdict: str
     cb_estimate: float
     level: int | None = None
     violating_coeffs: np.ndarray | None = None
     violation_norm: float | None = None
-    residual: float = 0.0
+    residual: float | None = 0.0
     iterations: int = 0
     diagnostics: str = ""
     route: str = ROUTE_CHOI_BOUND
@@ -856,18 +857,18 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
                         iterations=sol.iterations, choi_point=point, scale=sol.s,
                         diagnostics=f"CP extension certified, cb <= {bound:.9f}")
 
-    bound, residual, _ = _certified_cb_bound(prog, sol.x, sol.s)
     if sol.stopped is not None:
         coeffs, value = sol.stopped[1]
         return CcResult(verdict=CC_NO, cb_estimate=value, level=map_spec.q,
                         violating_coeffs=coeffs, violation_norm=value,
-                        residual=residual, iterations=sol.iterations,
+                        residual=None, iterations=sol.iterations,
                         diagnostics=f"dual witness at level {map_spec.q}, "
                                     f"||psi(y)|| = {value:.9f}",
                         route=ROUTE_DUAL_WITNESS)
     solver = (f"Choi solve {sol.status} after {sol.iterations} iterations "
               f"(gap {sol.gap:.1e}, infeasibility "
               f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})")
+    bound, residual, _ = _certified_cb_bound(prog, sol.x, sol.s)
     _, value = _dual_witness(map_spec, sol.z)
     return CcResult(verdict=CC_MARGINAL, cb_estimate=bound, residual=residual,
                     iterations=sol.iterations,

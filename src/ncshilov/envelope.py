@@ -68,6 +68,9 @@ class LoosenessVerdict:
     [cb, 1 + tol]; on an Essential dual-witness verdict it is the witness
     ratio, a lower bound in (1 + tol, cb]; on a Marginal one, the last
     iterate's certified bound, above 1 + tol; None on a kernel verdict.
+    ``residual`` is the agreement residual of the Choi iterate behind a
+    Loose or Marginal verdict; None on an Essential one, whose certificate
+    (a kernel or a dual witness) does not use a Choi iterate.
     """
 
     status: str
@@ -193,9 +196,10 @@ def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
     whose norm drops under the compression (gap re-verified numerically).
     Witness coefficients are over ``x.basis``.  Every verdict records its
     route (a kernel, or the cc oracle's route), and every one that rests on
-    the Choi solve its iteration count, agreement residual and
-    ``cb_estimate``: the certified upper bound on the completion map's
-    cb-norm for Loose, the witness's lower bound for Essential."""
+    the Choi solve its iteration count and ``cb_estimate``: the certified
+    upper bound on the completion map's cb-norm for Loose, the witness's
+    lower bound for Essential; Loose and Marginal also record the
+    agreement residual of the Choi iterate they were read at."""
     p = block.projection
     keep = unit - p
     keep_rank = int(round(float(np.real(np.trace(keep)))))
@@ -222,8 +226,8 @@ def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
                                 reason="norm violation under compression",
                                 cb_estimate=res.cb_estimate,
                                 witness_level=res.level, witness_coeffs=coeffs,
-                                witness_gap=gap, residual=res.residual,
-                                iterations=res.iterations, route=res.route)
+                                witness_gap=gap, iterations=res.iterations,
+                                route=res.route)
     return LoosenessVerdict(status=MARGINAL, block_rank=block.rank, block_k=block.k,
                             reason=res.diagnostics, cb_estimate=res.cb_estimate,
                             residual=res.residual, iterations=res.iterations,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from ncshilov import envelope as envelope_mod
 from ncshilov import stargen
@@ -227,18 +227,19 @@ def _point_sup(vals, idx, others, tol):
     """sup{|f(idx)| : f in X, max over others |f| <= 1}, by one exact LP.
 
     ``vals`` holds, for each class, the values of a real basis of the real
-    part X_r; the LP maximizes g(idx) over g in X_r with |g(o)| <= 1 (the
-    pair of rows +-vals[o]).  That is the sup over X: X is
-    conjugation-closed, so for f in X and theta = arg f(idx) the function
-    g = Re(e^(-i theta) f) lies in X_r, with |g| <= |f| everywhere and
-    g(idx) = |f(idx)|; and the ball is invariant under g -> -g, so one
-    objective serves both signs.  f = 0 is feasible in every LP here, so an
-    "infeasible" status (HiGHS reports some unbounded LPs that way when
-    presolve is on) is read as unbounded; any other failed LP makes the
-    verdict inconclusive."""
-    rows = np.concatenate([vals[others], -vals[others]])
-    res = linprog(c=-vals[idx], A_ub=rows, b_ub=np.ones(rows.shape[0]),
-                  bounds=[(None, None)] * rows.shape[1], method="highs")
+    part X_r; the LP maximizes g(idx) over g in X_r with |g(o)| <= 1 (one
+    two-sided row -1 <= vals[o] g <= 1 per other class).  That is the sup
+    over X: X is conjugation-closed, so for f in X and theta = arg f(idx)
+    the function g = Re(e^(-i theta) f) lies in X_r, with |g| <= |f|
+    everywhere and g(idx) = |f(idx)|; and the ball is invariant under
+    g -> -g, so one objective serves both signs.  The LP goes to
+    :func:`scipy.optimize.milp` with no integer variables, which calls
+    HiGHS with far less per-call overhead than ``linprog``.  f = 0 is
+    feasible in every LP here, so an "infeasible" status (HiGHS reports
+    some unbounded LPs that way when presolve is on) is read as unbounded;
+    any other failed LP makes the verdict inconclusive."""
+    res = milp(c=-vals[idx], constraints=LinearConstraint(vals[others], -1.0, 1.0),
+               bounds=Bounds(-np.inf, np.inf))
     if res.status in (2, 3):
         return np.inf, "essential"
     if not res.success:

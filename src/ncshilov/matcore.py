@@ -128,7 +128,8 @@ def psd_check(m, tol: float = 1e-9) -> PsdResult:
         return PsdResult(positive=True, min_eig=mn)
     xi = u[:, -1]
     val = float(np.real(xi.conj() @ np.asarray(m, dtype=np.complex128) @ xi))
-    return PsdResult(positive=False, min_eig=mn, witness=xi, witness_value=val)
+    # a copy, so that a kept witness does not keep all of u alive
+    return PsdResult(positive=False, min_eig=mn, witness=xi.copy(), witness_value=val)
 
 
 def hs_inner(a, b) -> complex:

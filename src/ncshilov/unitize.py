@@ -11,12 +11,15 @@ u in M_k(X) of norm < 1 with
 
 The open condition ||u|| < 1 is realized by a strictness margin delta and a
 decreasing eps schedule; verdicts record both, and razor-thin cases come
-back Inconclusive rather than guessed.  Distance-to-unit and the
-dominating-element predicate give the order-unit dichotomy: exactly one of
-d(X, 1) = 1 or "some v in X dominates 1" holds.
+back Inconclusive rather than guessed.  The condition is monotone in eps: a
+witness at the smallest scheduled eps carries over to every larger one
+(:func:`transport_witness`), so one solve, at the smallest eps, decides
+the whole schedule.  Distance-to-unit and the dominating-element
+predicate give the order-unit dichotomy: exactly one of d(X, 1) = 1 or
+"some v in X dominates 1" holds.
 
-The Karn condition at one eps, the domination question and the distance
-to the unit are each one dual-form margin solve
+The Karn condition at the smallest scheduled eps, the domination question
+and the distance to the unit are each one dual-form margin solve
 (:func:`conesolver.solve_dual_margin`): maximize lambda over the linear
 matrix inequality in the free coordinates of u (or v) less lambda I.  Each
 answer's certificate comes from one side of that solve.  Yes (a witness
@@ -82,8 +85,9 @@ def realize(elem: UnitizedElement, basis, unit) -> np.ndarray:
     return v + np.kron(elem.scalar_part, unit)
 
 
-def is_selfadjoint(elem: UnitizedElement, basis, unit, tol: float = 1e-9) -> bool:
-    m = realize(elem, basis, unit)
+def is_selfadjoint(m: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether a realized element (:func:`realize`) is selfadjoint up to
+    ``tol`` relative to its largest entry."""
     return bool(np.abs(m - m.conj().T).max() <= tol * max(1.0, np.abs(m).max()))
 
 
@@ -134,12 +138,10 @@ def x1_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElement
                    tol: float = 1e-9) -> ConeVerdict:
     """Membership in the X1 cone: a direct PSD check of the concrete matrix
     built from the embedded copy and the envelope unit."""
-    basis = env.compressed_basis
-    unit = env.unit()
-    if not is_selfadjoint(elem, basis, unit):
+    m = realize(elem, env.compressed_basis, env.unit())
+    if not is_selfadjoint(m):
         raise ShapeMismatch("element is not selfadjoint")
-    m = hermitize(realize(elem, basis, unit), rtol=1e-9)
-    chk = psd_check(m, tol=tol)
+    chk = psd_check(hermitize(m, rtol=1e-9), tol=tol)
     if chk.positive:
         return ConeVerdict(member=MEMBER_YES,
                            certificate={"min_eig": chk.min_eig}, tol=tol)
@@ -156,17 +158,22 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
     """Membership in the minimal-cone unitization via the scaled-witness
     formula.
 
-    No immediately when A has an eigenvalue below -tol; otherwise one
-    dual-form margin solve per scheduled eps (:func:`_karn_solve`) for u
-    in M_k(X) with 0 <= u <= (1 - delta) and
-    v + (A + eps)^(1/2) u (A + eps)^(1/2) >= 0.  Yes needs every scheduled
-    eps feasible, each by a witness u read off the dual side of its solve
-    and re-verified (``witness_u``), and v + A ⊗ 1 >= 0, the limit of
-    v + (A + eps) ⊗ 1 >= 0, which every eps > 0 implies.  No needs, at
-    some eps, a separating functional phi = -X / ||X|| from the primal side
+    No immediately when A has an eigenvalue below -tol, Yes with u = 0 when
+    v itself is PSD.  Otherwise one dual-form margin solve
+    (:func:`_karn_solve`) at the smallest scheduled eps, eps_min, for u in
+    M_k(X) with 0 <= u <= (1 - delta) and
+    v + (A + eps_min)^(1/2) u (A + eps_min)^(1/2) >= 0, decides the whole
+    schedule: the program is feasible at every scheduled eps iff it is at
+    eps_min.  Yes needs a witness u read off the dual side of that solve
+    and re-verified; each larger scheduled eps gets u carried over by
+    :func:`transport_witness` and re-verified at the same delta and tol
+    (``witness_u``, one per scheduled eps), and v + A ⊗ 1 >= 0, the limit
+    of v + (A + eps) ⊗ 1 >= 0, which every eps > 0 implies.  No needs a
+    separating functional phi = -X / ||X|| at eps_min from the primal side
     (``dual_witness``, with its pairing bound c as ``margin``; see
     :func:`_karn_separation`), or a vector on which v + A ⊗ 1 is negative.
-    A solve that ends with neither certificate gives Inconclusive."""
+    A solve that ends with neither certificate, or a transported witness
+    that fails its re-verification, gives Inconclusive."""
     eps_schedule = tuple(eps_schedule)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
         raise ShapeMismatch("eps schedule must be positive")
@@ -176,55 +183,60 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
         raise ShapeMismatch("delta must lie in (0, 1e-2]")
     basis = env.compressed_basis
     unit = env.unit()
-    if not is_selfadjoint(elem, basis, unit):
+    v = amplify(elem.v_coords, basis)
+    if not is_selfadjoint(v + np.kron(elem.scalar_part, unit)):
         raise ShapeMismatch("element is not selfadjoint")
+
+    def verdict(member, certificate):
+        return ConeVerdict(member=member, certificate=certificate,
+                           eps_schedule_used=eps_schedule, delta=delta, tol=tol)
+
     k = elem.level
     a = hermitize(elem.scalar_part, rtol=1e-9)
     chk_a = psd_check(a, tol=tol)
     if not chk_a.positive:
-        return ConeVerdict(member=MEMBER_NO,
-                           certificate={"scalar_part_min_eig": chk_a.min_eig,
-                                        "witness_vector": chk_a.witness},
-                           eps_schedule_used=eps_schedule, delta=delta, tol=tol)
-    v = amplify(elem.v_coords, basis)
-    vchk = psd_check(hermitize(v, rtol=1e-8), tol=tol)
-    witnesses = {}
-    if vchk.positive:
+        return verdict(MEMBER_NO, {"scalar_part_min_eig": chk_a.min_eig,
+                                   "witness_vector": chk_a.witness})
+    v_sa = hermitize(v, rtol=1e-8)
+    if psd_check(v_sa, tol=tol).positive:
         # u = 0 certifies every eps at once
-        for eps in eps_schedule:
-            witnesses[eps] = np.zeros((k, k, env.source.dim), dtype=np.complex128)
-        return ConeVerdict(member=MEMBER_YES,
-                           certificate={"witness_u": witnesses, "u_zero": True},
-                           eps_schedule_used=eps_schedule, delta=delta, tol=tol)
+        zero = np.zeros((k, k, env.source.dim), dtype=np.complex128)
+        return verdict(MEMBER_YES, {"witness_u": dict.fromkeys(eps_schedule, zero),
+                                    "u_zero": True})
 
     hb = matcore.hermitian_part_basis(basis)
     n = env.envelope_dim
-    units, level = _level_basis(hb, k)
-    v_sa = hermitize(v, rtol=1e-8)
+    eps_min = eps_schedule[-1]
+
+    def big_root(eps):
+        return np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
+
+    sol = _karn_solve(*_level_basis(hb, k), hb, v_sa, big_root(eps_min), delta, tol)
+    if sol.stopped is None:
+        reason = (f"no certificate: Karn solve {sol.status} after {sol.iterations} "
+                  f"iterations (gap {sol.gap:.1e})")
+        return verdict(MEMBER_INCONCLUSIVE, {"eps": eps_min, "reason": reason})
+    member, cert = sol.stopped
+    if member == MEMBER_NO:
+        return verdict(MEMBER_NO, {"eps": eps_min, **cert})
+    witnesses = {}
     for eps in eps_schedule:
-        big_root = np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
-        sol = _karn_solve(units, level, hb, v_sa, big_root, delta, tol)
-        if sol.stopped is None:
-            reason = (f"no certificate: Karn solve {sol.status} after {sol.iterations} "
-                      f"iterations (gap {sol.gap:.1e})")
-            return ConeVerdict(member=MEMBER_INCONCLUSIVE,
-                               certificate={"eps": eps, "reason": reason},
-                               eps_schedule_used=eps_schedule, delta=delta, tol=tol)
-        member, cert = sol.stopped
-        if member == MEMBER_NO:
-            return ConeVerdict(member=MEMBER_NO, certificate={"eps": eps, **cert},
-                               eps_schedule_used=eps_schedule, delta=delta, tol=tol)
-        witnesses[eps] = cert
+        if eps == eps_min:
+            witnesses[eps] = cert
+            continue
+        moved = transport_witness(cert, a, eps_min, eps, hb)
+        ok, why = _verify_karn_witness(hb, moved, v_sa, big_root(eps), delta, tol, k)
+        if not ok:
+            reason = f"witness transported from eps {eps_min:g} fails at eps {eps:g}: {why}"
+            return verdict(MEMBER_INCONCLUSIVE, {"eps": eps, "reason": reason})
+        witnesses[eps] = moved
     # the schedule stops at a positive eps, so an element just outside the
     # cone can be feasible at every scheduled eps
     limit = psd_check(hermitize(v + np.kron(a, unit), rtol=1e-8), tol=tol)
     if not limit.positive:
-        return ConeVerdict(member=MEMBER_NO,
-                           certificate={"limit_min_eig": limit.min_eig,
-                                        "witness_vector": limit.witness},
-                           eps_schedule_used=eps_schedule, delta=delta, tol=tol)
-    return ConeVerdict(member=MEMBER_YES, certificate={"witness_u": witnesses},
-                       eps_schedule_used=eps_schedule, delta=delta, tol=tol)
+        return verdict(MEMBER_NO, {"limit_min_eig": limit.min_eig,
+                                   "witness_vector": limit.witness})
+    return verdict(MEMBER_YES, {"witness_u": witnesses})
 
 
 def _psd_sqrt(m):
@@ -323,9 +335,14 @@ def _verify_karn_witness(hb, coeffs, v, big_root, delta, tol, k):
 
 def transport_witness(coeffs, a, eps_from, eps_to, hb):
     """Carry a witness from eps_from to a larger eps_to:
-    u' = C u C* with C = (A + eps_to)^(-1/2) (A + eps_from)^(1/2), which
-    stays in the cone with norm <= ||u|| and satisfies the larger-eps
-    inequality with the same shifted element."""
+    u' = (C ⊗ 1) u (C ⊗ 1)* with C = (A + eps_to)^(-1/2) (A + eps_from)^(1/2).
+
+    :func:`xplus_cone_member` serves every scheduled eps above the smallest
+    this way.  Both factors of C are functions of A, so they commute and
+    ||C|| <= 1: u' is PSD, lies in M_k(X) (C acts on the matrix entries
+    only) and has ||u'|| <= ||u||.  And R_to (C ⊗ 1) = R_from, with
+    R = (A + eps)^(1/2) ⊗ 1, so R_to u' R_to = R_from u R_from: the
+    shifted element v + R u R is the same matrix at both eps."""
     if eps_to < eps_from:
         raise ShapeMismatch("can only transport toward larger eps")
     k = coeffs.shape[0]

@@ -115,6 +115,8 @@ def test_envelope_command_and_determinism(tmp_path):
         assert step["route"] in ("kernel", "zero map", "choi bound", "dual witness")
         if step["status"] == "loose":
             assert "cb_estimate" in step
+        else:
+            assert "residual" not in step
         if step["removed"]:
             assert isinstance(step["iterations"], int) and step["iterations"] >= 1
             assert step["residual"] <= 1e-8

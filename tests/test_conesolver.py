@@ -288,7 +288,7 @@ def _attained_cb_norm(spec):
 def _assert_no_contract(spec, res, tol, attained):
     """The cc_test contract for a No: level q, and a recomputed witness
     ratio above 1 + tol that is a lower bound for the cb-norm."""
-    assert res.verdict == CC_NO and res.level == spec.q
+    assert res.verdict == CC_NO and res.level == spec.q and res.residual is None
     assert 1.0 + tol < _witness_ratio(spec, res) <= attained + 1e-8
 
 

@@ -237,6 +237,8 @@ def test_block_with_multiplicity_gets_the_verdict_of_its_single_copy_twin():
         assert (v.status, v.route) == (twin.status, twin.route)
     assert verdicts[2][2].status == LOOSE and verdicts[2][2].route == ROUTE_CHOI_BOUND
     assert verdicts[2][3].route == ROUTE_DUAL_WITNESS
+    # an Essential step rests on its witness, not on a Choi iterate
+    assert verdicts[2][3].residual is None and verdicts[2][2].residual is not None
     assert attained[2] == pytest.approx(attained[1], rel=1e-6)
     # a No reports its witness ratio, a certified lower bound for the cb-norm
     for m in (1, 2):

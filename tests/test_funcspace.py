@@ -103,8 +103,8 @@ def test_point_sup_is_one_lp(monkeypatch, gens, is_real):
     fs = validate_function_space(gens)
     assert fs.is_real == is_real
     calls = []
-    real = funcspace.linprog
-    monkeypatch.setattr(funcspace, "linprog",
+    real = funcspace.milp
+    monkeypatch.setattr(funcspace, "milp",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     vals = fs.basis.T.real if is_real else fs.real_basis().T
     statuses = set()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ncshilov import conesolver, matcore
+from ncshilov import conesolver, matcore, unitize
 from ncshilov.envelope import compute_envelope
 from ncshilov.errors import InconclusiveAtTolerance, ShapeMismatch
-from ncshilov.matcore import amplify, op_norm
+from ncshilov.matcore import amplify, hermitize, op_norm, psd_check, random_psd
 from ncshilov.selftest import (
     _space_coords,
     compressed_positives,
@@ -14,13 +14,16 @@ from ncshilov.selftest import (
 )
 from ncshilov.stargen import cone_spans, validate_space
 from ncshilov.unitize import (
+    MEMBER_INCONCLUSIVE,
     MEMBER_NO,
     MEMBER_YES,
     UNIT_AMBIENT,
     UNIT_ENVELOPE,
+    DEFAULT_DELTA,
     DEFAULT_EPS_SCHEDULE,
     UnitizedElement,
     _karn_lmi,
+    _karn_solve,
     _level_basis,
     _psd_sqrt,
     _verify_karn_witness,
@@ -354,8 +357,8 @@ def test_planted_answers_carry_certificates_that_recheck():
 
 
 def test_each_solve_has_one_row_per_coordinate(monkeypatch):
-    # the Karn program has k^2 d + 1 rows, the domination and distance
-    # programs d + 1 and the spanning-cone program d (its d - 1 trace-zero
+    # one Karn solve per query, Yes or No, with k^2 d + 1 rows; the
+    # domination and distance programs have d + 1 and the spanning-cone program d (its d - 1 trace-zero
     # coordinates and the trace row), before and after prepare (none of
     # them is dependent)
     prepared, solved = [], []
@@ -373,7 +376,7 @@ def test_each_solve_has_one_row_per_coordinate(monkeypatch):
     monkeypatch.setattr(conesolver, "_hkm", hkm)
     _, env, g1, _ = _c3_env()
     k, d = 2, env.source.dim
-    for c, member, solves in ((0.5, MEMBER_YES, 3), (2.0, MEMBER_NO, 1)):
+    for c, member in ((0.5, MEMBER_YES), (2.0, MEMBER_NO)):
         coords = np.zeros((k, k, d), dtype=complex)
         for i in range(k):
             coords[i, i] = -c * _coords(env, g1).reshape(-1)
@@ -381,7 +384,7 @@ def test_each_solve_has_one_row_per_coordinate(monkeypatch):
         solved.clear()
         elem = UnitizedElement(level=k, v_coords=coords, scalar_part=np.eye(k))
         assert xplus_cone_member(env, elem).member == member
-        assert prepared == solved == [k * k * d + 1] * solves
+        assert prepared == solved == [k * k * d + 1]
     space = env.compressed_space()
     prepared.clear()
     solved.clear()
@@ -452,6 +455,123 @@ def test_karn_monotone_in_eps_by_transport():
                                 + eps_big * np.eye(elem.level))
         checked += 1
     assert checked >= 1
+
+
+def _per_eps_karn_member(env, elem, tol=1e-7):
+    """The Karn verdict read literally off the definition: one solve per
+    scheduled eps, No at the first eps without a witness, Yes when every
+    eps has one and v + A ⊗ 1 >= 0 (the scalar-part check and the u = 0
+    shortcut as in production)."""
+    k, n = elem.level, env.envelope_dim
+    a = hermitize(elem.scalar_part, rtol=1e-9)
+    if not psd_check(a, tol=tol).positive:
+        return MEMBER_NO
+    v_full = amplify(elem.v_coords, env.compressed_basis)
+    v = hermitize(v_full, rtol=1e-8)
+    if psd_check(v, tol=tol).positive:
+        return MEMBER_YES
+    hb = matcore.hermitian_part_basis(env.compressed_basis)
+    units, level = _level_basis(hb, k)
+    for eps in DEFAULT_EPS_SCHEDULE:
+        root = np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
+        sol = _karn_solve(units, level, hb, v, root, DEFAULT_DELTA, tol)
+        if sol.stopped is None:
+            return MEMBER_INCONCLUSIVE
+        if sol.stopped[0] == MEMBER_NO:
+            return MEMBER_NO
+    limit = hermitize(v_full + np.kron(a, env.unit()), rtol=1e-8)
+    return MEMBER_YES if psd_check(limit, tol=tol).positive else MEMBER_NO
+
+
+def _criterion_06_elements():
+    """The 30 x 100 (envelope, element) draws of the acceptance suite's
+    criterion 6 (tests/test_acceptance.py), in the same order."""
+    rng = np.random.default_rng(606)
+    for i in range(30):
+        if i % 2 == 0:
+            gens = loose_instance(rng, a=int(rng.integers(2, 4)), b=1)
+        else:
+            n = int(rng.integers(2, 4))
+            gens = [random_psd(rng, n) for _ in range(3)]
+        env = compute_envelope(validate_space(gens), seed=i)
+        positives = compressed_positives(env, gens)
+        for _ in range(100):
+            yield env, random_unitized_element(rng, env, positives)
+
+
+def _unitize_test_elements():
+    """The Karn Yes and No elements of this file: -c (1 ⊗ g1) with scalar
+    part 1 on the C^3 example, and the planted members and non-members."""
+    _, env, g1, _ = _c3_env()
+    for k in (1, 2):
+        for c in (0.5, 1.0, 1.0005, 1.5, 2.0, 3.0):
+            coords = np.zeros((k, k, env.compressed_basis.shape[0]), dtype=complex)
+            for i in range(k):
+                coords[i, i] = -c * _coords(env, g1).reshape(-1)
+            yield env, UnitizedElement(level=k, v_coords=coords, scalar_part=np.eye(k))
+    rng = np.random.default_rng(17)
+    spaces = [loose_instance(rng, a=3, b=1), [matcore.random_psd(rng, 3) for _ in range(3)]]
+    for gens in spaces:
+        env = compute_envelope(validate_space(gens), seed=0)
+        positives = compressed_positives(env, gens)
+        for k in (1, 2):
+            for member in (True, True, False, False):
+                yield env, _planted_element(rng, env, positives, k, member)
+
+
+def test_one_solve_at_the_smallest_eps_matches_the_per_eps_loop():
+    # the single solve at eps_min gives the verdict of one solve per eps;
+    # every Yes witness (transported or solved) passes the production
+    # witness check at its eps, and every No by separation is at eps_min
+    # and passes the separation re-check
+    eps_min = DEFAULT_EPS_SCHEDULE[-1]
+    seen = {MEMBER_YES: 0, MEMBER_NO: 0, "separated": 0}
+    for env, elem in [*_criterion_06_elements(), *_unitize_test_elements()]:
+        r = xplus_cone_member(env, elem)
+        assert r.member == _per_eps_karn_member(env, elem)
+        seen[r.member] = seen.get(r.member, 0) + 1
+        k, n = elem.level, env.envelope_dim
+        hb = matcore.hermitian_part_basis(env.compressed_basis)
+        v = hermitize(amplify(elem.v_coords, env.compressed_basis), rtol=1e-8)
+        a = hermitize(elem.scalar_part, rtol=1e-9)
+        if r.member == MEMBER_YES:
+            assert list(r.certificate["witness_u"]) == list(DEFAULT_EPS_SCHEDULE)
+            for eps, coeffs in r.certificate["witness_u"].items():
+                root = np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
+                assert _verify_karn_witness(hb, coeffs, v, root, r.delta, r.tol, k)[0]
+        elif r.member == MEMBER_NO and "dual_witness" in r.certificate:
+            seen["separated"] += 1
+            assert r.certificate["eps"] == eps_min
+            assert _karn_separation_slack(r.certificate, v, a, k, hb, n, r.delta) > 0
+    assert seen[MEMBER_YES] >= 300 and seen["separated"] >= 100
+
+
+def test_a_transported_witness_that_fails_is_inconclusive(monkeypatch):
+    # the solved witness passes; its transport to the largest eps is made to
+    # fail, which gives Inconclusive at that eps and no further solve
+    real_solve, real_verify = unitize._karn_solve, unitize._verify_karn_witness
+    solves = []
+
+    def karn_solve(*args):
+        solves.append(real_solve(*args))
+        return solves[-1]
+
+    def verify(*args):
+        if solves:
+            return False, "planted failure"
+        return real_verify(*args)
+
+    monkeypatch.setattr(unitize, "_karn_solve", karn_solve)
+    monkeypatch.setattr(unitize, "_verify_karn_witness", verify)
+    _, env, g1, _ = _c3_env()
+    elem = UnitizedElement(level=1, v_coords=-_coords(env, g1), scalar_part=np.eye(1))
+    r = xplus_cone_member(env, elem)
+    assert len(solves) == 1 and solves[0].stopped[0] == MEMBER_YES
+    assert r.member == MEMBER_INCONCLUSIVE
+    eps_big = DEFAULT_EPS_SCHEDULE[0]
+    assert r.certificate["eps"] == eps_big
+    assert f"eps {eps_big:g}" in r.certificate["reason"]
+    assert "planted failure" in r.certificate["reason"]
 
 
 def test_cone_sandwich_karn_inside_x1():
