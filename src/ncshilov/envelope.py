@@ -103,21 +103,22 @@ class EnvelopePresentation:
 
     ``source`` is the validated input space in the original ambient M_n.
     ``q`` is the sum of retained minimal central projections in original
-    coordinates; the embedding is x -> x q.  ``coords`` holds orthonormal
-    columns spanning range(q), so compressed working matrices are
-    coords* M coords.  ``embedded_basis`` are the images x_t q in original
-    coordinates, ``compressed_basis`` the same in range(q) coordinates, and
-    ``algebra`` is the compressed envelope algebra.  ``blocks`` are the
-    retained blocks of the one split of C*(X), in the split's order, carried
-    into range(q) coordinates; a trace step's ``block_index`` indexes that
-    split.  The embedding certificate is the product of the removed steps'
-    cb bounds (``embedding_cb``).
+    coordinates; the embedding is x -> x q.  q is central in C*(X) + C1, so
+    it reduces X: x = qxq + (1 - q)x(1 - q) for every x in X, which
+    :func:`certify_embedding` uses and verifies.  ``coords`` holds
+    orthonormal columns spanning range(q), so compressed working matrices
+    are coords* M coords.  ``compressed_basis`` holds the images x_t q in
+    range(q) coordinates, and ``algebra`` is the compressed envelope
+    algebra.  ``blocks`` are the retained blocks of the one split of
+    C*(X), in the split's order, carried into range(q) coordinates; a
+    trace step's ``block_index`` indexes that split.  The embedding
+    certificate is the product of the removed steps' cb bounds
+    (``embedding_cb``).
     """
 
     source: MatrixSpace
     q: np.ndarray
     coords: np.ndarray
-    embedded_basis: np.ndarray
     compressed_basis: np.ndarray
     algebra: AlgebraPresentation
     blocks: blockdecomp.BlockDecomposition
@@ -316,7 +317,6 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
         for i, b in enumerate(split.blocks) if i not in removed])
     q = matcore.hermitize(coords @ coords.conj().T)
     env = EnvelopePresentation(source=x, q=q, coords=coords,
-                               embedded_basis=np.einsum("tab,bc->tac", x.basis, q),
                                compressed_basis=_compress(coords, x.basis),
                                algebra=alg, blocks=blocks, source_unit=source.unit,
                                trace=trace, seed=seed, tol=tol)
@@ -345,18 +345,34 @@ def certify_embedding(env: EnvelopePresentation, levels: int = 4,
                       samples: int = 500, seed: int = 0) -> dict:
     """Sampled norm-preservation report for the embedding x -> xq.
 
-    Compares ||y|| with ||y (1 ⊗ q)|| on random level-k elements for
-    k = 1..levels; the maximum relative discrepancy must stay below 1e-6.
-    Each level draws its ``samples`` coefficient tensors with one
-    ``standard_normal`` call, in the order of ``samples`` consecutive
-    ``random_complex(rng, (k, k, d))`` calls, and reads both norms of each
-    off one Gram matrix (:func:`_sample_norms`)."""
+    q is a sum of minimal central projections of C*(X), so it is central in
+    C*(X) + C1 and reduces X: every x in X is qxq + (1 - q)x(1 - q).  So a
+    level-k element y = sum_t c_t ⊗ x_t is the direct sum of its
+    compressions y_q to range(q), with ||y_q|| = ||y (1 ⊗ q)||, and y_perp
+    to the complement, and ||y|| = max(||y_q||, ||y_perp||); both are
+    small matrices over the blocks of the basis (:func:`_reduction`).  The
+    reduction is verified, not assumed: the off-diagonal blocks O_t of the
+    basis are computed once, and sum_t ||c_t||_F max ||O_t|| is added to
+    the pinched norm max(||y_q||, ||y_perp||), which then bounds ||y|| from
+    above whether or not q reduces X, while pinching bounds it from below
+    (:func:`_reduced_norms`).
+
+    ``max_relative_discrepancy`` is the largest
+    1 - ||y_q|| / (max(||y_q||, ||y_perp||) + off-diagonal bound) over random
+    level-k elements y, k = 1..levels: an upper bound on the relative norm
+    1 - ||y (1 ⊗ q)|| / ||y|| that y loses under x -> xq (||y_q|| never
+    exceeds ||y (1 ⊗ q)||), with the off-diagonal residual folded in.  It
+    must stay below 1e-6, and is exactly 0 when ``coords`` is the identity
+    (nothing cut, C*(X) unital in M_n).  Each level draws its ``samples``
+    coefficient tensors with one ``standard_normal`` call, in the order of
+    ``samples`` consecutive ``random_complex(rng, (k, k, d))`` calls."""
     rng = np.random.default_rng(seed)
     d = env.source.dim
+    blocks = _reduction(env)
     worst = 0.0
     for k in range(1, levels + 1):
         c = matcore.complex_normals(rng.standard_normal((samples, 2, k, k, d)), (k, k, d))
-        ny, ne = _sample_norms(env, c)
+        ny, ne = _reduced_norms(c, *blocks)
         keep = ny >= 1e-12
         worst = max(worst, float((np.abs(ny[keep] - ne[keep]) / ny[keep]).max(initial=0.0)))
     return {
@@ -367,19 +383,40 @@ def certify_embedding(env: EnvelopePresentation, levels: int = 4,
     }
 
 
-def _sample_norms(env: EnvelopePresentation, coeffs):
-    """(||y||, ||y (1 ⊗ q)||) for the level-k elements y of a stack of
-    coefficient tensors (S, k, k, d) over the source basis.
+def _reduction(env: EnvelopePresentation):
+    """The source basis over range(q) ⊕ range(q)^perp: (coords* B_t coords,
+    perp* B_t perp, leak), with perp orthonormal columns spanning the
+    complement of range(coords) and leak_t the larger norm of the
+    off-diagonal blocks perp* B_t coords and coords* B_t perp (0 when q
+    reduces X)."""
+    coords, basis = env.coords, env.source.basis
+    perp = matcore.null_space(coords.conj().T).T
+    leak = np.maximum(op_norms(perp.conj().T @ basis @ coords),
+                      op_norms(coords.conj().T @ basis @ perp))
+    return env.compressed_basis, _compress(perp, basis), leak
 
-    Both come from G = y* y: ||y||^2 is its largest eigenvalue, and
-    ||y (1 ⊗ q)||^2 that of (1 ⊗ coords)* G (1 ⊗ coords), because q =
-    coords coords* with coords* a coisometry."""
-    y = amplify(coeffs, env.source.basis)
-    gram = y.conj().swapaxes(-2, -1) @ y
-    lift = np.kron(np.eye(coeffs.shape[-2]), env.coords)
-    top = np.linalg.eigvalsh(gram)[..., -1]
-    top_q = np.linalg.eigvalsh(lift.conj().T @ gram @ lift)[..., -1]
-    return np.sqrt(np.maximum(top, 0.0)), np.sqrt(np.maximum(top_q, 0.0))
+
+def _reduced_norms(coeffs, inner, outer, leak):
+    """(an upper bound on ||y||, ||y_q||) for the level-k elements y of a
+    stack of coefficient tensors (S, k, k, d), from the blocks of
+    :func:`_reduction`: y_q and y_perp are the elements of the same
+    coefficients over ``inner`` and ``outer``, and the bound is
+    max(||y_q||, ||y_perp||) + sum_t ||c_t||_F leak_t, the pinched norm
+    plus a bound on the off-diagonal part."""
+    nq = _gram_norms(amplify(coeffs, inner))
+    pinched = np.maximum(nq, _gram_norms(amplify(coeffs, outer)))
+    return pinched + (np.linalg.norm(coeffs, axis=(-3, -2)) * leak).sum(axis=-1), nq
+
+
+def _gram_norms(y):
+    """Largest singular value of every matrix of a stack, read off the
+    largest eigenvalue of its Gram matrix y* y, which for these small
+    stacks is cheaper than the batched SVD of :func:`matcore.op_norms`; 0
+    for matrices without entries."""
+    if y.shape[-1] == 0:
+        return np.zeros(y.shape[:-2])
+    top = np.linalg.eigvalsh(y.conj().swapaxes(-2, -1) @ y)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,11 @@ def random_unitized_element(rng, env, positives, level=None) -> unitize.Unitized
 
 def karn_sandwich(env, elem, hb):
     """Xplus inside X1 on one element (criterion 6): returns the Karn verdict,
-    whether a Karn-Yes element is also X1-positive, and whether its witness
-    at the smallest scheduled eps, transported to the largest, still passes
-    the witness check (eps monotonicity).  ``hb`` is the Hermitian part
-    basis of ``env.compressed_basis``."""
+    whether a Karn-Yes element is also X1-positive, and whether its stored
+    witness at the largest scheduled eps, carried over from the smallest by
+    :func:`unitize.transport_witness`, passes the witness check afresh (eps
+    monotonicity).  ``hb`` is the Hermitian part basis of
+    ``env.compressed_basis``."""
     karn = unitize.xplus_cone_member(env, elem)
     if karn.member != unitize.MEMBER_YES:
         return karn.member, True, True
@@ -173,12 +174,10 @@ def karn_sandwich(env, elem, hb):
     eps_small, eps_big = min(wit, default=0.0), max(wit, default=0.0)
     if karn.certificate.get("u_zero") or eps_big <= eps_small:
         return karn.member, x1_ok, True
-    moved = unitize.transport_witness(wit[eps_small], elem.scalar_part,
-                                      eps_small, eps_big, hb)
     root = unitize._psd_sqrt(np.asarray(elem.scalar_part) + eps_big * np.eye(elem.level))
     big_root = np.kron(root, np.eye(env.envelope_dim))
     v = matcore.amplify(elem.v_coords, env.compressed_basis)
-    ok, _ = unitize._verify_karn_witness(hb, moved, v, big_root,
+    ok, _ = unitize._verify_karn_witness(hb, wit[eps_big], v, big_root,
                                          unitize.DEFAULT_DELTA / 2, 1e-6, elem.level)
     return karn.member, x1_ok, ok
 

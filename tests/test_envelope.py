@@ -18,7 +18,8 @@ from ncshilov.envelope import (
     SCAN_ASCENDING_RANK,
     SCAN_DESCENDING_RANK,
     _completion_map,
-    _sample_norms,
+    _reduced_norms,
+    _reduction,
     certify_embedding,
     compute_envelope,
     induced_isomorphism,
@@ -245,27 +246,34 @@ def test_block_with_multiplicity_gets_the_verdict_of_its_single_copy_twin():
         assert 1.0 + 1e-7 < verdicts[m][3].cb_estimate <= attained[m] + 1e-8
 
 
-def _reference_gram_norms(env, levels, samples, seed):
+def _reference_block_norms(env, levels, samples, seed):
     """A per-sample loop over the quantities certify_embedding reads: the
-    draws one random_complex call at a time, and per sample the largest
-    eigenvalues of G = y* y and of (1 ⊗ coords)* G (1 ⊗ coords)."""
+    draws one random_complex call at a time, and per sample the norms of
+    y_q and y_perp over the blocks of the reduction, each the square root
+    of the largest eigenvalue of its Gram matrix, and the off-diagonal bound
+    sum_t ||c_t||_F leak_t."""
+    inner, outer, leak = _reduction(env)
     rng = np.random.default_rng(seed)
+
+    def norm(y):
+        return np.sqrt(max(np.linalg.eigvalsh(y.conj().T @ y)[-1], 0.0)) if y.size else 0.0
+
     out = []
     for k in range(1, levels + 1):
-        lift = np.kron(np.eye(k), env.coords)
         ny, ne = [], []
         for _ in range(samples):
-            y = amplify(matcore.random_complex(rng, (k, k, env.source.dim)), env.source.basis)
-            g = y.conj().T @ y
-            ny.append(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
-            ne.append(np.sqrt(max(np.linalg.eigvalsh(lift.conj().T @ g @ lift)[-1], 0.0)))
+            c = matcore.random_complex(rng, (k, k, env.source.dim))
+            nq = norm(amplify(c, inner))
+            off = (np.linalg.norm(c, axis=(0, 1)) * leak).sum()
+            ny.append(max(nq, norm(amplify(c, outer))) + off)
+            ne.append(nq)
         out.append((np.array(ny), np.array(ne)))
     return out
 
 
 def test_certify_embedding_equals_the_per_sample_gram_loop(crit4_instance0_env):
     env = crit4_instance0_env
-    reference = _reference_gram_norms(env, 4, 120, seed=3)
+    reference = _reference_block_norms(env, 4, 120, seed=3)
     per_level = [float((np.abs(ny - ne) / ny).max()) for ny, ne in reference]
     # every level contributes a nonzero discrepancy of its own
     assert all(w > 0.0 for w in per_level)
@@ -275,27 +283,41 @@ def test_certify_embedding_equals_the_per_sample_gram_loop(crit4_instance0_env):
         assert rep["passed"]
     # each level's norms on their own, after the same prefix of draws
     rng = np.random.default_rng(3)
+    blocks = _reduction(env)
     for k in (1, 2, 3, 4):
         c = np.array([matcore.random_complex(rng, (k, k, env.source.dim))
                       for _ in range(120)])
-        ny, ne = _sample_norms(env, c)
+        ny, ne = _reduced_norms(c, *blocks)
         assert np.array_equal(ny, reference[k - 1][0])
         assert np.array_equal(ne, reference[k - 1][1])
     assert certify_embedding(env, levels=2, samples=0, seed=3)["max_relative_discrepancy"] == 0.0
 
 
 def test_certify_embedding_norms_are_operator_norms(crit4_instance0_env):
-    # ||y|| and ||y (1 ⊗ q)|| read off the Gram matrix agree with the
+    # the bound on ||y|| and ||y_q|| read off the two blocks agree with the
     # spectral norms of y and y (1 ⊗ q) themselves
     env = crit4_instance0_env
+    blocks = _reduction(env)
     rng = np.random.default_rng(8)
     for k in (1, 2, 3, 4):
         c = matcore.random_complex(rng, (30, k, k, env.source.dim))
-        ny, ne = _sample_norms(env, c)
+        ny, ne = _reduced_norms(c, *blocks)
         lift = np.kron(np.eye(k), env.q)
         for i, y in enumerate(amplify(c, env.source.basis)):
             assert abs(ny[i] - np.linalg.norm(y, 2)) <= 1e-12 * ny[i]
             assert abs(ne[i] - np.linalg.norm(y @ lift, 2)) <= 1e-12 * ny[i]
+
+
+def test_certify_embedding_without_a_cut_is_exact():
+    # nothing to cut: coords is the identity, y_perp has no entries and the
+    # discrepancy is exactly 0
+    x = validate_space([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)])
+    env = compute_envelope(x, seed=0)
+    assert env.envelope_dim == 2 and env.eliminations() == 0
+    _, outer, leak = _reduction(env)
+    assert outer.shape == (x.dim, 0, 0) and not leak.any()
+    rep = certify_embedding(env, levels=3, samples=50, seed=1)
+    assert rep["max_relative_discrepancy"] == 0.0 and rep["passed"]
 
 
 def test_certify_embedding_fails_without_a_retained_column(crit4_instance0_env):
@@ -306,6 +328,61 @@ def test_certify_embedding_fails_without_a_retained_column(crit4_instance0_env):
     for j in range(env.envelope_dim):
         cut = dataclasses.replace(env, coords=np.delete(env.coords, j, axis=1))
         assert not certify_embedding(cut, levels=2, samples=50, seed=1)["passed"]
+
+
+def test_certify_embedding_fails_on_a_slightly_rotated_range(crit4_instance0_env):
+    # a range(q) turned by 1e-3 from a retained toward a removed direction
+    # no longer reduces X; the off-diagonal bound shows it
+    env = crit4_instance0_env
+    perp = matcore.null_space(env.coords.conj().T).T
+    assert perp.shape[1] >= 1
+    theta = 1e-3
+    for j in range(env.envelope_dim):
+        for i in range(perp.shape[1]):
+            coords = env.coords.copy()
+            coords[:, j] = np.cos(theta) * env.coords[:, j] + np.sin(theta) * perp[:, i]
+            turned = dataclasses.replace(env, coords=coords,
+                                         compressed_basis=coords.conj().T @ env.source.basis
+                                         @ coords)
+            assert not certify_embedding(turned, levels=2, samples=50, seed=1)["passed"]
+
+
+def _ambient_gram_discrepancy(env, levels, samples, seed):
+    """The largest relative discrepancy between ||y|| and ||y (1 ⊗ q)||,
+    both read off the ambient Gram matrix y* y, on certify_embedding's
+    draws."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(1, levels + 1):
+        lift = np.kron(np.eye(k), env.coords)
+        for _ in range(samples):
+            y = amplify(matcore.random_complex(rng, (k, k, env.source.dim)), env.source.basis)
+            g = y.conj().T @ y
+            ny = np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0))
+            ne = np.sqrt(max(np.linalg.eigvalsh(lift.conj().T @ g @ lift)[-1], 0.0))
+            if ny >= 1e-12:
+                worst = max(worst, abs(ny - ne) / ny)
+    return worst
+
+
+def test_certify_embedding_bounds_the_ambient_discrepancy():
+    # on criterion 4's first spaces and their conjugated copies, drawn as
+    # its acceptance test draws them, the reported discrepancy at the CLI's
+    # levels and samples is never below the one read off the ambient Gram
+    # matrix, and passes
+    rng = np.random.default_rng(404)
+    cut = 0
+    for i in range(3):
+        gens = loose_instance(rng, a=int(rng.integers(2, 4)), b=int(rng.integers(1, 3)),
+                              extra_blocks=int(rng.integers(0, 2)))
+        u = random_unitary(rng, gens[0].shape[0])
+        for space, seed in ((gens, i), ([u @ g @ u.conj().T for g in gens], i + 1000)):
+            env = compute_envelope(validate_space(space), seed=seed)
+            cut += env.eliminations() > 0
+            reported = certify_embedding(env, levels=4, samples=120, seed=seed + 1)
+            ambient = _ambient_gram_discrepancy(env, 4, 120, seed=seed + 1)
+            assert ambient - 1e-14 <= reported["max_relative_discrepancy"] <= 1e-6
+    assert cut >= 4
 
 
 def _traced_envelope(monkeypatch, x, **kwargs):
@@ -415,7 +492,7 @@ def test_per_elimination_norm_conservation():
         for _ in range(30):
             c = matcore.random_complex(rng, (k, k, x.dim))
             y = amplify(c, x.basis)
-            ye = amplify(c, env.embedded_basis)
+            ye = amplify(c, x.basis @ env.q)
             assert abs(op_norm(y) - op_norm(ye)) <= 1e-7 * max(1.0, op_norm(y))
 
 

@@ -447,12 +447,17 @@ def test_karn_monotone_in_eps_by_transport():
         eps_small, eps_big = min(wit), max(wit)
         if eps_big <= eps_small:
             continue
-        moved = transport_witness(wit[eps_small], elem.scalar_part,
-                                  eps_small, eps_big, hb)
+        a = hermitize(elem.scalar_part, rtol=1e-9)
+        moved = transport_witness(wit[eps_small], a, eps_small, eps_big, hb)
+        # the witness stored for the largest eps is this transport
+        assert np.array_equal(moved, wit[eps_big])
         u = amplify(moved, hb)
         assert op_norm(u) <= op_norm(amplify(np.asarray(wit[eps_small]), hb)) + 1e-9
-        root = matcore.herm_eig(np.asarray(elem.scalar_part)
-                                + eps_big * np.eye(elem.level))
+        # and it certifies v + R u R >= 0 at that eps
+        root = np.kron(_psd_sqrt(a + eps_big * np.eye(elem.level)), np.eye(env.envelope_dim))
+        v = hermitize(amplify(elem.v_coords, env.compressed_basis), rtol=1e-8)
+        ok, why = _verify_karn_witness(hb, moved, v, root, DEFAULT_DELTA, 1e-7, elem.level)
+        assert ok, why
         checked += 1
     assert checked >= 1
 
