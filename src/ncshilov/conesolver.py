@@ -15,27 +15,30 @@ blocks, as real rows in the coordinates of :func:`matcore.herm_to_rvec`):
   per coordinate u_i plus a trace row, however large the blocks are; the
   caller's stop test sees (u, lambda) and the trace-one primal point X,
   which is where a separating functional comes from.  Every solve outside
-  the cc oracle is one of these: feasibility over an affine set
-  (:func:`solve_feasibility`), operator-norm distance to a subspace
-  (:func:`minimize_opnorm`), and, in other modules, the spanning-cone,
-  Karn and domination programs.
+  the cc oracle is one of these: operator-norm distance to a subspace
+  (:func:`minimize_opnorm`) and, in other modules, the spanning-cone,
+  Karn and domination programs.  Feasibility over an affine set
+  (:func:`solve_feasibility`) has no caller in the program; it is kept as
+  a public entry point, which acceptance criterion 10 and the benchmark's
+  traced layers use.
 
-* :class:`ChoiAgreementProgram` is the structured program behind the
-  complete-contractivity oracle (:func:`_hkm_max_scale`): a Choi variable
-  constrained to agree, as a linear map, with a given map on a Hermitian
-  orthonormal family, plus one scalar scaling variable, whose largest
-  admissible value is sought.
+* The scaling program behind the complete-contractivity oracle
+  (:func:`_hkm_max_scale`): maximize s >= 0 over Choi matrices C =
+  [[C11, C12], [C12*, C22]] >= 0 on the 2pq support, with Tr_1 C11 =
+  Tr_1 C22 = I_q and K_t(C12) = s psi(w_t) for every orthonormal domain
+  element w_t (:func:`_choi_rows`), as in Watrous's SDP for the
+  completely bounded norm.
 
 The complete-contractivity test reduces, as usual, to complete positivity
 of the associated unital map on the 2x2 operator system over the map's
 domain: ``cb-norm(psi) <= 1/s`` iff the s-scaled system map admits a
 completely positive extension to the full matrix algebra, iff a Choi
-matrix of size (2p)(2q) is PSD under the agreement constraints.  We
-maximize the admissible scaling s, so 1/s* is the cb-norm.  The oracle
-needs a verdict, not the optimum, so the solve stops at the first iterate
-that proves either answer.  Neither rests on the solver's own status.
+matrix of size (2p)(2q), which vanishes off its 2pq support, is PSD
+under the block constraints above.  We maximize the admissible scaling
+s, so 1/s* is the cb-norm.  The oracle needs a verdict, not the optimum,
+so the solve stops at the first iterate that proves either answer.  Neither rests on the solver's own status.
 Yes: the iterate's Choi matrix is shifted to be PSD, with a margin that
-covers the rounding error of its computed eigenvalues, and the agreement
+covers the rounding error of its computed eigenvalues, and the block
 residuals are recomputed; from these and s follows an upper bound on the
 cb-norm (:func:`_certified_cb_bound`), which proves the verdict when it
 is at most 1 + tol.  No: the iterate's dual slack yields a level-q
@@ -634,65 +637,6 @@ class LinearMapSpec:
         return np.einsum("tab,ab->t", self.on_domain.conj(), np.asarray(m, dtype=np.complex128))
 
 
-class ChoiAgreementProgram:
-    """Choi variable constrained to agree with a given system map.
-
-    Variable: Hermitian C of size (2p)(2q) -- the Choi matrix of a candidate
-    extension M_{2p} -> M_{2q} -- plus one scalar s >= 0.  For each member
-    g_a of a Hermitian HS-orthonormal family in M_{2p}:
-
-        contract(C; g_a) := sum_{kl} (g_a)_{kl} C_{(k,l) block} = Y0_a + s Y1_a.
-
-    Paired with the HS-orthonormal Hermitian basis E_e of M_{2q}, member a
-    contributes the real rows ``<conj(g_a) (x) E_e, C> - s <E_e, Y1_a> =
-    <E_e, Y0_a>``.  ``support`` confines C to the principal submatrix on
-    those indices; every other entry is zero.
-    """
-
-    def __init__(self, gens, y0, y1, support):
-        self.g = np.asarray(gens, dtype=np.complex128)
-        self.y0 = np.asarray(y0, dtype=np.complex128)
-        self.y1 = np.asarray(y1, dtype=np.complex128)
-        self.m, self.tp, _ = self.g.shape
-        self.tq = self.y0.shape[1]
-        self.dim_c = self.tp * self.tq
-        self.support = np.asarray(support, dtype=int)
-        # ||g_a||_1, the weights of the residuals in :func:`_certified_cb_bound`
-        self.g_trace_norms = np.abs(np.linalg.eigvalsh(self.g)).sum(axis=1)
-
-    def rows(self):
-        """``(f, a, b)``: Hermitian row matrices on the support, their
-        scaling coefficients and right-hand sides, one per (a, e) whose row
-        matrix is nonzero on the support.  A dropped row reads 0 = 0: its
-        scaling coefficient and right-hand side are checked to be exactly
-        zero (BadProgram otherwise)."""
-        tq = self.tq
-        basis = rvec_to_herm(np.eye(tq * tq), tq)
-        k, al = np.divmod(self.support, tq)
-        g_part = self.g.conj()[:, k[:, None], k[None, :]]
-        e_part = basis[:, al[:, None], al[None, :]]
-        n = self.support.size
-        f = (g_part[:, None] * e_part[None]).reshape(-1, n, n)
-        pair = "eab,xab->xe"
-        b = np.einsum(pair, basis.conj(), self.y0).real.reshape(-1)
-        a = -np.einsum(pair, basis.conj(), self.y1).real.reshape(-1)
-        keep = f.reshape(f.shape[0], -1).any(axis=1)
-        if a[~keep].any() or b[~keep].any():
-            raise BadProgram("an agreement row vanishing on the support has nonzero data")
-        return f[keep], a[keep], b[keep]
-
-    def embed(self, c):
-        """Full Choi matrix from its block on the support."""
-        full = np.zeros((self.dim_c, self.dim_c), dtype=np.complex128)
-        full[np.ix_(self.support, self.support)] = c
-        return full
-
-    def contract(self, c):
-        """K_a(C) for every family member a: stack of (2q, 2q) matrices."""
-        c4 = c.reshape(self.tp, self.tq, self.tp, self.tq)
-        return np.einsum("xkl,kalb->xab", self.g, c4)
-
-
 # ---------------------------------------------------------------------------
 # Interior-point solve of the scaling program
 # ---------------------------------------------------------------------------
@@ -728,50 +672,43 @@ def _hkm_max_scale(f, a, b, stop=None) -> ScaleSolve:
                          "s": float(sol.x[1][0, 0].real)})
 
 
-def _paulsen_family(map_spec: LinearMapSpec):
-    """Hermitian ON family spanning the 2x2 system over the domain, with the
-    constant (Y0) and scaling-linear (Y1) parts of the required images, and
-    the support of every admissible Choi matrix.
+def _choi_rows(map_spec: LinearMapSpec):
+    """Rows ``(f, a, b)`` of the scaling program, ``Re<F_i, C> + a_i s =
+    b_i``, with orthonormal Hermitian F_i on the 2pq support.
 
     A CP map sending I_p (+) 0 to I_q (+) 0 has diagonal Choi blocks
     0 <= Phi(E_kk) <= I_q (+) 0 for k < p, so its Choi matrix vanishes on
-    every index (k, b) with k < p <= b < 2q -- and symmetrically for the
-    lower corner.  The remaining 2pq indices carry the whole program, which
-    is strictly feasible there (the pinching onto the corners is an
-    interior point at s = 0)."""
+    every index (k, b) with k < p <= b < 2q, and symmetrically for the
+    lower corner.  The remaining 2pq indices, the (k < p, b < q) corner
+    first, carry the whole program: C = [[C11, C12], [C12*, C22]] with
+    pq x pq blocks, which must satisfy
+
+    * Tr_1 C11 = I_q and Tr_1 C22 = I_q: q^2 rows each, kron(I_p, E) /
+      sqrt(p) over the Hermitian ON basis E of M_q;
+    * K_t(C12) := sum_kl (w_t)_kl C12[(k, .), (l, .)] = s psi(w_t) for each
+      ON domain element w_t: 2q^2 rows each, the off-diagonal
+      kron(conj(w_t), G) / sqrt(2) over G in {E, iE}.
+
+    The program is strictly feasible there (the pinching onto the corners
+    is an interior point at s = 0)."""
     p, q, d = map_spec.p, map_spec.q, map_spec.dim
-    tq = 2 * q
-
-    def emb(n, b11=None, b12=None):
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        if b11 is not None:
-            out[:n, :n] = b11
-        if b12 is not None:
-            out[:n, n:] = b12
-            out[n:, :n] = b12.conj().T
-        return out
-
-    def emb22(n, b22):
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        out[n:, n:] = b22
-        return out
-
-    gens = [emb(p, b11=np.eye(p) / np.sqrt(p)), emb22(p, np.eye(p) / np.sqrt(p))]
-    y0 = [emb(q, b11=np.eye(q) / np.sqrt(p)), emb22(q, np.eye(q) / np.sqrt(p))]
-    zq = np.zeros((tq, tq), dtype=np.complex128)
-    y1 = [zq.copy(), zq.copy()]
-    for t in range(d):
-        w = map_spec.on_domain[t]
-        y = map_spec.on_images[t]
-        gens.append(emb(p, b12=w / np.sqrt(2)))
-        y0.append(zq.copy())
-        y1.append(emb(q, b12=y / np.sqrt(2)))
-        gens.append(emb(p, b12=1j * w / np.sqrt(2)))
-        y0.append(zq.copy())
-        y1.append(emb(q, b12=1j * y / np.sqrt(2)))
-    k, b = np.divmod(np.arange(2 * p * tq), tq)
-    support = np.flatnonzero((k < p) == (b < q))
-    return np.asarray(gens), np.asarray(y0), np.asarray(y1), support
+    pq, qq = p * q, q * q
+    herm = rvec_to_herm(np.eye(qq), q)
+    gs = np.concatenate([herm, 1j * herm])
+    diag = np.einsum("kl,ebc->ekblc", np.eye(p), herm).reshape(qq, pq, pq) / np.sqrt(p)
+    off = np.einsum("tkl,gbc->tgkblc", map_spec.on_domain.conj(), gs)
+    off = off.reshape(2 * qq * d, pq, pq) / np.sqrt(2)
+    f = np.zeros((2 * qq * (1 + d), 2 * pq, 2 * pq), dtype=np.complex128)
+    f[:qq, :pq, :pq] = diag
+    f[qq : 2 * qq, pq:, pq:] = diag
+    f[2 * qq :, :pq, pq:] = off
+    f[2 * qq :, pq:, :pq] = off.conj().transpose(0, 2, 1)
+    a = np.zeros(f.shape[0])
+    a[2 * qq :] = -np.sqrt(2) * np.einsum("gbc,tbc->tg", gs.conj(),
+                                          map_spec.on_images).real.reshape(-1)
+    b = np.zeros(f.shape[0])
+    b[: 2 * qq] = np.tile(np.trace(herm, axis1=1, axis2=2).real, 2) / np.sqrt(p)
+    return f, a, b
 
 
 @dataclass
@@ -786,9 +723,10 @@ class CcResult:
     in [cb, 1 + tol].  A No carries its level-q witness
     (``violating_coeffs``, with ||y|| = 1) and ``cb_estimate`` =
     ``violation_norm`` = ||psi_q(y)||, a lower bound in (1 + tol, cb].
-    ``residual`` is the largest agreement residual of the Choi iterate a
-    Yes or Marginal verdict was read at; a No, whose witness is checked
-    without the Choi iterate, carries none."""
+    ``residual`` is max(||Tr_1 C_ii - I_q|| / sqrt(p), ||K_t(C12) - s
+    psi(w_t)|| / sqrt(2)) over the blocks of the Choi iterate a Yes or
+    Marginal verdict was read at (:func:`_certified_cb_bound`); a No, whose
+    witness is checked without the Choi iterate, carries none."""
 
     verdict: str
     cb_estimate: float
@@ -811,8 +749,8 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
     q = 1, included), and each iterate with s >= 1/(1 + tol) is checked
     afresh: with the Choi matrix shifted to be PSD (its computed smallest
     eigenvalue is lifted to a margin above eigvalsh's rounding error), and
-    the agreement residuals R_a recomputed there, the cb-norm is at most
-    ``(1 + 2 sum_a ||g_a||_1 ||R_a||) / s`` (see :func:`_certified_cb_bound`).
+    the block residuals recomputed there, the cb-norm is at most
+    ``(1 + 2 eps) / s`` (see :func:`_certified_cb_bound`).
     The bound is at least 1/s, so no iterate with a smaller s can pass.
     An iterate whose bound is at most ``1 + tol`` ends the solve with
     CompletelyContractive on that bound alone: it is a proof, so no
@@ -834,13 +772,11 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
         return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map",
                         route=ROUTE_ZERO_MAP)
 
-    gens, y0, y1, support = _paulsen_family(map_spec)
-    prog = ChoiAgreementProgram(gens, y0, y1, support)
     pq = map_spec.p * map_spec.q
 
     def decide(x, s, z):
         if s >= 1.0 / (1.0 + tol):
-            cert = _certified_cb_bound(prog, x, s)
+            cert = _certified_cb_bound(map_spec, x, s)
             if cert[0] <= 1.0 + tol:
                 return CC_YES, cert
         # the start point z = I has Z12 = 0, hence T = 0 and no witness
@@ -850,7 +786,7 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
                 return CC_NO, witness
         return None
 
-    sol = _hkm_max_scale(*prog.rows(), stop=decide)
+    sol = _hkm_max_scale(*_choi_rows(map_spec), stop=decide)
     if sol.stopped is not None and sol.stopped[0] == CC_YES:
         bound, residual, point = sol.stopped[1]
         return CcResult(verdict=CC_YES, cb_estimate=bound, residual=residual,
@@ -868,7 +804,7 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
     solver = (f"Choi solve {sol.status} after {sol.iterations} iterations "
               f"(gap {sol.gap:.1e}, infeasibility "
               f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})")
-    bound, residual, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    bound, residual, _ = _certified_cb_bound(map_spec, sol.x, sol.s)
     _, value = _dual_witness(map_spec, sol.z)
     return CcResult(verdict=CC_MARGINAL, cb_estimate=bound, residual=residual,
                     iterations=sol.iterations,
@@ -909,33 +845,43 @@ def _pinv_sqrt(h):
     return (u * r) @ u.conj().T
 
 
-def _certified_cb_bound(prog: ChoiAgreementProgram, x, s):
+def _certified_cb_bound(map_spec: LinearMapSpec, x, s):
     """Upper bound on the cb-norm from a Choi point ``x`` (on the support)
-    at scaling ``s``; returns ``(bound, max_a ||R_a||, C)`` with C the
-    shifted point the bound holds for.
+    at scaling ``s``; returns ``(bound, residual, C)`` with C the shifted
+    point the bound holds for and ``residual`` = max(||R_ii|| / sqrt(p),
+    ||D_t|| / sqrt(2)) over the residuals below.
 
     ``x`` is shifted so that its computed smallest eigenvalue w becomes at
     least ``delta = n eps ||x||``, which bounds the rounding error of w;
-    the shifted Choi matrix C is then PSD, i.e. the map Phi of C is CP.
-    The shift enters the recomputed residuals and so the bound.  What
-    remains unaccounted is the rounding in the residuals themselves, of
-    order eps, far below any working tolerance.  On the 2x2 system
-    Phi equals Theta_s + E, Theta_s the s-scaled system map and E the
-    linear map g -> sum_a <g_a, g> R_a whose cb-norm is at most
-    eps = sum_a ||g_a||_1 ||R_a||.  For y at level k with ||y|| <= 1 the
-    element P = [[1, y], [y*, 1]] is positive of norm at most 2, so
-    Theta_s(P) >= -2 eps, which reads s ||psi_k(y)|| <= 1 + 2 eps.
+    the shifted Choi matrix C = [[C11, C12], [C12*, C22]] is then PSD, i.e.
+    the map Phi of C is CP.  The shift enters the residuals, recomputed on
+    C's blocks: R_ii = Tr_1 C_ii - I_q and D_t = K_t(C12) - s psi(w_t), as
+    in :func:`_choi_rows`.  What remains unaccounted is the rounding in
+    the residuals themselves, of order eps, far below any working
+    tolerance.  On the 2x2 system Phi equals Theta_s + E, Theta_s the
+    s-scaled system map and E a linear map whose cb-norm is at most
+
+        eps = ||R_11|| + ||R_22|| + 2 sum_t ||w_t||_1 ||D_t||.
+
+    For y at level k with ||y|| <= 1 the element P = [[1, y], [y*, 1]] is
+    positive of norm at most 2, so Theta_s(P) >= -2 eps, which reads
+    s ||psi_k(y)|| <= 1 + 2 eps.
     """
     n = x.shape[0]
     w = np.linalg.eigvalsh(x)
     delta = n * np.finfo(float).eps * np.abs(w).max()
     if w[0] < delta:
         x = x + (delta - w[0]) * np.eye(n)
-    r = prog.contract(prog.embed(x)) - prog.y0 - s * prog.y1
-    r_norms = op_norms(r)
-    eps = float(prog.g_trace_norms @ r_norms)
+    p, q = map_spec.p, map_spec.q
+    c = x.reshape(2, p, q, 2, p, q)
+    r_diag = op_norms(np.einsum("ikbikc->ibc", c) - np.eye(q))
+    d_norms = op_norms(np.einsum("tkl,kblc->tbc", map_spec.on_domain, c[0, :, :, 1])
+                       - s * map_spec.on_images)
+    w_norms = np.linalg.svd(map_spec.on_domain, compute_uv=False).sum(axis=1)
+    eps = float(r_diag.sum() + 2.0 * w_norms @ d_norms)
     bound = (1.0 + 2.0 * eps) / s if s > 0 else np.inf
-    return bound, float(r_norms.max()), x
+    residual = max(float(r_diag.max()) / np.sqrt(p), float(d_norms.max()) / np.sqrt(2))
+    return bound, residual, x
 
 
 def sampled_cb_lower_bound(map_spec: LinearMapSpec, max_level: int, samples: int,

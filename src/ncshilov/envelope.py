@@ -42,7 +42,12 @@ import numpy as np
 
 from ncshilov import blockdecomp, conesolver, matcore, stargen
 from ncshilov.conesolver import CC_NO, CC_YES, LinearMapSpec
-from ncshilov.errors import InconclusiveAtTolerance, NumericallyAmbiguous, ShapeMismatch
+from ncshilov.errors import (
+    InconclusiveAtTolerance,
+    NumericallyAmbiguous,
+    RankAmbiguous,
+    ShapeMismatch,
+)
 from ncshilov.matcore import amplify, op_norm, op_norms, orthonormalize, span_residual
 from ncshilov.stargen import AlgebraPresentation, MatrixSpace
 from ncshilov.timing import StageTimes
@@ -68,7 +73,7 @@ class LoosenessVerdict:
     [cb, 1 + tol]; on an Essential dual-witness verdict it is the witness
     ratio, a lower bound in (1 + tol, cb]; on a Marginal one, the last
     iterate's certified bound, above 1 + tol; None on a kernel verdict.
-    ``residual`` is the agreement residual of the Choi iterate behind a
+    ``residual`` is the block residual of the Choi iterate behind a
     Loose or Marginal verdict; None on an Essential one, whose certificate
     (a kernel or a dual witness) does not use a Choi iterate.
     """
@@ -163,7 +168,7 @@ class EnvelopePresentation:
 
     @property
     def embedding_residual(self) -> float:
-        """The largest agreement residual among the removed blocks'
+        """The largest block residual among the removed blocks'
         certificates."""
         return max((s.verdict.residual for s in self.trace if s.removed), default=0.0)
 
@@ -200,7 +205,7 @@ def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
     the Choi solve its iteration count and ``cb_estimate``: the certified
     upper bound on the completion map's cb-norm for Loose, the witness's
     lower bound for Essential; Loose and Marginal also record the
-    agreement residual of the Choi iterate they were read at."""
+    block residual of the Choi iterate they were read at."""
     p = block.projection
     keep = unit - p
     keep_rank = int(round(float(np.real(np.trace(keep)))))
@@ -441,9 +446,13 @@ def induced_isomorphism(env_a: EnvelopePresentation, env_b: EnvelopePresentation
     ``correspondence`` maps coefficient vectors over env_a.source.basis to
     coefficient vectors over env_b.source.basis; the caller asserts it is a
     completely positive surjective complete isometry (norm preservation is
-    spot-checked at levels 1..2).  The isomorphism is built on word pairs
-    from the generating copies and verified multiplicative, *-preserving
-    and unital."""
+    spot-checked at levels 1..2).  The isomorphism is read off the graph
+    algebra, the C*-algebra generated by the direct sums a_t (+) (T b)_t of
+    the two compressed copies of X: a least-squares fit of its B parts
+    against its A parts, verified multiplicative, *-preserving and
+    unital.  The graph algebra's dimension must be crisp: a
+    correspondence off by more than about 1e-10 relative leaves singular
+    values in the closure's rank band and is refused with that reason."""
     t = np.asarray(correspondence, dtype=np.complex128)
     if t.shape != (env_b.source.dim, env_a.source.dim):
         raise ShapeMismatch("correspondence shape does not match source dimensions")
@@ -464,27 +473,19 @@ def induced_isomorphism(env_a: EnvelopePresentation, env_b: EnvelopePresentation
                 reason=f"correspondence not isometric at level {k}: "
                        f"{na[i]:.8f} vs {nb[i]:.8f}")
 
-    pairs = [(env_a.compressed_basis[i],
-              np.einsum("s,sab->ab", t[:, i], env_b.compressed_basis))
-             for i in range(env_a.source.dim)]
-    dim_goal = env_a.algebra.dim
-    frontier = list(pairs)
-    for _ in range(dim_goal + 2):
-        flat = np.stack([p[0] for p in pairs]).reshape(len(pairs), -1)
-        if np.linalg.matrix_rank(flat, tol=1e-9) >= dim_goal:
-            break
-        new = []
-        for a1, b1 in frontier:
-            new.append((a1.conj().T, b1.conj().T))
-            for a2, b2 in pairs:
-                new.append((a1 @ a2, b1 @ b2))
-        pairs.extend(new)
-        frontier = new
-        if len(pairs) > 4000:
-            break
-
-    flat_a = np.stack([p[0] for p in pairs]).reshape(len(pairs), -1)
-    flat_b = np.stack([p[1] for p in pairs]).reshape(len(pairs), -1)
+    # the graph algebra C*({a_t (+) (T b)_t}): its basis elements are
+    # alpha (+) pi(alpha) exactly when the correspondence extends to a
+    # *-isomorphism pi
+    n = env_a.envelope_dim
+    graph = np.zeros((env_a.source.dim,) + (n + env_b.envelope_dim,) * 2, dtype=np.complex128)
+    graph[:, :n, :n] = env_a.compressed_basis
+    graph[:, n:, n:] = np.einsum("si,sab->iab", t, env_b.compressed_basis)
+    try:
+        words = stargen.generate_star_algebra(graph).basis
+    except RankAmbiguous as exc:
+        return IsomorphismResult(found=False, reason=f"graph algebra: {exc}")
+    flat_a = words[:, :n, :n].reshape(len(words), -1)
+    flat_b = words[:, n:, n:].reshape(len(words), -1)
     ca = flat_a @ env_a.algebra.basis.reshape(env_a.algebra.dim, -1).conj().T
     cb = flat_b @ env_b.algebra.basis.reshape(env_b.algebra.dim, -1).conj().T
     sol, _res, rank, _sv = np.linalg.lstsq(ca, cb, rcond=None)

@@ -9,14 +9,13 @@ from ncshilov.conesolver import (
     INFEASIBLE,
     IPM_OPTIMAL,
     MARGINAL,
-    ChoiAgreementProgram,
     ConicProgram,
     LinearMapSpec,
     _certified_cb_bound,
+    _choi_rows,
     _dual_witness,
     _haar_coeffs,
     _hkm_max_scale,
-    _paulsen_family,
     cc_test,
     minimize_opnorm,
     sampled_cb_lower_bound,
@@ -281,7 +280,7 @@ def _witness_ratio(spec, res):
 def _attained_cb_norm(spec):
     """The cb-norm as the dual witness attains it at the optimum: the Choi
     solve run with no stop, then the witness read off its dual slack."""
-    sol = _hkm_max_scale(*ChoiAgreementProgram(*_paulsen_family(spec)).rows())
+    sol = _hkm_max_scale(*_choi_rows(spec))
     return _dual_witness(spec, sol.z)[1]
 
 
@@ -306,9 +305,9 @@ def test_cc_dual_witness_attains_transpose_cb_norm(c):
 def _scaled_map(dom, img, target):
     """The map dom -> img scaled by target / (its certified bound at the
     optimum), so that its cb-norm is target."""
-    prog = ChoiAgreementProgram(*_paulsen_family(LinearMapSpec(dom, img)))
-    sol = _hkm_max_scale(*prog.rows())
-    bound, _, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    spec = LinearMapSpec(dom, img)
+    sol = _hkm_max_scale(*_choi_rows(spec))
+    bound, _, _ = _certified_cb_bound(spec, sol.x, sol.s)
     return LinearMapSpec(dom, [target / bound * y for y in img])
 
 
@@ -348,11 +347,10 @@ def test_cc_decides_a_map_whose_cb_norm_is_one_without_stalling():
     # centrality and ran into the iteration cap (Marginal at cb 1 and
     # 1 + 1e-6); each must now be decided, every solve within 30 iterations
     dom, img = _stall_map()
-    gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
-    prog = ChoiAgreementProgram(gens, y0, y1, support)
-    sol = _hkm_max_scale(*prog.rows())
+    stall = LinearMapSpec(dom, img)
+    sol = _hkm_max_scale(*_choi_rows(stall))
     assert sol.status == IPM_OPTIMAL and sol.iterations <= 30
-    bound, _, _ = _certified_cb_bound(prog, sol.x, sol.s)
+    bound, _, _ = _certified_cb_bound(stall, sol.x, sol.s)
     for target in (1.0, 1.0 + 1e-5, 1.0 + 1e-6, 1.01):
         spec = LinearMapSpec(dom, [target / bound * y for y in img])
         res = cc_test(spec, tol=1e-7)
@@ -459,11 +457,10 @@ def test_choi_solve_bounds_known_cb_norms():
     for images, cb in (([b.T.copy() for b in basis], 2.0),
                        ([0.5 * b for b in basis], 0.5),
                        ([np.array([[np.trace(b) / 2]]) for b in basis], 1.0)):
-        gens, y0, y1, support = _paulsen_family(LinearMapSpec(basis, images))
-        prog = ChoiAgreementProgram(gens, y0, y1, support)
-        sol = _hkm_max_scale(*prog.rows())
+        spec = LinearMapSpec(basis, images)
+        sol = _hkm_max_scale(*_choi_rows(spec))
         assert sol.status == IPM_OPTIMAL
-        bound, residual, _ = _certified_cb_bound(prog, sol.x, sol.s)
+        bound, residual, _ = _certified_cb_bound(spec, sol.x, sol.s)
         assert cb - 1e-12 <= bound <= cb + 1e-8
         assert residual <= 1e-10
 
@@ -495,9 +492,9 @@ def test_cc_yes_stops_at_its_first_certified_iterate(monkeypatch):
     for spec in specs:
         res = cc_test(spec, tol=tol)
         assert res.verdict == CC_YES
-        prog = ChoiAgreementProgram(*_paulsen_family(spec))
-        assert res.iterations < _hkm_max_scale(*prog.rows()).iterations
-        # the bound of _certified_cb_bound, written out from the carried data
+        assert res.iterations < _hkm_max_scale(*_choi_rows(spec)).iterations
+        # the bound of _certified_cb_bound, written out from the carried
+        # point's blocks [[C11, C12], [C12*, C22]]
         c, s = res.choi_point, res.scale
         n = c.shape[0]
         assert np.abs(c - c.conj().T).max() == 0.0
@@ -505,10 +502,17 @@ def test_cc_yes_stops_at_its_first_certified_iterate(monkeypatch):
         delta = n * np.finfo(float).eps * np.abs(w).max()
         if w[0] < delta:
             c = c + (delta - w[0]) * np.eye(n)
-        r = prog.contract(prog.embed(c)) - prog.y0 - s * prog.y1
-        r_norms = np.array([np.linalg.norm(ra, 2) for ra in r])
-        g_norms = np.array([np.linalg.norm(g, "nuc") for g in prog.g])
-        bound = (1.0 + 2.0 * float(g_norms @ r_norms)) / s
+        p, q, pq = spec.p, spec.q, spec.p * spec.q
+        eps = 0.0
+        for blk in (c[:pq, :pq], c[pq:, pq:]):
+            tr1 = sum(blk[k * q : (k + 1) * q, k * q : (k + 1) * q] for k in range(p))
+            eps += np.linalg.norm(tr1 - np.eye(q), 2)
+        c12 = c[:pq, pq:]
+        for wt, yt in zip(spec.on_domain, spec.on_images):
+            k12 = sum(wt[k, l] * c12[k * q : (k + 1) * q, l * q : (l + 1) * q]
+                      for k in range(p) for l in range(p))
+            eps += 2.0 * np.linalg.norm(wt, "nuc") * np.linalg.norm(k12 - s * yt, 2)
+        bound = (1.0 + 2.0 * eps) / s
         assert bound <= 1.0 + tol
         assert bound == pytest.approx(res.cb_estimate, rel=1e-9)
 
@@ -526,8 +530,7 @@ def test_cc_no_stops_at_its_first_dual_witness():
     for spec in specs:
         res = cc_test(spec, tol=tol)
         slacks = []
-        sol = _hkm_max_scale(*ChoiAgreementProgram(*_paulsen_family(spec)).rows(),
-                             stop=lambda x, s, z: slacks.append(z))
+        sol = _hkm_max_scale(*_choi_rows(spec), stop=lambda x, s, z: slacks.append(z))
         assert res.iterations < sol.iterations
         first = next(k for k, z in enumerate(slacks)
                      if k > 0 and _dual_witness(spec, z)[1] > 1.0 + tol)
@@ -562,23 +565,28 @@ def test_cc_no_stop_never_preempts_a_yes(monkeypatch):
         assert np.array_equal(res.choi_point, alone.choi_point)
 
 
-def test_choi_rows_drop_only_vacuous_rows():
-    # the rows vanishing on the support read 0 = 0; (p, q, d) = (3, 2, 3)
-    # keeps 56 of its 8 x 16 rows
+def test_choi_rows_are_the_block_program():
+    # (p, q, d) = (3, 2, 3): exactly 2 q^2 (1 + d) = 32 independent rows on
+    # the 2pq = 12 support indices
     rng = np.random.default_rng(8)
     dom = [matcore.random_complex(rng, (3, 3)) for _ in range(3)]
     img = [matcore.random_complex(rng, (2, 2)) for _ in range(3)]
-    gens, y0, y1, support = _paulsen_family(LinearMapSpec(dom, img))
-    f, a, b = ChoiAgreementProgram(gens, y0, y1, support).rows()
-    assert f.shape == (56, 12, 12)
-    assert np.all(np.abs(f).reshape(56, -1).max(axis=1) > 0)
-    # g_0 lives on the upper-left p x p block, which the support pairs only
-    # with the upper-left q x q block of the image: a required image entry
-    # in the lower-right block is a vacuous row with nonzero data
-    y0 = y0.copy()
-    y0[0, 2, 2] = 1.0
-    with pytest.raises(BadProgram):
-        ChoiAgreementProgram(gens, y0, y1, support).rows()
+    f, a, b = _choi_rows(LinearMapSpec(dom, img))
+    assert f.shape == (32, 12, 12) and a.shape == b.shape == (32,)
+    assert np.linalg.matrix_rank(herm_to_rvec(f)) == 32
+    # the identity on M_2: its Choi matrix on M_4, sum_kl E_kl (x) E_kl, cut
+    # to the support (k < 2) == (j < 2), satisfies the rows at s = 1 and
+    # fails them at s = 1/2
+    basis = _m2_basis()
+    f, a, b = _choi_rows(LinearMapSpec(basis, basis))
+    # C[(k, i), (l, j)] = delta_ki delta_lj
+    choi = np.outer(np.eye(4).ravel(), np.eye(4).ravel())
+    k, j = np.divmod(np.arange(16), 4)
+    support = np.flatnonzero((k < 2) == (j < 2))
+    c = choi[np.ix_(support, support)]
+    lhs = np.einsum("iab,ab->i", f.conj(), c).real
+    assert np.abs(lhs + a - b).max() <= 1e-14
+    assert np.abs(lhs + a * 0.5 - b).max() > 0.1
 
 
 def test_two_block_objective_program_reaches_the_smaller_eigenvalue():

@@ -216,8 +216,7 @@ def _two_copy_space(m):
 def _attained_cb_norm(spec):
     """The cb-norm as the dual witness attains it at the optimum: the Choi
     solve run with no stop, then the witness read off its dual slack."""
-    prog = conesolver.ChoiAgreementProgram(*conesolver._paulsen_family(spec))
-    sol = conesolver._hkm_max_scale(*prog.rows())
+    sol = conesolver._hkm_max_scale(*conesolver._choi_rows(spec))
     return conesolver._dual_witness(spec, sol.z)[1]
 
 
@@ -544,6 +543,20 @@ def test_induced_isomorphism_identity():
     iso = induced_isomorphism(env, env, np.eye(x.dim))
     assert iso.found
     assert iso.residual <= 1e-8
+
+
+def test_induced_isomorphism_refuses_an_ambiguous_graph_algebra():
+    # the identity off by 1e-8 passes the isometry spot check, but the graph
+    # algebra's extra directions land in the closure's rank band: refused
+    # with that reason, not guessed; off by 1e-12 it is still found
+    rng = np.random.default_rng(19)
+    x = validate_space([matcore.random_psd(rng, 3) for _ in range(2)])
+    env = compute_envelope(x, seed=0)
+    noise = matcore.random_complex(np.random.default_rng(1), (x.dim, x.dim))
+    assert induced_isomorphism(env, env, np.eye(x.dim) + 1e-12 * noise).found
+    iso = induced_isomorphism(env, env, np.eye(x.dim) + 1e-8 * noise)
+    assert not iso.found
+    assert iso.reason.startswith("graph algebra: singular value ratios")
 
 
 def test_induced_isomorphism_rejects_a_non_isometric_correspondence():
