@@ -4,30 +4,37 @@ Every conic program here is solved by one engine, :func:`_hkm`: a dense
 primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector steps) over a product of Hermitian PSD blocks with a
 linear objective, a scalar variable being a 1 x 1 block.  Two program
-shapes feed it, each posed on :class:`ConicProgram` (scalar pairing
-constraints ``sum_v Re<F_jv, X_v> = rhs_j`` against Hermitian variable
-blocks, as real rows in the coordinates of :func:`matcore.herm_to_rvec`):
+shapes feed it, each a set of scalar pairing constraints
+``sum_v Re<F_jv, X_v> = rhs_j`` against Hermitian variable blocks with
+orthonormal rows (:class:`ConicProgram` holds such constraints as real
+rows in the coordinates of :func:`matcore.herm_to_rvec` and
+orthonormalizes them):
 
-* The dual-form margin program of :func:`solve_dual_margin`: maximize
+* The dual-form margin program of :class:`MarginRows`: maximize
   lambda subject to the linear matrix inequality
   ``F0 + sum_i u_i F_i - lambda I >= 0`` over free real coordinates u.
   It is posed as the engine's own dual, so its Schur matrix has one row
   per coordinate u_i plus a trace row, however large the blocks are; the
   caller's stop test sees (u, lambda) and the trace-one primal point X,
-  which is where a separating functional comes from.  Every solve outside
-  the cc oracle is one of these: operator-norm distance to a subspace
-  (:func:`minimize_opnorm`) and, in other modules, the spanning-cone,
-  Karn and domination programs.  Feasibility over an affine set
-  (:func:`solve_feasibility`) has no caller in the program; it is kept as
-  a public entry point, which acceptance criterion 10 and the benchmark's
-  traced layers use.
+  which is where a separating functional comes from.  The rows depend on
+  the F_i alone and are orthonormalized once per :class:`MarginRows`,
+  whose :meth:`MarginRows.solve` takes F0: the Karn program keeps one
+  per envelope and level and solves it for every query, while
+  :func:`solve_dual_margin` prepares and solves a program once.  Every
+  solve outside the cc oracle is one of these: operator-norm distance to
+  a subspace (:func:`minimize_opnorm`) and, in other modules, the
+  spanning-cone, Karn and domination programs.  Feasibility over an
+  affine set (:func:`solve_feasibility`) has no caller in the program; it
+  is kept as a public entry point, which acceptance criterion 10 and the
+  benchmark's traced layers use.
 
 * The scaling program behind the complete-contractivity oracle
   (:func:`_hkm_max_scale`): maximize s >= 0 over Choi matrices C =
   [[C11, C12], [C12*, C22]] >= 0 on the 2pq support, with Tr_1 C11 =
   Tr_1 C22 = I_q and K_t(C12) = s psi(w_t) for every orthonormal domain
   element w_t (:func:`_choi_rows`), as in Watrous's SDP for the
-  completely bounded norm.
+  completely bounded norm.  Its rows are orthonormalized in closed form
+  (:func:`_scale_rows`), without a :class:`ConicProgram`.
 
 The complete-contractivity test reduces, as usual, to complete positivity
 of the associated unital map on the 2x2 operator system over the map's
@@ -53,6 +60,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -483,44 +491,66 @@ def _separating(phi, x_particular, tol, scale):
     return None
 
 
+class MarginRows:
+    """The rows of the dual-form margin program over a fixed family F_i,
+    written and orthonormalized once; :meth:`solve` runs the program for
+    a given F0.
+
+    The program maximizes lambda subject to ``F0_v + sum_i u_i F_iv -
+    lambda I >= 0`` on every block v, over real u.  ``fs`` holds one stack
+    of m Hermitian matrices per block.  This is the dual of the trace-one
+    primal ``minimize sum_v <F0_v, X_v>`` over X >= 0 with
+    ``sum_v <F_iv, X_v> = 0`` for every i and ``tr X = 1``: m + 1 rows
+    that depend on the F_i alone, while F0 enters only as the engine's
+    objective.  A caller that poses many programs on one family (the Karn
+    program of :mod:`ncshilov.unitize`, one per envelope and level) keeps
+    the rows and pays only for each :func:`_hkm` solve."""
+
+    def __init__(self, fs):
+        dims = [fv.shape[1] for fv in fs]
+        a = np.concatenate([np.concatenate([herm_to_rvec(fv) for fv in fs], axis=1),
+                            np.concatenate([herm_to_rvec(np.eye(n)) for n in dims])[None]])
+        b = np.zeros(a.shape[0])
+        b[-1] = 1.0
+        self.prepared = ConicProgram(dims, a, b).prepare()
+
+    def solve(self, f0, stop) -> IpmSolve:
+        """Solve the program for the Hermitian blocks ``f0``.
+        ``stop(u, lambda, X)`` is called on every iterate, with (u, lambda)
+        read off the dual slack C - A^T y, which is exactly F0 + sum u_i F_i
+        - lambda I (the engine's y is (-u, lambda)), and X the primal
+        blocks; the solve ends when it returns something other than None.
+        A primal point with ``sum_v <F0_v, X_v> < 0`` bounds lambda below
+        zero, once its constraint residuals are accounted for.
+
+        When I lies in the span of the F_i the primal is infeasible and
+        lambda unbounded: stop is then called once, with X None, on the
+        point of that ray where lambda = 1, and the returned solve has no
+        iterates."""
+        prepared = self.prepared
+        cvec = np.concatenate([herm_to_rvec(h) for h in f0])
+        if not np.isfinite(cvec).all():
+            raise NonFinite("conic program data has NaN or Inf entries")
+        if prepared.inconsistent_y is not None:
+            y = prepared.inconsistent_y[0]  # A^T y = 0 with y_lambda = <b, y> > 0
+            t = 1.0 + max(op_norm(h) for h in f0)
+            stopped = stop(-t * y[:-1] / y[-1], 1.0, None)
+            return IpmSolve(x=[], z=[],
+                            status=IPM_STOPPED if stopped is not None else IPM_UNBOUNDED,
+                            iterations=0, gap=0.0, primal_infeasibility=np.inf,
+                            dual_infeasibility=0.0, stopped=stopped)
+
+        def dual_stop(x, y, _z, _worst):
+            y = prepared.row_lift @ y
+            return stop(-y[:-1], float(y[-1]), x)
+
+        return _hkm(prepared.f, prepared.rhs, prepared.blocks_of(cvec), stop=dual_stop)
+
+
 def solve_dual_margin(f0, fs, stop) -> IpmSolve:
-    """Maximize lambda subject to ``F0_v + sum_i u_i F_iv - lambda I >= 0``
-    on every block v, over real u.
-
-    ``f0`` holds one Hermitian matrix per block and ``fs`` one stack of m
-    Hermitian matrices per block.  This is the dual of the trace-one primal
-    ``minimize sum_v <F0_v, X_v>`` over X >= 0 with ``sum_v <F_iv, X_v> = 0``
-    for every i and ``tr X = 1``, so one :func:`_hkm` solve on m + 1 rows
-    runs it, with (-u, lambda) as the engine's y.  ``stop(u, lambda, X)``
-    is called on every iterate, with (u, lambda) read off the dual slack
-    C - A^T y, which is exactly F0 + sum u_i F_i - lambda I, and X the
-    primal blocks; the solve ends when it returns something other than
-    None.  A primal point with ``sum_v <F0_v, X_v> < 0`` bounds lambda
-    below zero, once its constraint residuals are accounted for.
-
-    When I lies in the span of the F_i the primal is infeasible and lambda
-    unbounded: stop is then called once, with X None, on the point of that
-    ray where lambda = 1, and the returned solve has no iterates."""
-    dims = [h.shape[0] for h in f0]
-    a = np.concatenate([np.concatenate([herm_to_rvec(fv) for fv in fs], axis=1),
-                        np.concatenate([herm_to_rvec(np.eye(n)) for n in dims])[None]])
-    b = np.zeros(a.shape[0])
-    b[-1] = 1.0
-    cvec = np.concatenate([herm_to_rvec(h) for h in f0])
-    prepared = ConicProgram(dims, a, b, objective=cvec).prepare()
-    if prepared.inconsistent_y is not None:
-        y = prepared.inconsistent_y[0]  # A^T y = 0 with y_lambda = <b, y> > 0
-        t = 1.0 + max(op_norm(h) for h in f0)
-        stopped = stop(-t * y[:-1] / y[-1], 1.0, None)
-        return IpmSolve(x=[], z=[], status=IPM_STOPPED if stopped is not None else IPM_UNBOUNDED,
-                        iterations=0, gap=0.0, primal_infeasibility=np.inf,
-                        dual_infeasibility=0.0, stopped=stopped)
-
-    def dual_stop(x, y, _z, _worst):
-        y = prepared.row_lift @ y
-        return stop(-y[:-1], float(y[-1]), x)
-
-    return _hkm(prepared.f, prepared.rhs, prepared.blocks_of(cvec), stop=dual_stop)
+    """One margin program: :class:`MarginRows` of ``fs``, solved for
+    ``f0``."""
+    return MarginRows(fs).solve(f0, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +656,12 @@ class LinearMapSpec:
     def dim(self):
         return self.on_domain.shape[0]
 
+    @cached_property
+    def domain_trace_norms(self):
+        """The trace norms ||w_t||_1 of the ON domain elements, which
+        :func:`_certified_cb_bound` weighs at every certified iterate."""
+        return np.linalg.svd(self.on_domain, compute_uv=False).sum(axis=1)
+
     def apply_level(self, coeffs):
         """Entrywise application at level k; coeffs has shape (k, k, dim)."""
         return amplify(coeffs, self.on_images)
@@ -652,24 +688,40 @@ class ScaleSolve(IpmSolve):
 
 def _hkm_max_scale(f, a, b, stop=None) -> ScaleSolve:
     """Maximize s over ``{X >= 0, s >= 0 : Re<F_i, X> + a_i s = b_i}``: the
-    two-block case [X, s] of :func:`_hkm`, with objective -s, after the
-    rows are orthonormalized.  ``stop(X, s, Z)``, when given, is called on
+    two-block case [X, s] of :func:`_hkm`, with objective -s, on the rows
+    of :func:`_scale_rows`.  ``stop(X, s, Z)``, when given, is called on
     every iterate with its Choi block, its scaling and the Choi block of
     its dual slack, and ends the solve at the first iterate where it
     returns something other than None (kept in ``stopped``, with status
     ``IPM_STOPPED``)."""
     n = f.shape[1]
-    rows = np.concatenate([herm_to_rvec(f), np.asarray(a)[:, None]], axis=1)
-    cvec = np.zeros(n * n + 1)
-    cvec[-1] = -1.0
-    prepared = ConicProgram([n, 1], rows, b, objective=cvec).prepare()
+    rows, rhs = _scale_rows(f, a, b)
+    cost = [np.zeros((n, n), dtype=np.complex128), -np.ones((1, 1), dtype=np.complex128)]
     scale_stop = None
     if stop is not None:
         def scale_stop(x, _y, z, _worst):
             return stop(x[0], float(x[1][0, 0].real), z[0])
-    sol = _hkm(prepared.f, prepared.rhs, prepared.c, stop=scale_stop)
+    sol = _hkm(rows, rhs, cost, stop=scale_stop)
     return ScaleSolve(**{**vars(sol), "x": sol.x[0], "z": sol.z[0],
                          "s": float(sol.x[1][0, 0].real)})
+
+
+def _scale_rows(f, a, b):
+    """Orthonormal rows ``([F', a'], b')`` with the affine set of the rows
+    ``Re<F_i, X> + a_i s = b_i``, whose F_i must be orthonormal, as
+    :func:`_choi_rows` writes them.
+
+    The rows [F | a] then have Gram matrix I + a a^T, whose inverse square
+    root is I - c a a^T with c = 1 / (r (1 + r)), r = sqrt(1 + |a|^2), so
+    F' = F - c a (a^T F), a' = a / r and b' = b - c a (a^T b): O(m N) work
+    for m rows on N = n^2 coordinates, where an SVD would cost O(m^2 N).
+    a' is returned as the (m, 1, 1) stack of the scalar block."""
+    a = np.asarray(a, dtype=float)
+    r = np.sqrt(1.0 + a @ a)
+    c = 1.0 / (r * (1.0 + r))
+    rows = [f - (c * a)[:, None, None] * np.tensordot(a, f, axes=1),
+            (a / r).astype(np.complex128)[:, None, None]]
+    return rows, b - c * a * (a @ b)
 
 
 def _choi_rows(map_spec: LinearMapSpec):
@@ -877,8 +929,7 @@ def _certified_cb_bound(map_spec: LinearMapSpec, x, s):
     r_diag = op_norms(np.einsum("ikbikc->ibc", c) - np.eye(q))
     d_norms = op_norms(np.einsum("tkl,kblc->tbc", map_spec.on_domain, c[0, :, :, 1])
                        - s * map_spec.on_images)
-    w_norms = np.linalg.svd(map_spec.on_domain, compute_uv=False).sum(axis=1)
-    eps = float(r_diag.sum() + 2.0 * w_norms @ d_norms)
+    eps = float(r_diag.sum() + 2.0 * map_spec.domain_trace_norms @ d_norms)
     bound = (1.0 + 2.0 * eps) / s if s > 0 else np.inf
     residual = max(float(r_diag.max()) / np.sqrt(p), float(d_norms.max()) / np.sqrt(2))
     return bound, residual, x

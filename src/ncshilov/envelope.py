@@ -118,7 +118,10 @@ class EnvelopePresentation:
     C*(X), in the split's order, carried into range(q) coordinates; a
     trace step's ``block_index`` indexes that split.  The embedding
     certificate is the product of the removed steps' cb bounds
-    (``embedding_cb``).
+    (``embedding_cb``).  ``query_cache`` keeps what cone queries derive
+    from ``compressed_basis`` alone, built on the first query that needs
+    it: :mod:`ncshilov.unitize` keeps the Hermitian-part basis and the
+    prepared Karn rows of each matrix level there.
     """
 
     source: MatrixSpace
@@ -131,6 +134,7 @@ class EnvelopePresentation:
     trace: list[EliminationStep] = field(default_factory=list)
     seed: int = 0
     tol: float = 1e-7
+    query_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def abstract_blocks(self) -> tuple[int, ...]:

@@ -117,19 +117,20 @@ class PsdResult:
 def psd_check(m, tol: float = 1e-9) -> PsdResult:
     """Decide M >= 0 up to ``tol``: positive iff min eigenvalue >= -tol.
 
-    When indefinite, the eigenvector of the most negative eigenvalue is
-    returned as a witness.
+    The decision reads the eigenvalues alone; only when M is indefinite is
+    the eigenvector of the most negative eigenvalue computed, and returned
+    as a witness.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    w, u = herm_eig(m)
-    mn = float(w[-1])
+    h = hermitize(m, rtol=1e-10)
+    mn = float(np.linalg.eigvalsh(h)[0])
     if mn >= -tol:
         return PsdResult(positive=True, min_eig=mn)
-    xi = u[:, -1]
+    # a copy, so that a kept witness does not keep all of the eigenvectors alive
+    xi = np.linalg.eigh(h)[1][:, 0].copy()
     val = float(np.real(xi.conj() @ np.asarray(m, dtype=np.complex128) @ xi))
-    # a copy, so that a kept witness does not keep all of u alive
-    return PsdResult(positive=False, min_eig=mn, witness=xi.copy(), witness_value=val)
+    return PsdResult(positive=False, min_eig=mn, witness=xi, witness_value=val)
 
 
 def hs_inner(a, b) -> complex:

@@ -20,16 +20,27 @@ predicate give the order-unit dichotomy: exactly one of d(X, 1) = 1 or
 
 The Karn condition at the smallest scheduled eps, the domination question
 and the distance to the unit are each one dual-form margin solve
-(:func:`conesolver.solve_dual_margin`): maximize lambda over the linear
-matrix inequality in the free coordinates of u (or v) less lambda I.  Each
-answer's certificate comes from one side of that solve.  Yes (a witness
-u, a dominating v) comes from the dual side: the coordinates of an
-iterate with lambda > 0, re-verified as matrices.  No (a separating
-functional, a PSD matrix orthogonal to X_sa) comes from the primal side:
-the trace-one primal point X, with the bound that makes it a proof
-written out and checked afresh.  The distance takes its attained value
-from the dual side and its lower bound from the primal side
-(:func:`conesolver.minimize_opnorm`).
+(:class:`conesolver.MarginRows`): maximize lambda over the linear matrix
+inequality in free coordinates less lambda I.  Each answer's certificate
+comes from one side of that solve.  Yes (a witness u, a dominating v)
+comes from the dual side: the coordinates of an iterate with lambda > 0,
+re-verified as matrices.  No (a separating functional, a PSD matrix
+orthogonal to X_sa) comes from the primal side: the trace-one primal point
+X, with the bound that makes it a proof written out and checked afresh.
+The distance takes its attained value from the dual side and its lower
+bound from the primal side (:func:`conesolver.minimize_opnorm`).
+
+The Karn program is posed in w = R u R, R = (A + eps)^(1/2) ⊗ 1, rather
+than in u.  R acts on the matrix entries only, so w ranges over the
+selfadjoint part of M_k(X) exactly when u does, and the conditions read
+w >= 0, (1 - delta) R^2 - w >= 0 and v + w >= 0.  Its rows then depend on
+the envelope and the level alone: each envelope keeps them, orthonormalized
+once per level, and a query supplies only (0, (1 - delta) R^2, v)
+(:func:`_karn_level`).  Certificates are stated for u as before: a Yes
+witness is u = R^-1 w R^-1, and a No functional X = (X1, X2, X3) of the
+w-program is translated to (R X1 R, R X2 R, X3), which pairs with each
+u-point exactly as X pairs with the corresponding w-point
+(:func:`_u_functional`).
 """
 
 from __future__ import annotations
@@ -160,20 +171,22 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
 
     No immediately when A has an eigenvalue below -tol, Yes with u = 0 when
     v itself is PSD.  Otherwise one dual-form margin solve
-    (:func:`_karn_solve`) at the smallest scheduled eps, eps_min, for u in
-    M_k(X) with 0 <= u <= (1 - delta) and
-    v + (A + eps_min)^(1/2) u (A + eps_min)^(1/2) >= 0, decides the whole
-    schedule: the program is feasible at every scheduled eps iff it is at
-    eps_min.  Yes needs a witness u read off the dual side of that solve
-    and re-verified; each larger scheduled eps gets u carried over by
-    :func:`transport_witness` and re-verified at the same delta and tol
-    (``witness_u``, one per scheduled eps), and v + A ⊗ 1 >= 0, the limit
-    of v + (A + eps) ⊗ 1 >= 0, which every eps > 0 implies.  No needs a
-    separating functional phi = -X / ||X|| at eps_min from the primal side
-    (``dual_witness``, with its pairing bound c as ``margin``; see
-    :func:`_karn_separation`), or a vector on which v + A ⊗ 1 is negative.
-    A solve that ends with neither certificate, or a transported witness
-    that fails its re-verification, gives Inconclusive."""
+    (:func:`_karn_solve`) at the smallest scheduled eps, eps_min, decides
+    the whole schedule: the program is feasible at every scheduled eps iff
+    it is at eps_min.  The solve is posed in w = R u R, R = (A +
+    eps_min)^(1/2) ⊗ 1, on the rows that the envelope keeps for level k
+    (:func:`_karn_level`).  Yes needs a witness u read off the dual side of
+    that solve and re-verified; each larger scheduled eps gets u carried
+    over by :func:`transport_witness` and re-verified at the same delta and
+    tol (``witness_u``, one per scheduled eps), and v + A ⊗ 1 >= 0, the
+    limit of v + (A + eps) ⊗ 1 >= 0, which every eps > 0 implies.  No
+    needs a separating functional phi of the u-program at eps_min, the
+    primal point of the w-program translated back (``dual_witness``, with
+    its pairing bound c as ``margin``; see :func:`_karn_separation`), or a
+    vector on which v + A ⊗ 1 is negative.  A solve that ends with neither
+    certificate, or a transported witness that fails its re-verification,
+    gives Inconclusive.  Every certificate issued after the solve records
+    its ``iterations``."""
     eps_schedule = tuple(eps_schedule)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
         raise ShapeMismatch("eps schedule must be positive")
@@ -198,50 +211,65 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
         return verdict(MEMBER_NO, {"scalar_part_min_eig": chk_a.min_eig,
                                    "witness_vector": chk_a.witness})
     v_sa = hermitize(v, rtol=1e-8)
-    if psd_check(v_sa, tol=tol).positive:
+    if np.linalg.eigvalsh(v_sa)[0] >= -tol:
         # u = 0 certifies every eps at once
         zero = np.zeros((k, k, env.source.dim), dtype=np.complex128)
         return verdict(MEMBER_YES, {"witness_u": dict.fromkeys(eps_schedule, zero),
                                     "u_zero": True})
 
-    hb = matcore.hermitian_part_basis(basis)
+    prog = _karn_level(env, k)
     n = env.envelope_dim
     eps_min = eps_schedule[-1]
-
-    def big_root(eps):
-        return np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
-
-    sol = _karn_solve(*_level_basis(hb, k), hb, v_sa, big_root(eps_min), delta, tol)
+    roots = _shifted_roots(a)
+    sol = _karn_solve(prog, v_sa, *roots(eps_min), delta, tol)
+    solved = {"iterations": sol.iterations}
     if sol.stopped is None:
         reason = (f"no certificate: Karn solve {sol.status} after {sol.iterations} "
                   f"iterations (gap {sol.gap:.1e})")
-        return verdict(MEMBER_INCONCLUSIVE, {"eps": eps_min, "reason": reason})
+        return verdict(MEMBER_INCONCLUSIVE, {"eps": eps_min, "reason": reason, **solved})
     member, cert = sol.stopped
     if member == MEMBER_NO:
-        return verdict(MEMBER_NO, {"eps": eps_min, **cert})
+        return verdict(MEMBER_NO, {"eps": eps_min, **cert, **solved})
     witnesses = {}
     for eps in eps_schedule:
         if eps == eps_min:
             witnesses[eps] = cert
             continue
-        moved = transport_witness(cert, a, eps_min, eps, hb)
-        ok, why = _verify_karn_witness(hb, moved, v_sa, big_root(eps), delta, tol, k)
+        moved = transport_witness(cert, a, eps_min, eps, prog.hb)
+        ok, why = _verify_karn_witness(prog.hb, moved, v_sa, np.kron(roots(eps)[0], np.eye(n)),
+                                       delta, tol, k)
         if not ok:
             reason = f"witness transported from eps {eps_min:g} fails at eps {eps:g}: {why}"
-            return verdict(MEMBER_INCONCLUSIVE, {"eps": eps, "reason": reason})
+            return verdict(MEMBER_INCONCLUSIVE, {"eps": eps, "reason": reason, **solved})
         witnesses[eps] = moved
     # the schedule stops at a positive eps, so an element just outside the
     # cone can be feasible at every scheduled eps
     limit = psd_check(hermitize(v + np.kron(a, unit), rtol=1e-8), tol=tol)
     if not limit.positive:
         return verdict(MEMBER_NO, {"limit_min_eig": limit.min_eig,
-                                   "witness_vector": limit.witness})
-    return verdict(MEMBER_YES, {"witness_u": witnesses})
+                                   "witness_vector": limit.witness, **solved})
+    return verdict(MEMBER_YES, {"witness_u": witnesses, **solved})
 
 
 def _psd_sqrt(m):
     w, u = matcore.herm_eig(hermitize(m, rtol=1e-9))
     return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+
+
+def _shifted_roots(a):
+    """``roots(eps)`` = ((A + eps)^(1/2), its pseudo-inverse) for the
+    Hermitian scalar part A, every eps from one eigendecomposition.
+    Eigenvalues of A + eps below zero (A is PSD only up to tol) count as
+    zero, as in :func:`_psd_sqrt`."""
+    lam, vecs = np.linalg.eigh(a)
+    vecs_h = vecs.conj().T
+
+    def roots(eps):
+        r = np.sqrt(np.clip(lam + eps, 0.0, None))
+        r_inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
+        return (vecs * r) @ vecs_h, (vecs * r_inv) @ vecs_h
+
+    return roots
 
 
 def _level_basis(hb, k):
@@ -252,40 +280,99 @@ def _level_basis(hb, k):
     return units, np.einsum("sij,tab->stiajb", units, hb).reshape(-1, kn, kn)
 
 
-def _karn_solve(units, level, hb, v, big_root, delta, tol):
+@dataclass(frozen=True)
+class KarnLevel:
+    """The level-k Karn program of one envelope, less its query: the
+    Hermitian-part basis ``hb`` of the embedded copy, the Hermitian units
+    of M_k and the level basis H_i (:func:`_level_basis`), and the margin
+    rows of :func:`_karn_rows`, orthonormalized once
+    (:class:`conesolver.MarginRows`)."""
+
+    hb: np.ndarray
+    units: np.ndarray
+    level: np.ndarray
+    rows: conesolver.MarginRows
+
+
+def _karn_level(env: envelope_mod.EnvelopePresentation, k: int) -> KarnLevel:
+    """The :class:`KarnLevel` of ``env`` at level k, built on the first
+    query that needs it and kept in ``env.query_cache``."""
+    cache = env.query_cache
+    if "hb" not in cache:
+        cache["hb"] = matcore.hermitian_part_basis(env.compressed_basis)
+    key = ("karn", k)
+    if key not in cache:
+        units, level = _level_basis(cache["hb"], k)
+        cache[key] = KarnLevel(cache["hb"], units, level,
+                               conesolver.MarginRows(_karn_rows(level)))
+    return cache[key]
+
+
+def _karn_solve(prog: KarnLevel, v, root, root_inv, delta, tol):
     """Karn's condition at one eps as the dual-form margin program of
-    :func:`conesolver.solve_dual_margin`: maximize lambda subject to
-    (U, (1 - delta) - U, v + R U R) - lambda I >= 0 blockwise, with
-    U = sum_i u_i H_i over the level basis H_i (:func:`_karn_lmi`).
+    :class:`conesolver.MarginRows`, posed in w = R u R with
+    R = root ⊗ 1, root = (A + eps)^(1/2) and root_inv its (pseudo-)inverse
+    (:func:`_shifted_roots`): maximize lambda subject to
+    (W, (1 - delta) R^2 - W, v + W) - lambda I >= 0 blockwise, with
+    W = sum_i w_i H_i over the level basis H_i.  Since
+    R (c ⊗ x) R = (root c root) ⊗ x, w ranges over the selfadjoint
+    part of M_k(X) exactly when u does, and the conditions 0 <= u <=
+    (1 - delta), v + R u R >= 0 become these three; only F0 =
+    (0, (1 - delta) R^2, v) (:func:`_karn_f0`) depends on the query.
 
-    Yes comes from the dual side: an iterate with lambda > 0 gives u, whose
-    (k, k, d) coordinates over ``hb`` must pass :func:`_verify_karn_witness`.
-    No comes from the primal side (:func:`_karn_separation`).  The solve's
-    ``stopped`` is (MEMBER_YES, coordinates) or (MEMBER_NO, certificate)."""
-    k, d = units.shape[1], hb.shape[0]
+    Yes comes from the dual side: an iterate with lambda > 0 gives w, and
+    u = (root^-1 ⊗ 1) w (root^-1 ⊗ 1), whose (k, k, d) coordinates over
+    ``hb`` must pass :func:`_verify_karn_witness`.  No comes from the
+    primal side: the primal point, translated to the u-program
+    (:func:`_u_functional`), must pass :func:`_karn_separation`.  The
+    solve's ``stopped`` is (MEMBER_YES, coordinates) or (MEMBER_NO,
+    certificate)."""
+    k, d, n = prog.units.shape[1], prog.hb.shape[0], prog.hb.shape[1]
+    big_root = np.kron(root, np.eye(n))
 
-    def stop(u, lam, x):
+    def stop(w, lam, x):
         if lam > 0:
-            coeffs = np.einsum("sij,st->ijt", units, u.reshape(k * k, d))
-            if _verify_karn_witness(hb, coeffs, v, big_root, delta, tol, k)[0]:
+            w_coeffs = np.einsum("sij,st->ijt", prog.units, w.reshape(k * k, d))
+            coeffs = np.einsum("ip,pqt,jq->ijt", root_inv, w_coeffs, root_inv.conj())
+            if _verify_karn_witness(prog.hb, coeffs, v, big_root, delta, tol, k)[0]:
                 return MEMBER_YES, coeffs
-        cert = _karn_separation(x, v, big_root, level, delta)
+        cert = _karn_separation(_u_functional(x, big_root), v, big_root, prog.level, delta)
         return None if cert is None else (MEMBER_NO, cert)
 
-    return conesolver.solve_dual_margin(*_karn_lmi(level, v, big_root, delta), stop)
+    return prog.rows.solve(_karn_f0(v, big_root, delta), stop)
 
 
-def _karn_lmi(level, v, big_root, delta):
-    """(F0, F) of the Karn program: the point F0 + sum_i u_i F_i is
-    (U, (1 - delta) I - U, v + R U R) with U = sum_i u_i H_i."""
-    kn = level.shape[1]
-    return ([np.zeros((kn, kn)), (1.0 - delta) * np.eye(kn), v],
-            [level, -level, big_root @ level @ big_root])
+def _karn_rows(level):
+    """The rows (H_i, -H_i, H_i) of the Karn program in w, one per element
+    H_i of the level basis: F0 + sum_i w_i F_i is (W, (1 - delta) R^2 - W,
+    v + W) for W = sum_i w_i H_i."""
+    return [level, -level, level]
+
+
+def _karn_f0(v, big_root, delta):
+    """F0 = (0, (1 - delta) R^2, v) of the Karn program in w, the only part
+    that depends on the query."""
+    kn = v.shape[0]
+    return [np.zeros((kn, kn)), (1.0 - delta) * (big_root @ big_root), v]
+
+
+def _u_functional(x, big_root):
+    """The u-program functional (R X1 R, R X2 R, X3) of a point X = (X1, X2,
+    X3) of the w-program.  At corresponding points, W = R U R, it pairs as
+    X does:
+
+        <R X1 R, U> + <R X2 R, (1 - delta) - U> + <X3, v + R U R>
+          = <X1, W> + <X2, (1 - delta) R^2 - W> + <X3, v + W>,
+
+    and it stays PSD blockwise when X is."""
+    x1, x2, x3 = x
+    return [big_root @ x1 @ big_root, big_root @ x2 @ big_root, x3]
 
 
 def _karn_separation(x, v, big_root, level, delta):
-    """No certificate from the primal point X = (X_U, X_1, X_2) of the Karn
-    program, or None.
+    """No certificate from a PSD point X = (X_U, X_1, X_2) that pairs with
+    the Karn u-program, or None; :func:`_karn_solve` passes the primal
+    point of its w-program translated by :func:`_u_functional`.
 
     phi = -X / ||X|| = (P_U, P_1, P_2) pairs with a point (U, (1 - delta) - U,
     v + R U R) as c + <G, U>, where c = (1 - delta) tr P_1 + <P_2, v> =
@@ -345,10 +432,8 @@ def transport_witness(coeffs, a, eps_from, eps_to, hb):
     shifted element v + R u R is the same matrix at both eps."""
     if eps_to < eps_from:
         raise ShapeMismatch("can only transport toward larger eps")
-    k = coeffs.shape[0]
-    root_from = _psd_sqrt(np.asarray(a) + eps_from * np.eye(k))
-    root_to_inv = np.linalg.inv(_psd_sqrt(np.asarray(a) + eps_to * np.eye(k)))
-    c = root_to_inv @ root_from
+    roots = _shifted_roots(hermitize(a, rtol=1e-9))
+    c = roots(eps_to)[1] @ roots(eps_from)[0]
     return np.einsum("ip,pqt,jq->ijt", c, coeffs, c.conj())
 
 

@@ -13,6 +13,7 @@ from ncshilov.conesolver import (
     LinearMapSpec,
     _certified_cb_bound,
     _choi_rows,
+    _scale_rows,
     _dual_witness,
     _haar_coeffs,
     _hkm_max_scale,
@@ -587,6 +588,26 @@ def test_choi_rows_are_the_block_program():
     lhs = np.einsum("iab,ab->i", f.conj(), c).real
     assert np.abs(lhs + a - b).max() <= 1e-14
     assert np.abs(lhs + a * 0.5 - b).max() > 0.1
+
+
+@pytest.mark.parametrize("p, q, d", [(3, 2, 3), (2, 2, 4), (4, 1, 2), (2, 3, 1)])
+def test_scale_rows_are_orthonormal_in_closed_form(p, q, d):
+    # _scale_rows relies on _choi_rows' F rows being orthonormal; its rows
+    # [F' | a'] are orthonormal too and cut out the same affine set
+    rng = np.random.default_rng(10 * p + q + d)
+    dom = [matcore.random_complex(rng, (p, p)) for _ in range(d)]
+    img = [matcore.random_complex(rng, (q, q)) for _ in range(d)]
+    f, a, b = _choi_rows(LinearMapSpec(dom, img))
+    flat = herm_to_rvec(f)
+    assert np.abs(flat @ flat.T - np.eye(f.shape[0])).max() <= 1e-14
+    (f_on, a_on), b_on = _scale_rows(f, a, b)
+    rows = np.concatenate([herm_to_rvec(f_on), a_on.reshape(-1, 1).real], axis=1)
+    assert np.abs(rows @ rows.T - np.eye(f.shape[0])).max() <= 1e-14
+    old = np.concatenate([flat, a[:, None]], axis=1)
+    x = np.linalg.lstsq(old, b, rcond=None)[0]
+    assert np.abs(rows @ x - b_on).max() <= 1e-12
+    x = np.linalg.lstsq(rows, b_on, rcond=None)[0]
+    assert np.abs(old @ x - b).max() <= 1e-12
 
 
 def test_two_block_objective_program_reaches_the_smaller_eigenvalue():

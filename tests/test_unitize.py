@@ -22,10 +22,12 @@ from ncshilov.unitize import (
     DEFAULT_DELTA,
     DEFAULT_EPS_SCHEDULE,
     UnitizedElement,
-    _karn_lmi,
-    _karn_solve,
+    _karn_f0,
+    _karn_rows,
+    _karn_separation,
     _level_basis,
     _psd_sqrt,
+    _u_functional,
     _verify_karn_witness,
     build_x1,
     check_envelope_of_unitization,
@@ -160,34 +162,74 @@ def _per_entry_karn_rows(hb, n, k, delta, v, r):
     return vec, np.array(rhs)
 
 
+def _karn_root(rng, k, n):
+    """R = (A + eps)^(1/2) ⊗ 1 for a random A >= 0 of norm one, eps 1e-3."""
+    a = matcore.random_psd(rng, k)
+    a /= op_norm(a)
+    return np.kron(_psd_sqrt(a + 1e-3 * np.eye(k)), np.eye(n))
+
+
 def test_karn_rows_hold_on_points_built_from_the_definition():
-    # every point F0 + sum u_i F_i of the Karn family is (U, (1 - delta) I - U,
-    # v + R U R) with U in the selfadjoint part of M_k(X), so it meets every
-    # per-entry row; and the U parts span exactly what the reference pins
-    # leave free, so the family is the whole affine set of the rows
+    # every point F0 + sum w_i F_i of the Karn family in w is (W, (1 - delta)
+    # R^2 - W, v + W) with W in the selfadjoint part of M_k(X); congruence
+    # by R^-1 on its first two blocks takes it to (U, (1 - delta) I - U,
+    # v + R U R) with U = R^-1 W R^-1, which meets every per-entry row of
+    # the definition; and the U so reached span exactly what the reference
+    # pins leave free, so the family is the whole affine set of the rows
     rng = np.random.default_rng(0)
     n, k, delta = 3, 2, 1e-4
     kn = k * n
     hb = validate_space([matcore.random_hermitian(rng, n) for _ in range(2)]).hermitian_basis()
-    r = matcore.random_psd(rng, kn)
-    r /= op_norm(r)
+    r = _karn_root(rng, k, n)
+    r_inv = np.linalg.inv(r)
     v = matcore.random_hermitian(rng, kn)
-    f0, fs = _karn_lmi(_level_basis(hb, k)[1], v, r, delta)
+    f0, fs = _karn_f0(v, r, delta), _karn_rows(_level_basis(hb, k)[1])
     ref_rows, ref_rhs = _per_entry_karn_rows(hb, n, k, delta, v, r)
     m = k * k * hb.shape[0]
     assert all(f.shape == (m, kn, kn) for f in fs)
     for _ in range(3):
-        u = rng.standard_normal(m)
-        point = [c + np.einsum("i,iab->ab", u, f) for c, f in zip(f0, fs)]
-        assert np.abs(point[1] - ((1.0 - delta) * np.eye(kn) - point[0])).max() <= 1e-12
-        assert np.abs(point[2] - (v + r @ point[0] @ r)).max() <= 1e-12
-        vec = np.concatenate([matcore.herm_to_rvec(h) for h in point])
+        w = rng.standard_normal(m)
+        point = [c + np.einsum("i,iab->ab", w, f) for c, f in zip(f0, fs)]
+        assert np.abs(point[1] - ((1.0 - delta) * r @ r - point[0])).max() <= 1e-12
+        assert np.abs(point[2] - (v + point[0])).max() <= 1e-12
+        u = r_inv @ point[0] @ r_inv
+        moved = [u, r_inv @ point[1] @ r_inv, point[2]]
+        assert np.abs(moved[1] - ((1.0 - delta) * np.eye(kn) - u)).max() <= 1e-12
+        assert np.abs(moved[2] - (v + r @ u @ r)).max() <= 1e-12
+        vec = np.concatenate([matcore.herm_to_rvec(h) for h in moved])
         assert np.abs(ref_rows @ vec - ref_rhs).max() <= 1e-12
-    u_parts = matcore.herm_to_rvec(fs[0])
+    u_parts = matcore.herm_to_rvec(r_inv @ fs[0] @ r_inv)
     pins = ref_rows[: kn * kn, : kn * kn]
     assert np.linalg.matrix_rank(u_parts) == m
     assert np.abs(pins @ u_parts.T).max() <= 1e-12
     assert np.linalg.matrix_rank(pins) + m == kn * kn
+
+
+def test_a_translated_functional_pairs_as_on_the_w_program():
+    # a primal point X of the w-program, translated to (R X1 R, R X2 R, X3),
+    # pairs with every u-point as X pairs with the w-point W = R U R, and
+    # stays PSD blockwise
+    rng = np.random.default_rng(1)
+    n, k, delta = 3, 2, 1e-4
+    kn = k * n
+    hb = validate_space([matcore.random_hermitian(rng, n) for _ in range(2)]).hermitian_basis()
+    r = _karn_root(rng, k, n)
+    r_inv = np.linalg.inv(r)
+    v = matcore.random_hermitian(rng, kn)
+    f0, fs = _karn_f0(v, r, delta), _karn_rows(_level_basis(hb, k)[1])
+    x = [matcore.random_psd(rng, kn) for _ in range(3)]
+    x_u = _u_functional(x, r)
+    assert all(np.linalg.eigvalsh(p)[0] >= -1e-12 * op_norm(p) for p in x_u)
+
+    def pairing(a, b):
+        return sum(np.vdot(av, bv).real for av, bv in zip(a, b))
+
+    for _ in range(3):
+        w = rng.standard_normal(fs[0].shape[0])
+        w_point = [c + np.einsum("i,iab->ab", w, f) for c, f in zip(f0, fs)]
+        u = r_inv @ w_point[0] @ r_inv
+        u_point = [u, (1.0 - delta) * np.eye(kn) - u, v + r @ u @ r]
+        assert pairing(x_u, u_point) == pytest.approx(pairing(x, w_point), rel=1e-12)
 
 
 def test_karn_positive_v_zero_scalar():
@@ -357,11 +399,13 @@ def test_planted_answers_carry_certificates_that_recheck():
 
 
 def test_each_solve_has_one_row_per_coordinate(monkeypatch):
-    # one Karn solve per query, Yes or No, with k^2 d + 1 rows; the
-    # domination and distance programs have d + 1 and the spanning-cone program d (its d - 1 trace-zero
+    # the Karn rows are written and prepared once per (envelope, level),
+    # however many queries, Yes or No, follow; each Karn solve has k^2 d + 1
+    # rows and records its iterations; the domination and distance programs
+    # have d + 1 and the spanning-cone program d (its d - 1 trace-zero
     # coordinates and the trace row), before and after prepare (none of
     # them is dependent)
-    prepared, solved = [], []
+    prepared, solved, iterations = [], [], []
     real_prepare, real_hkm = conesolver.ConicProgram.prepare, conesolver._hkm
 
     def prepare(self):
@@ -370,21 +414,29 @@ def test_each_solve_has_one_row_per_coordinate(monkeypatch):
 
     def hkm(f, b, c, stop=None):
         solved.append(b.size)
-        return real_hkm(f, b, c, stop=stop)
+        sol = real_hkm(f, b, c, stop=stop)
+        iterations.append(sol.iterations)
+        return sol
 
     monkeypatch.setattr(conesolver.ConicProgram, "prepare", prepare)
     monkeypatch.setattr(conesolver, "_hkm", hkm)
     _, env, g1, _ = _c3_env()
-    k, d = 2, env.source.dim
-    for c, member in ((0.5, MEMBER_YES), (2.0, MEMBER_NO)):
-        coords = np.zeros((k, k, d), dtype=complex)
-        for i in range(k):
-            coords[i, i] = -c * _coords(env, g1).reshape(-1)
+    d = env.source.dim
+    levels_seen = set()
+    for k in (1, 2, 1, 2):
         prepared.clear()
         solved.clear()
-        elem = UnitizedElement(level=k, v_coords=coords, scalar_part=np.eye(k))
-        assert xplus_cone_member(env, elem).member == member
-        assert prepared == solved == [k * k * d + 1]
+        for c, member in ((0.5, MEMBER_YES), (2.0, MEMBER_NO), (0.75, MEMBER_YES)):
+            coords = np.zeros((k, k, d), dtype=complex)
+            for i in range(k):
+                coords[i, i] = -c * _coords(env, g1).reshape(-1)
+            elem = UnitizedElement(level=k, v_coords=coords, scalar_part=np.eye(k))
+            r = xplus_cone_member(env, elem)
+            assert r.member == member
+            assert r.certificate["iterations"] == iterations[-1] > 0
+        assert solved == [k * k * d + 1] * 3
+        assert prepared == ([] if k in levels_seen else [k * k * d + 1])
+        levels_seen.add(k)
     space = env.compressed_space()
     prepared.clear()
     solved.clear()
@@ -462,11 +514,30 @@ def test_karn_monotone_in_eps_by_transport():
     assert checked >= 1
 
 
+def _u_form_karn_solve(units, level, hb, v, big_root, delta, tol):
+    """Karn's condition at one eps read off the definition, in u: maximize
+    lambda subject to (U, (1 - delta) - U, v + R U R) - lambda I >= 0
+    blockwise, U = sum_i u_i H_i over the level basis H_i, with the
+    production witness check and separation bound as its certificates."""
+    k, d, kn = units.shape[1], hb.shape[0], level.shape[1]
+
+    def stop(u, lam, x):
+        if lam > 0:
+            coeffs = np.einsum("sij,st->ijt", units, u.reshape(k * k, d))
+            if _verify_karn_witness(hb, coeffs, v, big_root, delta, tol, k)[0]:
+                return MEMBER_YES, coeffs
+        cert = _karn_separation(x, v, big_root, level, delta)
+        return None if cert is None else (MEMBER_NO, cert)
+
+    f0 = [np.zeros((kn, kn)), (1.0 - delta) * np.eye(kn), v]
+    return conesolver.solve_dual_margin(f0, [level, -level, big_root @ level @ big_root], stop)
+
+
 def _per_eps_karn_member(env, elem, tol=1e-7):
-    """The Karn verdict read literally off the definition: one solve per
-    scheduled eps, No at the first eps without a witness, Yes when every
-    eps has one and v + A ⊗ 1 >= 0 (the scalar-part check and the u = 0
-    shortcut as in production)."""
+    """The Karn verdict read literally off the definition: one u-form solve
+    (:func:`_u_form_karn_solve`) per scheduled eps, No at the first eps
+    without a witness, Yes when every eps has one and v + A ⊗ 1 >= 0 (the
+    scalar-part check and the u = 0 shortcut as in production)."""
     k, n = elem.level, env.envelope_dim
     a = hermitize(elem.scalar_part, rtol=1e-9)
     if not psd_check(a, tol=tol).positive:
@@ -479,7 +550,7 @@ def _per_eps_karn_member(env, elem, tol=1e-7):
     units, level = _level_basis(hb, k)
     for eps in DEFAULT_EPS_SCHEDULE:
         root = np.kron(_psd_sqrt(a + eps * np.eye(k)), np.eye(n))
-        sol = _karn_solve(units, level, hb, v, root, DEFAULT_DELTA, tol)
+        sol = _u_form_karn_solve(units, level, hb, v, root, DEFAULT_DELTA, tol)
         if sol.stopped is None:
             return MEMBER_INCONCLUSIVE
         if sol.stopped[0] == MEMBER_NO:
@@ -573,6 +644,7 @@ def test_a_transported_witness_that_fails_is_inconclusive(monkeypatch):
     r = xplus_cone_member(env, elem)
     assert len(solves) == 1 and solves[0].stopped[0] == MEMBER_YES
     assert r.member == MEMBER_INCONCLUSIVE
+    assert r.certificate["iterations"] == solves[0].iterations
     eps_big = DEFAULT_EPS_SCHEDULE[0]
     assert r.certificate["eps"] == eps_big
     assert f"eps {eps_big:g}" in r.certificate["reason"]
