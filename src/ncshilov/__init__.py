@@ -20,6 +20,10 @@ Core modules:
 - unitize:     X1 / Xplus unitizations, cone membership, distance to unit
 - funcspace:   commutative specialization on finite point sets (LP oracle)
 - cli:         file formats, reports, and the command-line front end
+
+The matrix pipeline needs numpy alone.  scipy is needed only by the LP
+route of funcspace, which imports scipy.optimize, and with it HiGHS, at
+its first LP.
 """
 
 from ncshilov.errors import (

@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ncshilov import matcore
 from ncshilov.errors import BadProgram, InconclusiveAtTolerance, NonFinite, ShapeMismatch
@@ -271,11 +270,11 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
     onto the linearized constraints so that a lossy solve cannot build up
     primal infeasibility.  Stops at relative gap and infeasibilities below
     ``IPM_TOL``, after ``IPM_MAX_ITER`` iterations, when a factor fails or
-    the iterates overflow, or when ``stop(x, y, z, worst)``, called on
-    every iterate with the primal blocks, the multipliers, the dual slack
-    blocks and the largest of the three measures, returns something other
-    than None; the last iterate is returned in every case, and it is always
-    one the stop test has seen.
+    the iterates or the Schur matrix overflow, or when
+    ``stop(x, y, z, worst)``, called on every iterate with the primal
+    blocks, the multipliers, the dual slack blocks and the largest of the
+    three measures, returns something other than None; the last iterate is
+    returned in every case, and it is always one the stop test has seen.
     """
     m = b.size
     dims = [fv.shape[1] for fv in f]
@@ -332,8 +331,10 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
                          @ (fv @ zi).transpose(0, 2, 1).reshape(m, n * n).T).real
                         for fv, xv, zi, n in zip(f, x, zinv, dims))
             schur = 0.5 * (schur + schur.T)
+            if not np.isfinite(schur).all():  # np.linalg.cholesky would pass it through
+                raise np.linalg.LinAlgError("non-finite Schur matrix")
             try:
-                factor = scipy.linalg.cho_factor(schur)
+                factor = np.linalg.cholesky(schur)
             except np.linalg.LinAlgError:
                 factor = None
             h_rd = [herm(xv @ r @ zi) for xv, r, zi in zip(x, rd, zinv)]
@@ -341,7 +342,7 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
             def solve(r):
                 if factor is None:
                     return np.linalg.lstsq(schur, r, rcond=None)[0]
-                return scipy.linalg.cho_solve(factor, r)
+                return np.linalg.solve(factor.T, np.linalg.solve(factor, r))
 
             def direction(g):
                 dy = solve(rp - op([gv - hv for gv, hv in zip(g, h_rd)]))

@@ -16,7 +16,9 @@ orthogonal to X (:func:`_require_spanning_functions`).
 The LP route (scipy's HiGHS) is deliberately independent of the matrix
 SDP route; :func:`crosscheck_diagonal` embeds the space as diagonal
 matrices, runs the envelope pipeline, and compares the surviving blocks
-point by point.
+point by point.  The matrix pipeline needs numpy alone, so
+:mod:`scipy.optimize` is imported by the two LP functions, and HiGHS
+loads at the first LP, not with this module.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from ncshilov import envelope as envelope_mod
 from ncshilov import stargen
@@ -89,6 +90,8 @@ def _require_spanning_functions(fs: FunctionSpace):
     f in X_r of sum one has min_S f <= <mu, f> <= nu + rho <= CONE_TOL.
     An infeasible LP means nothing sums to one: the uniform measure on S is
     orthogonal to X, the cone is {0}.  Otherwise InconclusiveAtTolerance."""
+    from scipy.optimize import linprog
+
     rb = fs.real_basis()
     support = np.flatnonzero(np.abs(fs.basis).max(axis=0) >= 1e-10)
     vals = rb[:, support]
@@ -238,6 +241,8 @@ def _point_sup(vals, idx, others, tol):
     feasible in every LP here, so an "infeasible" status (HiGHS reports
     some unbounded LPs that way when presolve is on) is read as unbounded;
     any other failed LP makes the verdict inconclusive."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     res = milp(c=-vals[idx], constraints=LinearConstraint(vals[others], -1.0, 1.0),
                bounds=Bounds(-np.inf, np.inf))
     if res.status in (2, 3):

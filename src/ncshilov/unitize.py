@@ -329,6 +329,7 @@ def _karn_solve(prog: KarnLevel, v, root, root_inv, delta, tol):
     certificate)."""
     k, d, n = prog.units.shape[1], prog.hb.shape[0], prog.hb.shape[1]
     big_root = np.kron(root, np.eye(n))
+    root_norm = op_norm(root)  # ||R|| = ||root ⊗ 1|| = ||root||, a k x k SVD
 
     def stop(w, lam, x):
         if lam > 0:
@@ -336,7 +337,8 @@ def _karn_solve(prog: KarnLevel, v, root, root_inv, delta, tol):
             coeffs = np.einsum("ip,pqt,jq->ijt", root_inv, w_coeffs, root_inv.conj())
             if _verify_karn_witness(prog.hb, coeffs, v, big_root, delta, tol, k)[0]:
                 return MEMBER_YES, coeffs
-        cert = _karn_separation(_u_functional(x, big_root), v, big_root, prog.level, delta)
+        cert = _karn_separation(_u_functional(x, big_root), v, big_root, root_norm,
+                                prog.level, delta)
         return None if cert is None else (MEMBER_NO, cert)
 
     return prog.rows.solve(_karn_f0(v, big_root, delta), stop)
@@ -369,10 +371,11 @@ def _u_functional(x, big_root):
     return [big_root @ x1 @ big_root, big_root @ x2 @ big_root, x3]
 
 
-def _karn_separation(x, v, big_root, level, delta):
+def _karn_separation(x, v, big_root, root_norm, level, delta):
     """No certificate from a PSD point X = (X_U, X_1, X_2) that pairs with
     the Karn u-program, or None; :func:`_karn_solve` passes the primal
-    point of its w-program translated by :func:`_u_functional`.
+    point of its w-program translated by :func:`_u_functional`, and
+    ``root_norm`` = ||R||, which it computes once per solve.
 
     phi = -X / ||X|| = (P_U, P_1, P_2) pairs with a point (U, (1 - delta) - U,
     v + R U R) as c + <G, U>, where c = (1 - delta) tr P_1 + <P_2, v> =
@@ -397,7 +400,7 @@ def _karn_separation(x, v, big_root, level, delta):
     if not slack > 0:
         return None
     gain = [max(0.0, float(np.linalg.eigvalsh(p)[-1])) for p in (pu, p1, p2)]
-    tr_s2 = max(0.0, float(np.trace(v).real)) + op_norm(big_root) ** 2 * kn
+    tr_s2 = max(0.0, float(np.trace(v).real)) + root_norm ** 2 * kn
     if slack - kn * (gain[0] + gain[1]) - gain[2] * tr_s2 > 1e-9 * max(1.0, abs(c)):
         return {"dual_witness": [pu, p1, p2], "margin": c}
     return None

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncshilov import cli, stargen
+import ncshilov
+from ncshilov import cli, selftest, stargen
 from ncshilov.cli import (
     EXIT_CONE,
     EXIT_INCONCLUSIVE,
@@ -281,6 +286,49 @@ def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, ca
         stages += [" ms  spanning-cone LP", " ms  LP point test (2,): loose"]
     for stage in stages:
         assert stage in out, (stage, out)
+
+
+# Runs each argv list of argv[1] through cli.main in a fresh interpreter and
+# prints, per command, its exit code and the scipy modules loaded so far.
+_MODULE_PROBE = """
+import json, sys
+from ncshilov import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    out.append([argv[0], code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(out))
+"""
+
+
+def test_matrix_commands_load_no_scipy_and_boundary_loads_its_lps(tmp_path):
+    gens = selftest.loose_instance(np.random.default_rng(3), a=2, b=1)
+    space = {"format_version": "1", "kind": "matrix", "ambient_dim": gens[0].shape[0],
+             "generators": [[[[z.real, z.imag] for z in row] for row in g] for g in gens]}
+    inp = _write(tmp_path, "space.json", space)
+    # -b_0 + 1 at level one: not PSD, so the Xplus query runs a Karn solve
+    d = stargen.validate_space(gens).dim
+    elem = {"format_version": "1", "level": 1,
+            "v_coords": [[[[-1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)]],
+            "scalar_part": [[_cpx(1)]]}
+    epath = _write(tmp_path, "elem.json", elem)
+    commands = [["envelope", "--input", inp], ["unitize", "--input", inp],
+                ["distance", "--input", inp],
+                ["cone", "--input", inp, "--element", epath, "--kind", "xplus"],
+                ["cone", "--input", inp, "--element", epath, "--kind", "x1"],
+                ["boundary", "--input", _write(tmp_path, "fn.json", FN_HALF)]]
+    src = str(Path(ncshilov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path,
+                         timeout=300, check=True)
+    results = json.loads(run.stdout.strip().splitlines()[-1])
+    assert [(name, code) for name, code, _ in results] == \
+        [(c[0], EXIT_OK) for c in commands]
+    for name, _, loaded in results[:-1]:
+        assert loaded == [], (name, loaded)
+    assert "scipy.optimize" in results[-1][2]
 
 
 def test_boundary_rejects_matrix_kind(tmp_path):

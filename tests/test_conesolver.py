@@ -7,6 +7,7 @@ from ncshilov.conesolver import (
     CC_YES,
     FEASIBLE,
     INFEASIBLE,
+    IPM_NUMERICAL_FAILURE,
     IPM_OPTIMAL,
     MARGINAL,
     ConicProgram,
@@ -16,6 +17,7 @@ from ncshilov.conesolver import (
     _scale_rows,
     _dual_witness,
     _haar_coeffs,
+    _hkm,
     _hkm_max_scale,
     cc_test,
     minimize_opnorm,
@@ -628,3 +630,23 @@ def test_two_block_objective_program_reaches_the_smaller_eigenvalue():
         assert np.trace(x1).real + np.trace(x2).real == pytest.approx(1.0, abs=1e-8)
         assert matcore.psd_check(x1, tol=1e-12).positive
         assert matcore.psd_check(x2, tol=1e-12).positive
+
+
+def test_nonfinite_schur_matrix_ends_the_solve_as_a_numerical_failure():
+    # the stop test scales the first iterate in place to X = 1e308 I and
+    # Z = 0.1 I, both finite and positive definite, so the Schur matrix
+    # tr(F X F Z^-1) = 1e309 overflows; the solve must end there, without
+    # an exception and without forming an iterate from it
+    seen = []
+
+    def stop(x, y, z, worst):
+        seen.append(worst)
+        if len(seen) == 1:
+            x[0] *= 1e308
+            z[0] *= 0.1
+
+    f = [np.eye(2, dtype=complex)[None] / np.sqrt(2)]
+    sol = _hkm(f, np.array([np.sqrt(2)]), [np.eye(2, dtype=complex)], stop=stop)
+    assert sol.status == IPM_NUMERICAL_FAILURE
+    assert sol.stopped is None
+    assert sol.iterations == 1 and len(seen) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 from ncshilov import funcspace
@@ -44,8 +45,8 @@ def test_boundary_nonspanning_cone_carries_its_measure_from_one_lp(monkeypatch):
     # f = (1, 0, 0) is positive somewhere, but no element is positive on
     # all three points: the measure (0, 1/2, 1/2) is orthogonal to the space
     calls = []
-    real = funcspace.linprog
-    monkeypatch.setattr(funcspace, "linprog",
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     fs = validate_function_space([[1, 0, 0], [0, 1, -1]])
     with pytest.raises(ConeDoesNotSpan) as info:
@@ -103,8 +104,8 @@ def test_point_sup_is_one_lp(monkeypatch, gens, is_real):
     fs = validate_function_space(gens)
     assert fs.is_real == is_real
     calls = []
-    real = funcspace.milp
-    monkeypatch.setattr(funcspace, "milp",
+    real = scipy.optimize.milp
+    monkeypatch.setattr(scipy.optimize, "milp",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     vals = fs.basis.T.real if is_real else fs.real_basis().T
     statuses = set()

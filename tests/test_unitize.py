@@ -520,13 +520,14 @@ def _u_form_karn_solve(units, level, hb, v, big_root, delta, tol):
     blockwise, U = sum_i u_i H_i over the level basis H_i, with the
     production witness check and separation bound as its certificates."""
     k, d, kn = units.shape[1], hb.shape[0], level.shape[1]
+    root_norm = op_norm(big_root)
 
     def stop(u, lam, x):
         if lam > 0:
             coeffs = np.einsum("sij,st->ijt", units, u.reshape(k * k, d))
             if _verify_karn_witness(hb, coeffs, v, big_root, delta, tol, k)[0]:
                 return MEMBER_YES, coeffs
-        cert = _karn_separation(x, v, big_root, level, delta)
+        cert = _karn_separation(x, v, big_root, root_norm, level, delta)
         return None if cert is None else (MEMBER_NO, cert)
 
     f0 = [np.zeros((kn, kn)), (1.0 - delta) * np.eye(kn), v]
