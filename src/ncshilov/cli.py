@@ -7,9 +7,10 @@ byte-identical files; wall-clock timing goes to the human summary on
 stdout only, and so do the per-stage timings that ``envelope --stats`` and
 ``boundary --stats`` print.
 
-Exit codes: 0 success, 1 parse error, 2 the positive cone does not span
-(the envelope recipe does not apply), 3 a decision came back inconclusive
-at the working tolerance.
+Exit codes: 0 success; 1 a parse error or any other ``NcShilovError`` (e.g.
+``ShapeMismatch``, ``RankAmbiguous``, ``NumericallyAmbiguous``,
+``DegenerateSample``); 2 the positive cone does not span (the envelope
+recipe does not apply); 3 a decision came back inconclusive.
 """
 
 from __future__ import annotations

@@ -71,7 +71,6 @@ from ncshilov.matcore import (
     herm_to_rvec,
     op_norm,
     op_norms,
-    orthonormalize,
     rvec_to_herm,
 )
 
@@ -96,22 +95,19 @@ ROUTE_DUAL_WITNESS = "dual witness"
 
 @dataclass
 class ConicProgram:
-    """Feasibility/optimization data over Hermitian PSD blocks, in the real
-    coordinates of :func:`matcore.herm_to_rvec`.
+    """Feasibility data over Hermitian PSD blocks, in the real coordinates
+    of :func:`matcore.herm_to_rvec`.
 
     ``block_dims``: sizes of the PSD variable blocks; x is their
     vectorizations concatenated, so block v owns the next n_v^2 columns.
     ``rows`` (m, sum n_v^2) and ``rhs`` (m,): the constraints
     ``rows @ x = rhs``, i.e. ``sum_v Re<F_jv, X_v> = rhs_j`` for the
     Hermitian matrices F_jv the row vectorizes.
-    ``objective``: optional coordinate vector c; the engine minimizes
-    ``c @ x``.
     """
 
     block_dims: list[int]
     rows: np.ndarray
     rhs: np.ndarray
-    objective: np.ndarray | None = None
 
     def __post_init__(self):
         width = sum(n * n for n in self.block_dims)
@@ -122,24 +118,18 @@ class ConicProgram:
         if self.rhs.shape != self.rows.shape[:1]:
             raise BadProgram(f"{self.rhs.size} right-hand sides for "
                              f"{self.rows.shape[0]} rows")
-        if self.objective is not None:
-            self.objective = np.asarray(self.objective, dtype=float)
-            if self.objective.shape != (width,):
-                raise BadProgram(f"objective of shape {self.objective.shape} is not ({width},)")
-        for data in (self.rows, self.rhs, self.objective):
-            if data is not None and not np.isfinite(data).all():
-                raise NonFinite("conic program data has NaN or Inf entries")
+        if not (np.isfinite(self.rows).all() and np.isfinite(self.rhs).all()):
+            raise NonFinite("conic program data has NaN or Inf entries")
 
     def prepare(self):
-        cvec = self.objective if self.objective is not None else np.zeros(self.rows.shape[1])
-        return _DensePrepared(self.block_dims, self.rows, self.rhs, cvec)
+        return _DensePrepared(self.block_dims, self.rows, self.rhs)
 
 
 class _DensePrepared:
     """Orthonormalized dense form of a ConicProgram: ``f`` holds the
     orthonormal constraint rows as one stack of Hermitian matrices per
-    block, ``rhs`` their right-hand sides, ``c`` the objective blocks (None
-    without an objective) and ``x_particular`` the least-norm affine point.
+    block, ``rhs`` their right-hand sides and ``x_particular`` the
+    least-norm affine point.
     ``row_lift`` = U_r S_r^-1 from the SVD A = U_r S_r V_r^T that gives the
     orthonormal rows V_r^T: it takes multipliers y of those rows to the
     multipliers of the given rows with the same combination A^T y.
@@ -150,7 +140,7 @@ class _DensePrepared:
     constraint range (a combination of constraints whose coefficient
     matrix vanishes while its rhs does not)."""
 
-    def __init__(self, dims, a, b, cvec):
+    def __init__(self, dims, a, b):
         self.dims = dims
         self.offsets = list(np.cumsum([0] + [n * n for n in dims]))
         self.inconsistent_y = None
@@ -172,7 +162,6 @@ class _DensePrepared:
             self.row_lift = np.zeros((0, 0))
             self.rhs = np.zeros(0)
         self.f = self.blocks_of(self.rows)
-        self.c = self.blocks_of(cvec) if np.any(cvec) else None
         self.x_particular = self.blocks_of(self.rows.T @ self.rhs)
 
     def blocks_of(self, x):
@@ -270,11 +259,11 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
     onto the linearized constraints so that a lossy solve cannot build up
     primal infeasibility.  Stops at relative gap and infeasibilities below
     ``IPM_TOL``, after ``IPM_MAX_ITER`` iterations, when a factor fails or
-    the iterates or the Schur matrix overflow, or when
-    ``stop(x, y, z, worst)``, called on every iterate with the primal
-    blocks, the multipliers, the dual slack blocks and the largest of the
-    three measures, returns something other than None; the last iterate is
-    returned in every case, and it is always one the stop test has seen.
+    the Schur matrix overflows or a measure is not finite (the stop test
+    never sees such an iterate), or when ``stop(x, y, z, worst)``, called
+    on every other iterate with the primal blocks, the multipliers, the
+    dual slack blocks and the largest of the three measures, returns
+    something other than None; the last iterate is returned in every case.
     """
     m = b.size
     dims = [fv.shape[1] for fv in f]
@@ -307,6 +296,10 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pinf = float(np.linalg.norm(rp) / bnorm)
         dinf = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd)) / cnorm)
+        # each measure on its own: max() keeps a NaN only in first place
+        if not np.isfinite((gap, pinf, dinf)).all():
+            status = IPM_NUMERICAL_FAILURE
+            break
         worst = max(gap, pinf, dinf)
         if stop is not None:
             stopped = stop(x, y, z, worst)
@@ -315,9 +308,6 @@ def _hkm(f, b, c, stop=None) -> IpmSolve:
                 break
         if worst <= IPM_TOL:
             status = IPM_OPTIMAL
-            break
-        if not np.isfinite(worst):  # diverged, as on an infeasible objective program
-            status = IPM_NUMERICAL_FAILURE
             break
         if it == IPM_MAX_ITER:
             break
@@ -426,11 +416,8 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
     orthogonal to every N_i, so minus its projection onto the row space is
     a functional phi that pairs with every affine point as with X0, and it
     must pass :func:`_separating`.  Anything razor-thin comes back Marginal
-    for the caller to treat as inconclusive.  A program with an objective
-    is refused (BadProgram)."""
+    for the caller to treat as inconclusive."""
     check_tol(tol)
-    if program.objective is not None:
-        raise BadProgram("solve_feasibility decides feasibility; the program has an objective")
     prepared = program.prepare()
     if prepared.inconsistent_y is not None:
         y, margin, cone_res = prepared.inconsistent_y
@@ -621,11 +608,21 @@ def minimize_opnorm(target, subspace_basis, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
+# (rtol, floor) of matcore.numerical_rank for a map's domain family, also
+# the kernel test of envelope._completion_map: s > 1e-9 max(s_max, 1) counts
+DOMAIN_RANK_CUT = (1e-9, 1.0)
+
+
 class LinearMapSpec:
     """A linear map from a matrix subspace W of M_p into M_q.
 
-    Given by a linearly independent spanning family of W and the image of
-    each member; orthonormalized internally (images transformed along).
+    Given by a spanning family of W and the image of each member, both
+    read off one thin SVD of the family, D = U S V*: the family is
+    independent when all d singular values pass :data:`DOMAIN_RANK_CUT`,
+    V* is the orthonormal domain, and column i of ``family_coeffs`` =
+    conj(U) S^-1 holds the coefficients of ``on_domain[i]`` over the
+    family, which carry the images along.  A dependent family, or one with
+    more members than M_p has dimensions, is refused (ShapeMismatch).
     """
 
     def __init__(self, domain_basis, images):
@@ -637,19 +634,12 @@ class LinearMapSpec:
             raise ShapeMismatch("empty map")
         if dom.shape[1] != dom.shape[2] or img.shape[1] != img.shape[2]:
             raise ShapeMismatch("domain and target must consist of square matrices")
-        d = dom.shape[0]
-        gram = np.einsum("iab,jab->ij", dom.conj(), dom)
-        w = np.linalg.eigvalsh(gram)
-        if w[0] <= 1e-12 * max(w[-1], 1.0):
+        u, sv, vh = np.linalg.svd(dom.reshape(len(dom), -1), full_matrices=False)
+        if matcore.numerical_rank(sv, *DOMAIN_RANK_CUT) < len(dom):
             raise ShapeMismatch("domain family is numerically dependent")
-        on = orthonormalize(dom)
-        if on.shape[0] != d:
-            raise ShapeMismatch("domain family is numerically dependent")
-        # column i of c: coefficients of on[i] over the given family
-        c, *_ = np.linalg.lstsq(dom.reshape(d, -1).T, on.reshape(d, -1).T, rcond=None)
-        self.family_coeffs = c
-        self.on_domain = on
-        self.on_images = np.einsum("ti,tab->iab", c, img)
+        self.family_coeffs = u.conj() / sv
+        self.on_domain = vh.reshape(dom.shape)
+        self.on_images = np.einsum("ti,tab->iab", self.family_coeffs, img)
         self.p = dom.shape[1]
         self.q = img.shape[1]
 

@@ -182,11 +182,12 @@ def _completion_map(space_basis, keep_proj, block: blockdecomp.BlockInfo):
 
     Returns (LinearMapSpec | None, kernel_coeffs); when the compression
     x -> x(e - p) is not injective on the space, the map is not built and a
-    unit kernel coefficient vector is returned instead."""
+    unit kernel coefficient vector is returned instead.  The kernel test is
+    :class:`LinearMapSpec`'s rule, :data:`conesolver.DOMAIN_RANK_CUT`."""
     kept = matcore.support_isometry(keep_proj)
     compressed = np.einsum("ia,tab,bj->tij", kept.conj().T, space_basis, kept)
     flat = compressed.reshape(space_basis.shape[0], -1)
-    kernel = matcore.null_space(flat.T, rtol=1e-9, floor=1.0)
+    kernel = matcore.null_space(flat.T, *conesolver.DOMAIN_RANK_CUT)
     if kernel.shape[0]:
         return None, kernel[0]
     images = np.stack([block.strip(b) for b in space_basis])
@@ -199,8 +200,10 @@ def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
     space X unit, where ``unit`` is a central projection of C*(X) above the
     block's projection p (the sum of the blocks not yet removed).
 
-    Loose requires the compression x -> x(unit - p) injective on X unit and
-    the completion map back onto the block completely contractive.
+    Loose requires the compression x -> x(unit - p) injective on X unit
+    (by the rank rule :data:`conesolver.DOMAIN_RANK_CUT`, which
+    :func:`_completion_map` and :class:`LinearMapSpec` share) and the
+    completion map back onto the block completely contractive.
     Essential verdicts carry either a kernel witness or a level-q element,
     q the stripped block size, read from the dual point of the Choi solve,
     whose norm drops under the compression (gap re-verified numerically).

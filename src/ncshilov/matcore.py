@@ -117,19 +117,19 @@ class PsdResult:
 def psd_check(m, tol: float = 1e-9) -> PsdResult:
     """Decide M >= 0 up to ``tol``: positive iff min eigenvalue >= -tol.
 
-    The decision reads the eigenvalues alone; only when M is indefinite is
-    the eigenvector of the most negative eigenvalue computed, and returned
-    as a witness.
+    M must be Hermitian, as :func:`hermitize` returns it; it is not
+    validated again here.  The decision reads the eigenvalues alone; only
+    when M is indefinite is the eigenvector of the most negative
+    eigenvalue computed, and returned as a witness.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    h = hermitize(m, rtol=1e-10)
-    mn = float(np.linalg.eigvalsh(h)[0])
+    mn = float(np.linalg.eigvalsh(m)[0])
     if mn >= -tol:
         return PsdResult(positive=True, min_eig=mn)
     # a copy, so that a kept witness does not keep all of the eigenvectors alive
-    xi = np.linalg.eigh(h)[1][:, 0].copy()
-    val = float(np.real(xi.conj() @ np.asarray(m, dtype=np.complex128) @ xi))
+    xi = np.linalg.eigh(m)[1][:, 0].copy()
+    val = float(np.real(xi.conj() @ m @ xi))
     return PsdResult(positive=False, min_eig=mn, witness=xi, witness_value=val)
 
 
@@ -214,18 +214,22 @@ def orthonormalize_real(stack) -> np.ndarray:
     return _orthonormal_span(stack, real=True)
 
 
+def numerical_rank(s, rtol: float = 1e-10, floor: float = 0.0) -> int:
+    """How many singular values ``s`` (descending) exceed ``rtol * max(s_max,
+    floor)``; ``floor`` makes the cut absolute for operators of O(1) scale."""
+    return int(np.sum(s > rtol * max(s[0], floor))) if s.size else 0
+
+
 def null_space(a, rtol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
     """Orthonormal rows N spanning the kernel of ``a`` (``a @ N.T = 0``).
 
     One SVD, full only when ``a`` is wide (a tall ``a`` has all its right
     singular vectors in the thin one, and a full U would cost its height
-    squared); singular values above ``rtol * max(s_max, floor)`` count
-    toward the rank, so ``floor`` makes the cut absolute for operators of
-    known O(1) scale.  An ``a`` without rows has the whole space as kernel.
+    squared), cut by :func:`numerical_rank`.  An ``a`` without rows has the
+    whole space as kernel.
     """
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > rtol * max(s[0], floor))) if s.size else 0
-    return vh[rank:].conj()
+    return vh[numerical_rank(s, rtol, floor):].conj()
 
 
 def support_isometry(p) -> np.ndarray:

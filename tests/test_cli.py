@@ -267,6 +267,30 @@ def test_boundary_command(tmp_path):
     assert report["boundary"]["diagonal_crosscheck"]["matches"]
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_nearly_dependent_compression_keeps_the_boundary(tmp_path, capsys, delta):
+    # span{diag(1, 2, 0), diag(delta, 0, 1)}: point 0 is loose, and cutting
+    # point 2 leaves the family (1, 2), (delta, 0), independent down to
+    # delta ~ 1e-9 with smallest singular value about delta; the kernel
+    # test and the cc oracle's domain must decide it by one rule
+    inp = _write(tmp_path, "space.json", _matrix_file(
+        [[[1, 0, 0], [0, 2, 0], [0, 0, 0]], [[delta, 0, 0], [0, 0, 0], [0, 0, 1]]], 3))
+    out = str(tmp_path / "r.json")
+    assert main(["envelope", "--input", inp, "--out", out]) == EXIT_OK
+    report = json.loads((tmp_path / "r.json").read_text())["envelope"]
+    assert report["abstract_blocks"] == [1, 1]
+    assert report["eliminations"] == 1 and report["envelope_dim"] == 2
+    fn = _write(tmp_path, "fn.json", {
+        "format_version": "1", "kind": "function", "points": 3,
+        "generators": [[_cpx(1), _cpx(2), _cpx(0)], [_cpx(delta), _cpx(0), _cpx(1)]]})
+    assert main(["boundary", "--input", fn, "--out", out]) == EXIT_OK
+    report = json.loads((tmp_path / "r.json").read_text())["boundary"]
+    assert report["boundary_points"] == [[1], [2]]
+    assert report["diagonal_crosscheck"]["matrix_retained_points"] == [1, 2]
+    assert report["diagonal_crosscheck"]["matches"]
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, payload", [("envelope", DIAG_HALF), ("boundary", FN_HALF)])
 def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, capsys,
                                                                     command, payload):

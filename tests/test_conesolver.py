@@ -24,7 +24,7 @@ from ncshilov.conesolver import (
     sampled_cb_lower_bound,
     solve_feasibility,
 )
-from ncshilov.errors import BadProgram, NonFinite
+from ncshilov.errors import BadProgram, NonFinite, ShapeMismatch
 from ncshilov.matcore import herm_to_rvec
 from ncshilov.selftest import loose_instance
 from ncshilov.stargen import validate_space
@@ -91,21 +91,15 @@ def test_bad_program_shapes():
         ConicProgram([2], rows[0], [0.0])
     with pytest.raises(BadProgram, match="right-hand sides"):
         ConicProgram([2], rows, [1.0, 2.0])
-    with pytest.raises(BadProgram, match="objective"):
-        ConicProgram([2], rows, [1.0], objective=np.zeros(3))
     with pytest.raises(BadProgram):
         solve_feasibility(ConicProgram([2], np.zeros((0, 4)), []), tol=1e-2)
-    with pytest.raises(BadProgram, match="objective"):
-        solve_feasibility(ConicProgram([2], rows, [1.0], objective=herm_to_rvec(np.eye(2))))
 
 
 def test_program_rejects_nonfinite_data():
     rows = _trace_row(2)
-    for bad_rows, rhs, objective in ((np.where(rows > 0, np.nan, rows), [1.0], None),
-                                     (rows, [np.inf], None),
-                                     (rows, [1.0], np.full(4, np.nan))):
+    for bad_rows, rhs in ((np.where(rows > 0, np.nan, rows), [1.0]), (rows, [np.inf])):
         with pytest.raises(NonFinite):
-            ConicProgram([2], bad_rows, rhs, objective=objective)
+            ConicProgram([2], bad_rows, rhs)
 
 
 def test_inconsistent_program_carries_its_unit_multiplier():
@@ -194,6 +188,55 @@ def test_minimize_opnorm_never_exceeds_target_norm():
         basis = np.stack([matcore.random_complex(rng, (3, 3)) for _ in range(2)])
         val, _ = minimize_opnorm(target, np.concatenate([basis, 1j * basis]))
         assert val <= matcore.op_norm(target) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# LinearMapSpec's domain rule
+# ---------------------------------------------------------------------------
+
+
+def test_map_spec_refuses_a_dependent_family():
+    a, b, c, _ = _m2_basis()
+    with pytest.raises(ShapeMismatch, match="dependent"):
+        LinearMapSpec([a, b, a + 2 * b], [a, b, c])
+    # five members in the four dimensions of M_2
+    rng = np.random.default_rng(4)
+    dom = [matcore.random_complex(rng, (2, 2)) for _ in range(5)]
+    with pytest.raises(ShapeMismatch, match="dependent"):
+        LinearMapSpec(dom, dom)
+
+
+def _family_with_singular_values(rng, sv, p):
+    """A family of len(sv) members of M_p whose flattened stack has the
+    singular values ``sv``."""
+    d = len(sv)
+    u = np.linalg.qr(matcore.random_complex(rng, (d, d)))[0]
+    v = np.linalg.qr(matcore.random_complex(rng, (p * p, d)))[0]
+    return ((u * sv) @ v.conj().T).reshape(d, p, p)
+
+
+@pytest.mark.parametrize("s_max", [0.5, 1.0, 30.0])
+def test_map_spec_takes_the_completion_maps_rank_rule(s_max):
+    # the cut is 1e-9 max(s_max, 1): a family just above it makes a map,
+    # one just below it is refused, and the completion map's kernel test
+    # (null_space of the transposed family, by the same rule) agrees
+    rng = np.random.default_rng(8)
+    cut = conesolver.DOMAIN_RANK_CUT[0] * max(s_max, 1.0)
+    for factor, accepted in ((1.01, True), (0.99, False)):
+        dom = _family_with_singular_values(rng, [s_max, 0.3, factor * cut], 3)
+        kernel = matcore.null_space(dom.reshape(3, -1).T, *conesolver.DOMAIN_RANK_CUT)
+        assert kernel.shape[0] == (0 if accepted else 1)
+        if not accepted:
+            with pytest.raises(ShapeMismatch, match="dependent"):
+                LinearMapSpec(dom, dom)
+            continue
+        spec = LinearMapSpec(dom, dom)
+        flat = dom.reshape(3, -1)
+        # the domain is orthonormal and family_coeffs carries the family
+        # onto it; the error is eps times the condition number, about 1e9
+        on = spec.on_domain.reshape(3, -1)
+        assert np.abs(on @ on.conj().T - np.eye(3)).max() <= 1e-12
+        assert np.abs(spec.family_coeffs.T @ flat - on).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -650,3 +693,23 @@ def test_nonfinite_schur_matrix_ends_the_solve_as_a_numerical_failure():
     assert sol.status == IPM_NUMERICAL_FAILURE
     assert sol.stopped is None
     assert sol.iterations == 1 and len(seen) == 1
+
+
+@pytest.mark.parametrize("rhs", [1e200, 1e150])
+def test_stop_test_never_sees_a_nonfinite_iterate(rhs):
+    # tr X = 1e200 overflows the primal infeasibility at the start point
+    # (||rp|| and 1 + ||b|| both read inf, their ratio NaN), and max() with
+    # the NaN in second place would have hidden it; at 1e150 the iterates
+    # themselves overflow after two steps
+    seen = []
+
+    def stop(x, y, z, worst):
+        assert np.isfinite(worst)
+        assert all(np.isfinite(v).all() for v in (*x, y, *z))
+        seen.append(worst)
+
+    f = [np.eye(2, dtype=complex)[None] / np.sqrt(2)]
+    sol = _hkm(f, np.array([rhs]), [np.eye(2, dtype=complex)], stop=stop)
+    assert sol.status == IPM_NUMERICAL_FAILURE
+    assert sol.stopped is None
+    assert len(seen) == sol.iterations
