@@ -238,10 +238,8 @@ def _trace_payload(trace):
 
 
 def _envelope_payload(env, certify_seed, stats=None):
-    stats = stats if stats is not None else StageTimes()
-    with stats.stage("certify_embedding"):
-        report = envelope_mod.certify_embedding(env, levels=4, samples=120,
-                                                seed=certify_seed)
+    report = envelope_mod.certify_embedding(env, levels=4, samples=120, seed=certify_seed,
+                                            stats=stats)
     return {
         "abstract_blocks": list(env.abstract_blocks),
         "block_sizes": [list(b) for b in env.block_sizes],

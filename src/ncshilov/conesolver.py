@@ -909,12 +909,20 @@ def _certified_cb_bound(map_spec: LinearMapSpec, x, s):
     For y at level k with ||y|| <= 1 the element P = [[1, y], [y*, 1]] is
     positive of norm at most 2, so Theta_s(P) >= -2 eps, which reads
     s ||psi_k(y)|| <= 1 + 2 eps.
+
+    The shift is decided without eigvalsh when a Cholesky test
+    (:func:`matcore.certified_above`) proves that the smallest eigenvalue
+    eigvalsh would compute exceeds 2 n eps ||x||_F, which is at least the
+    delta eigvalsh's values would give (their largest modulus exceeds
+    ||x|| <= ||x||_F by rounding only): then x is returned unshifted, as
+    the eigenvalue path returns it.  Otherwise that path runs.
     """
     n = x.shape[0]
-    w = np.linalg.eigvalsh(x)
-    delta = n * np.finfo(float).eps * np.abs(w).max()
-    if w[0] < delta:
-        x = x + (delta - w[0]) * np.eye(n)
+    if not matcore.certified_above(x, 2.0 * n * np.finfo(float).eps * np.linalg.norm(x)):
+        w = np.linalg.eigvalsh(x)
+        delta = n * np.finfo(float).eps * np.abs(w).max()
+        if w[0] < delta:
+            x = x + (delta - w[0]) * np.eye(n)
     p, q = map_spec.p, map_spec.q
     c = x.reshape(2, p, q, 2, p, q)
     r_diag = op_norms(np.einsum("ikbikc->ibc", c) - np.eye(q))

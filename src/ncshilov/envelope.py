@@ -354,7 +354,8 @@ def _check_generation(env: EnvelopePresentation, tol: float = 1e-8):
 
 
 def certify_embedding(env: EnvelopePresentation, levels: int = 4,
-                      samples: int = 500, seed: int = 0) -> dict:
+                      samples: int = 500, seed: int = 0,
+                      stats: StageTimes | None = None) -> dict:
     """Sampled norm-preservation report for the embedding x -> xq.
 
     q is a sum of minimal central projections of C*(X), so it is central in
@@ -374,19 +375,33 @@ def certify_embedding(env: EnvelopePresentation, levels: int = 4,
     level-k elements y, k = 1..levels: an upper bound on the relative norm
     1 - ||y (1 ⊗ q)|| / ||y|| that y loses under x -> xq (||y_q|| never
     exceeds ||y (1 ⊗ q)||), with the off-diagonal residual folded in.  It
-    must stay below 1e-6, and is exactly 0 when ``coords`` is the identity
-    (nothing cut, C*(X) unital in M_n).  Each level draws its ``samples``
-    coefficient tensors with one ``standard_normal`` call, in the order of
-    ``samples`` consecutive ``random_complex(rng, (k, k, d))`` calls."""
-    rng = np.random.default_rng(seed)
-    d = env.source.dim
-    blocks = _reduction(env)
-    worst = 0.0
-    for k in range(1, levels + 1):
-        c = matcore.complex_normals(rng.standard_normal((samples, 2, k, k, d)), (k, k, d))
-        ny, ne = _reduced_norms(c, *blocks)
-        keep = ny >= 1e-12
-        worst = max(worst, float((np.abs(ny[keep] - ne[keep]) / ny[keep]).max(initial=0.0)))
+    must stay below 1e-6.  Each level draws its ``samples`` coefficient
+    tensors with one ``standard_normal`` call, in the order of ``samples``
+    consecutive ``random_complex(rng, (k, k, d))`` calls.
+
+    When range(q) has no complement (nothing cut, C*(X) unital in M_n),
+    nothing is drawn: y_perp has no entries and no off-diagonal block
+    exists, so every sample's bound is ||y_q|| itself and the discrepancy
+    is exactly 0.  ``stats``, when given, receives the wall-clock time of
+    the check, with how many levels the Cholesky test of
+    :func:`_reduced_norms` settled."""
+    stats = stats if stats is not None else StageTimes()
+    with stats.stage("certify_embedding") as timed:
+        inner, outer, leak = _reduction(env)
+        worst = 0.0
+        if outer.shape[-1] == 0:
+            timed.detail = "nothing cut"
+        else:
+            rng = np.random.default_rng(seed)
+            d = env.source.dim
+            settled = []
+            for k in range(1, levels + 1):
+                c = matcore.complex_normals(rng.standard_normal((samples, 2, k, k, d)),
+                                            (k, k, d))
+                ny, ne = _reduced_norms(c, inner, outer, leak, settled)
+                keep = ny >= 1e-12
+                worst = max(worst, float((np.abs(ny[keep] - ne[keep]) / ny[keep]).max(initial=0.0)))
+            timed.detail = f"complement by Cholesky at {sum(settled)} of {levels} levels"
     return {
         "levels": levels,
         "samples_per_level": samples,
@@ -408,27 +423,47 @@ def _reduction(env: EnvelopePresentation):
     return env.compressed_basis, _compress(perp, basis), leak
 
 
-def _reduced_norms(coeffs, inner, outer, leak):
+def _reduced_norms(coeffs, inner, outer, leak, settled=None):
     """(an upper bound on ||y||, ||y_q||) for the level-k elements y of a
     stack of coefficient tensors (S, k, k, d), from the blocks of
     :func:`_reduction`: y_q and y_perp are the elements of the same
     coefficients over ``inner`` and ``outer``, and the bound is
     max(||y_q||, ||y_perp||) + sum_t ||c_t||_F leak_t, the pinched norm
-    plus a bound on the off-diagonal part."""
-    nq = _gram_norms(amplify(coeffs, inner))
-    pinched = np.maximum(nq, _gram_norms(amplify(coeffs, outer)))
+    plus a bound on the off-diagonal part.
+
+    Each norm is the square root of the largest eigenvalue eigvalsh
+    computes for the Gram matrix y* y (0 when it is negative or y has no
+    entries).  ||y_perp|| enters only through the maximum, so it is not
+    computed when one batched Cholesky (:func:`matcore.certified_above`)
+    proves that every eigenvalue eigvalsh would compute for the Gram
+    matrices of y_perp lies below that of y_q, sample by sample: the square
+    root rounds monotonically, so the maximum would return ||y_q|| bit for
+    bit.  When the test does not decide, the eigenvalues are computed as
+    before; the arrays returned are the same either way.  ``settled``, when
+    given, receives whether the test decided this stack."""
+    top = _top_eigenvalues(_gram(amplify(coeffs, inner)))
+    nq = np.sqrt(top)
+    gram_perp = _gram(amplify(coeffs, outer))
+    by_cholesky = matcore.certified_above(-gram_perp, -top)
+    if settled is not None:
+        settled.append(by_cholesky)
+    pinched = nq if by_cholesky else np.maximum(nq, np.sqrt(_top_eigenvalues(gram_perp)))
     return pinched + (np.linalg.norm(coeffs, axis=(-3, -2)) * leak).sum(axis=-1), nq
 
 
-def _gram_norms(y):
-    """Largest singular value of every matrix of a stack, read off the
-    largest eigenvalue of its Gram matrix y* y, which for these small
-    stacks is cheaper than the batched SVD of :func:`matcore.op_norms`; 0
-    for matrices without entries."""
-    if y.shape[-1] == 0:
-        return np.zeros(y.shape[:-2])
-    top = np.linalg.eigvalsh(y.conj().swapaxes(-2, -1) @ y)[..., -1]
-    return np.sqrt(np.maximum(top, 0.0))
+def _gram(y):
+    """The Gram matrices y* y of a stack."""
+    return y.conj().swapaxes(-2, -1) @ y
+
+
+def _top_eigenvalues(gram):
+    """The largest eigenvalue of every Gram matrix of a stack, clipped at 0,
+    whose square root is the largest singular value of y (for these small
+    stacks cheaper than the batched SVD of :func:`matcore.op_norms`); 0 for
+    matrices without entries."""
+    if gram.shape[-1] == 0:
+        return np.zeros(gram.shape[:-2])
+    return np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,42 @@ def psd_check(m, tol: float = 1e-9) -> PsdResult:
     return PsdResult(positive=False, min_eig=mn, witness=xi, witness_value=val)
 
 
+def certified_above(a, floor) -> bool:
+    """Whether one batched Cholesky factorization proves, for every
+    Hermitian matrix A of the stack ``a`` (..., m, m), that each eigenvalue
+    ``np.linalg.eigvalsh`` computes for A exceeds ``floor`` (a scalar or
+    one value per matrix), and each one it computes for -A lies below
+    -floor.  False only means that the test did not decide; the caller
+    then computes the eigenvalues.
+
+    The stack factored is A - t I, t = floor + 8 (m + 1)^2 eps
+    (||A||_F + |floor|).  A completed factorization R* R = A - t I + E
+    puts every eigenvalue of A at or above t - ||E||, and ||E|| is about
+    2 m (m + 1) eps (||A|| + |t|) at most: the rounding of the shift, and
+    Cholesky's backward error |dB| <= gamma_{m+1} |R*| |R|, whose norm is
+    at most gamma_{m+1} tr(R* R) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.3; complex arithmetic widens gamma by a
+    small constant).  eigvalsh is backward stable, so its eigenvalues of A
+    and of -A lie within about m eps ||A|| of the exact ones.  The margin
+    covers both four times over.  Both LAPACK routines read the lower
+    triangle alone, so they see the same Hermitian matrix; ||A||_F, taken
+    over the whole stored matrix, matches its norm up to rounding.  A
+    stack with a NaN or Inf entry is never certified.
+    """
+    a = np.asarray(a)
+    m = a.shape[-1]
+    floor = np.asarray(floor, dtype=float)
+    scale = np.linalg.norm(a, axis=(-2, -1)) + np.abs(floor)
+    if not np.isfinite(scale).all():
+        return False
+    shift = floor + 8.0 * (m + 1) ** 2 * np.finfo(float).eps * scale
+    try:
+        np.linalg.cholesky(a - shift[..., None, None] * np.eye(m))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product trace(b* a)."""
     ma, mb = as_cmatrix(a), as_cmatrix(b)
@@ -165,6 +201,19 @@ def amplify(coeffs, basis) -> np.ndarray:
     n = stack.shape[1]
     blocks = np.einsum("sijt,tab->siajb", c.reshape((-1,) + c.shape[-3:]), stack)
     return blocks.reshape(c.shape[:-3] + (k * n, k * n))
+
+
+def kron_eye(a, n) -> np.ndarray:
+    """a ⊗ 1_n for a k x k matrix a: the kn x kn matrix with a_ij on the
+    diagonal of its (i, j) block, written in place of ``np.kron(a,
+    np.eye(n))`` (equal entries, and about a fifth of its cost on the
+    small matrices of the cone queries)."""
+    a = np.asarray(a)
+    k = a.shape[0]
+    out = np.zeros((k, n, k, n), dtype=np.result_type(a, float))
+    diag = np.arange(n)
+    out[:, diag, :, diag] = a
+    return out.reshape(k * n, k * n)
 
 
 # ---------------------------------------------------------------------------

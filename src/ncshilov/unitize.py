@@ -55,6 +55,7 @@ from ncshilov.errors import ShapeMismatch
 from ncshilov.matcore import (
     amplify,
     hermitize,
+    kron_eye,
     op_norm,
     orthonormalize,
     psd_check,
@@ -90,10 +91,11 @@ class UnitizedElement:
             raise ShapeMismatch("unitized element shapes do not match its level")
 
 
-def realize(elem: UnitizedElement, basis, unit) -> np.ndarray:
-    """Concrete matrix of v + A.1 over a given basis and unit."""
+def realize(elem: UnitizedElement, basis) -> np.ndarray:
+    """Concrete matrix of v + A ⊗ 1 over a given basis, whose identity is
+    the unit."""
     v = amplify(elem.v_coords, basis)
-    return v + np.kron(elem.scalar_part, unit)
+    return v + kron_eye(elem.scalar_part, np.shape(basis)[-1])
 
 
 def is_selfadjoint(m: np.ndarray, tol: float = 1e-9) -> bool:
@@ -149,7 +151,7 @@ def x1_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElement
                    tol: float = 1e-9) -> ConeVerdict:
     """Membership in the X1 cone: a direct PSD check of the concrete matrix
     built from the embedded copy and the envelope unit."""
-    m = realize(elem, env.compressed_basis, env.unit())
+    m = realize(elem, env.compressed_basis)
     if not is_selfadjoint(m):
         raise ShapeMismatch("element is not selfadjoint")
     chk = psd_check(hermitize(m, rtol=1e-9), tol=tol)
@@ -194,10 +196,9 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
         raise ShapeMismatch("eps schedule must decrease")
     if not (0 < delta <= 1e-2):
         raise ShapeMismatch("delta must lie in (0, 1e-2]")
-    basis = env.compressed_basis
-    unit = env.unit()
-    v = amplify(elem.v_coords, basis)
-    if not is_selfadjoint(v + np.kron(elem.scalar_part, unit)):
+    n = env.envelope_dim
+    v = amplify(elem.v_coords, env.compressed_basis)
+    if not is_selfadjoint(v + kron_eye(elem.scalar_part, n)):
         raise ShapeMismatch("element is not selfadjoint")
 
     def verdict(member, certificate):
@@ -218,7 +219,6 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
                                     "u_zero": True})
 
     prog = _karn_level(env, k)
-    n = env.envelope_dim
     eps_min = eps_schedule[-1]
     roots = _shifted_roots(a)
     sol = _karn_solve(prog, v_sa, *roots(eps_min), delta, tol)
@@ -236,7 +236,7 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
             witnesses[eps] = cert
             continue
         moved = transport_witness(cert, a, eps_min, eps, prog.hb)
-        ok, why = _verify_karn_witness(prog.hb, moved, v_sa, np.kron(roots(eps)[0], np.eye(n)),
+        ok, why = _verify_karn_witness(prog.hb, moved, v_sa, kron_eye(roots(eps)[0], n),
                                        delta, tol, k)
         if not ok:
             reason = f"witness transported from eps {eps_min:g} fails at eps {eps:g}: {why}"
@@ -244,7 +244,7 @@ def xplus_cone_member(env: envelope_mod.EnvelopePresentation, elem: UnitizedElem
         witnesses[eps] = moved
     # the schedule stops at a positive eps, so an element just outside the
     # cone can be feasible at every scheduled eps
-    limit = psd_check(hermitize(v + np.kron(a, unit), rtol=1e-8), tol=tol)
+    limit = psd_check(hermitize(v + kron_eye(a, n), rtol=1e-8), tol=tol)
     if not limit.positive:
         return verdict(MEMBER_NO, {"limit_min_eig": limit.min_eig,
                                    "witness_vector": limit.witness, **solved})
@@ -328,7 +328,7 @@ def _karn_solve(prog: KarnLevel, v, root, root_inv, delta, tol):
     solve's ``stopped`` is (MEMBER_YES, coordinates) or (MEMBER_NO,
     certificate)."""
     k, d, n = prog.units.shape[1], prog.hb.shape[0], prog.hb.shape[1]
-    big_root = np.kron(root, np.eye(n))
+    big_root = kron_eye(root, n)
     root_norm = op_norm(root)  # ||R|| = ||root ⊗ 1|| = ||root||, a k x k SVD
 
     def stop(w, lam, x):

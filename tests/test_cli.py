@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ncshilov
-from ncshilov import cli, selftest, stargen
+from ncshilov import cli, matcore, selftest, stargen
 from ncshilov.cli import (
     EXIT_CONE,
     EXIT_INCONCLUSIVE,
@@ -305,11 +305,39 @@ def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, ca
     stages = ["stage timings (wall clock):", " ms  cone_spans", " ms  C*(X) generation and split",
               " by choi bound, "]
     if command == "envelope":
-        stages.append(" ms  certify_embedding")
+        # one point is cut, and the Cholesky test settles its complement
+        stages.append(" ms  certify_embedding: complement by Cholesky at 4 of 4 levels")
     else:
         stages += [" ms  spanning-cone LP", " ms  LP point test (2,): loose"]
     for stage in stages:
         assert stage in out, (stage, out)
+
+
+@pytest.mark.parametrize("space", ["planted loose", "uncut"])
+def test_envelope_report_is_the_same_when_the_cholesky_test_never_decides(
+        tmp_path, capsys, monkeypatch, cholesky_answers, space):
+    # the Cholesky test stands in for eigenvalues only where it proves what
+    # they would decide (certify_embedding's complement norms, the shift of
+    # the certified Choi bound); forced to fail, it leaves every eigenvalue
+    # to be computed, and the report bytes stay the same
+    rng = np.random.default_rng(3)
+    if space == "planted loose":
+        gens = selftest.loose_instance(rng, a=2, b=1)
+    else:
+        gens = [selftest.random_psd(rng, 3) for _ in range(3)]
+    inp = _write(tmp_path, "space.json", {
+        "format_version": "1", "kind": "matrix", "ambient_dim": gens[0].shape[0],
+        "generators": [[[[z.real, z.imag] for z in row] for row in g] for g in gens]})
+    assert main(["envelope", "--input", inp, "--out", str(tmp_path / "fast.json"),
+                 "--stats"]) == EXIT_OK
+    detail = "nothing cut" if space == "uncut" else "complement by Cholesky at 4 of 4 levels"
+    assert f" ms  certify_embedding: {detail}" in capsys.readouterr().out
+    report = json.loads((tmp_path / "fast.json").read_text())["envelope"]
+    assert (report["eliminations"] == 0) == (space == "uncut")
+    assert all(cholesky_answers) and bool(cholesky_answers) == (space == "planted loose")
+    monkeypatch.setattr(matcore, "certified_above", lambda a, floor: False)
+    assert main(["envelope", "--input", inp, "--out", str(tmp_path / "eig.json")]) == EXIT_OK
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "eig.json").read_bytes()
 
 
 # Runs each argv list of argv[1] through cli.main in a fresh interpreter and

@@ -511,6 +511,36 @@ def test_choi_solve_bounds_known_cb_norms():
         assert residual <= 1e-10
 
 
+@pytest.mark.parametrize("singular", [False, True])
+def test_certified_cb_bound_shifts_as_the_eigenvalue_path_does(monkeypatch, cholesky_answers,
+                                                                singular):
+    # the certified Yes point of half the identity on M_2, which is
+    # positive definite, and the same point with its smallest eigenvalue
+    # set to 0, which needs the shift: the Cholesky test decides the first
+    # alone, and (bound, residual, C) equals the eigenvalue path's either way
+    basis = _m2_basis()
+    spec = LinearMapSpec(basis, [0.5 * b for b in basis])
+    res = cc_test(spec, tol=1e-7)
+    x, s = res.choi_point, res.scale
+    if singular:
+        w, u = np.linalg.eigh(x)
+        x = matcore.hermitize((u[:, 1:] * w[1:]) @ u[:, 1:].conj().T)
+    # the eigenvalue path's shift, written out
+    n = x.shape[0]
+    w = np.linalg.eigvalsh(x)
+    delta = n * np.finfo(float).eps * np.abs(w).max()
+    assert (w[0] < delta) == singular
+    shifted = x + (delta - w[0]) * np.eye(n) if singular else x
+    cholesky_answers.clear()  # the answers cc_test asked for above
+    bound, residual, c = _certified_cb_bound(spec, x, s)
+    assert cholesky_answers == [not singular]
+    assert np.array_equal(c, shifted)
+    monkeypatch.setattr(matcore, "certified_above", lambda a, floor: False)
+    eig_bound, eig_residual, eig_c = _certified_cb_bound(spec, x, s)
+    assert (bound, residual) == (eig_bound, eig_residual)
+    assert np.array_equal(c, eig_c)
+
+
 def _completion_maps_of_criterion_4_instance_0(monkeypatch):
     """The maps cc_test decides while criterion 4's first space (rng 404)
     gets its envelope."""

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ncshilov import blockdecomp, conesolver, matcore, stargen
+from ncshilov import blockdecomp, conesolver, envelope, matcore, stargen
 from ncshilov.conesolver import (
     CC_YES,
     ROUTE_CHOI_BOUND,
@@ -31,6 +31,7 @@ from ncshilov.matcore import amplify, op_norm
 from ncshilov.funcspace import diagonal_embedding
 from ncshilov.selftest import loose_instance, random_function_space, random_unitary
 from ncshilov.stargen import validate_space
+from ncshilov.timing import StageTimes
 
 
 def _diag_space(*cols):
@@ -307,26 +308,74 @@ def test_certify_embedding_norms_are_operator_norms(crit4_instance0_env):
             assert abs(ne[i] - np.linalg.norm(y @ lift, 2)) <= 1e-12 * ny[i]
 
 
-def test_certify_embedding_without_a_cut_is_exact():
+def test_certify_embedding_without_a_cut_is_exact(monkeypatch):
     # nothing to cut: coords is the identity, y_perp has no entries and the
-    # discrepancy is exactly 0
+    # discrepancy is exactly 0, returned without drawing or taking a norm
     x = validate_space([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)])
     env = compute_envelope(x, seed=0)
     assert env.envelope_dim == 2 and env.eliminations() == 0
     _, outer, leak = _reduction(env)
     assert outer.shape == (x.dim, 0, 0) and not leak.any()
-    rep = certify_embedding(env, levels=3, samples=50, seed=1)
-    assert rep["max_relative_discrepancy"] == 0.0 and rep["passed"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an uncut envelope takes no norm")
+
+    monkeypatch.setattr(envelope, "_reduced_norms", refuse)
+    stats = StageTimes()
+    rep = certify_embedding(env, levels=3, samples=50, seed=1, stats=stats)
+    assert rep == {"levels": 3, "samples_per_level": 50, "max_relative_discrepancy": 0.0,
+                   "passed": True}
+    assert [(s.name, s.detail) for s in stats.stages] == [("certify_embedding", "nothing cut")]
 
 
-def test_certify_embedding_fails_without_a_retained_column(crit4_instance0_env):
+def test_certify_embedding_fails_without_a_retained_column(crit4_instance0_env,
+                                                           cholesky_answers):
     # the certificate reads the embedded side through coords, so dropping
-    # one retained column of range(q) must show as lost norm
+    # one retained column of range(q) must show as lost norm, whether or not
+    # compressed_basis drops it too; when it does, ||y_perp|| exceeds
+    # ||y_q|| on some samples and the Cholesky test cannot settle a level.
+    # Either way the norms are the per-sample loop's, bit for bit
     env = crit4_instance0_env
     assert certify_embedding(env, levels=2, samples=50, seed=1)["passed"]
     for j in range(env.envelope_dim):
-        cut = dataclasses.replace(env, coords=np.delete(env.coords, j, axis=1))
-        assert not certify_embedding(cut, levels=2, samples=50, seed=1)["passed"]
+        coords = np.delete(env.coords, j, axis=1)
+        stale = dataclasses.replace(env, coords=coords)
+        cut = dataclasses.replace(stale, compressed_basis=coords.conj().T @ env.source.basis
+                                  @ coords)
+        for broken in (stale, cut):
+            cholesky_answers.clear()
+            assert not certify_embedding(broken, levels=2, samples=50, seed=1)["passed"]
+            if broken is cut:
+                assert cholesky_answers == [False, False]
+            reference = _reference_block_norms(broken, 2, 50, seed=1)
+            rng = np.random.default_rng(1)
+            blocks = _reduction(broken)
+            for k in (1, 2):
+                c = np.array([matcore.random_complex(rng, (k, k, env.source.dim))
+                              for _ in range(50)])
+                ny, ne = _reduced_norms(c, *blocks)
+                assert np.array_equal(ny, reference[k - 1][0])
+                assert np.array_equal(ne, reference[k - 1][1])
+
+
+def test_certify_embedding_is_the_same_without_the_cholesky_test(crit4_instance0_env,
+                                                                  cholesky_answers, monkeypatch):
+    # on a cut envelope the Cholesky test settles every level, and the
+    # report and the norms equal those of the eigenvalue path, which runs
+    # when the test is forced to fail
+    env = crit4_instance0_env
+    stats = StageTimes()
+    rep = certify_embedding(env, levels=4, samples=120, seed=3, stats=stats)
+    assert cholesky_answers == [True] * 4
+    assert stats.stages[0].detail == "complement by Cholesky at 4 of 4 levels"
+    c = matcore.random_complex(np.random.default_rng(5), (60, 3, 3, env.source.dim))
+    fast = _reduced_norms(c, *_reduction(env))
+    monkeypatch.setattr(matcore, "certified_above", lambda a, floor: False)
+    stats = StageTimes()
+    assert certify_embedding(env, levels=4, samples=120, seed=3, stats=stats) == rep
+    assert stats.stages[0].detail == "complement by Cholesky at 0 of 4 levels"
+    for got, want in zip(fast, _reduced_norms(c, *_reduction(env))):
+        assert np.array_equal(got, want)
 
 
 def test_certify_embedding_fails_on_a_slightly_rotated_range(crit4_instance0_env):

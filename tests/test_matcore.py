@@ -282,3 +282,48 @@ def test_null_space_floor_makes_the_cut_absolute():
     rel = null_space(tiny)
     assert rel.shape == (3, 5)
     assert np.allclose(kernel_projector(rel), kernel_projector(null_space(a)), atol=1e-10)
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 4), (2, 3), (3, 8), (4, 6)])
+def test_kron_eye_equals_kron_with_the_identity(k, n):
+    rng = np.random.default_rng(10 * k + n)
+    for a in (matcore.random_complex(rng, (k, k)), rng.standard_normal((k, k))):
+        lifted = matcore.kron_eye(a, n)
+        assert lifted.dtype == np.kron(a, np.eye(n)).dtype
+        assert np.array_equal(lifted, np.kron(a, np.eye(n)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12, 24])
+def test_certified_above_proves_what_eigvalsh_computes(m):
+    # Gram stacks against ceilings placed at, just above and well above
+    # the largest eigenvalue eigvalsh computes: a certified ceiling is never
+    # reached by that eigenvalue, one at or below it is never certified,
+    # and one a millionth above it always is
+    rng = np.random.default_rng(m)
+    y = matcore.random_complex(rng, (40, 2 * m, m))
+    g = y.conj().swapaxes(-2, -1) @ y
+    top = np.linalg.eigvalsh(g)[..., -1]
+    for rel in (-1e-12, 0.0, 1e-15, 1e-12, 1e-9, 1e-6):
+        ceiling = top * (1.0 + rel)
+        certified = matcore.certified_above(-g, -ceiling)
+        if certified:
+            assert (np.linalg.eigvalsh(g)[..., -1] < ceiling).all()
+        if rel <= 0.0:
+            assert not certified
+        if rel >= 1e-6:
+            assert certified
+    # and floors below the smallest eigenvalue of a positive definite stack
+    bottom = np.linalg.eigvalsh(g)[..., 0]
+    assert matcore.certified_above(g, 0.5 * bottom)
+    assert not matcore.certified_above(g, bottom)
+
+
+def test_certified_above_refuses_what_it_cannot_prove():
+    assert matcore.certified_above(np.eye(3), 0.0)
+    assert not matcore.certified_above(-np.eye(3), 0.0)
+    assert not matcore.certified_above(np.diag([1.0, 1e-17, 1.0]), 0.0)
+    assert matcore.certified_above(np.stack([2 * np.eye(2), 3 * np.eye(2)]), np.array([1.9, 2.9]))
+    assert not matcore.certified_above(np.stack([2 * np.eye(2), 3 * np.eye(2)]), [1.9, 3.0])
+    # a NaN entry is never certified, and an empty stack has no eigenvalue
+    assert not matcore.certified_above(np.array([[1.0, np.nan], [np.nan, 1.0]]), 0.0)
+    assert matcore.certified_above(np.zeros((5, 0, 0)), 1.0)
