@@ -30,6 +30,7 @@ from ncshilov.errors import (
     BadProgram,
     ConeDoesNotSpan,
     DegenerateSample,
+    DependentFamily,
     ElementNotInSpace,
     InconclusiveAtTolerance,
     NonFinite,
@@ -46,6 +47,7 @@ __all__ = [
     "BadProgram",
     "ConeDoesNotSpan",
     "DegenerateSample",
+    "DependentFamily",
     "ElementNotInSpace",
     "InconclusiveAtTolerance",
     "NonFinite",

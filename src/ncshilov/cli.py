@@ -168,40 +168,30 @@ def parse_element_file(text: str, space_dim: int, where: str = "element") -> uni
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+def _json_value(value):
+    """What json cannot write itself, in a form it can: numpy arrays as
+    nested lists, numpy scalars as Python ones, complex numbers as [re, im]
+    pairs, and anything else as its repr."""
     if isinstance(value, np.ndarray):
-        if value.ndim == 0:
-            return _jsonify(value.item())
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return [float(np.real(value)), float(np.imag(value))]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, str) or value is None:
-        return value
+        return value.tolist()
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, (np.number, np.bool_)):
+        return value.item()
     return repr(value)
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=1,
-                      separators=(",", ": "), ensure_ascii=True) + "\n"
-
-
-def content_hash(echo: dict) -> str:
-    keep = {k: v for k, v in echo.items() if not k.startswith("_")}
-    return hashlib.sha256(canonical_json(keep).encode()).hexdigest()
+    return json.dumps(payload, sort_keys=True, indent=1, separators=(",", ": "),
+                      ensure_ascii=True, default=_json_value) + "\n"
 
 
 def _echo_without_private(echo: dict) -> dict:
     return {k: v for k, v in echo.items() if not k.startswith("_")}
+
+
+def content_hash(echo: dict) -> str:
+    return hashlib.sha256(canonical_json(_echo_without_private(echo)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

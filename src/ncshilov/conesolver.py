@@ -6,9 +6,7 @@ predictor-corrector steps) over a product of Hermitian PSD blocks with a
 linear objective, a scalar variable being a 1 x 1 block.  Two program
 shapes feed it, each a set of scalar pairing constraints
 ``sum_v Re<F_jv, X_v> = rhs_j`` against Hermitian variable blocks with
-orthonormal rows (:class:`ConicProgram` holds such constraints as real
-rows in the coordinates of :func:`matcore.herm_to_rvec` and
-orthonormalizes them):
+orthonormal rows, and each shape prepares its own rows:
 
 * The dual-form margin program of :class:`MarginRows`: maximize
   lambda subject to the linear matrix inequality
@@ -24,9 +22,9 @@ orthonormalizes them):
   solve outside the cc oracle is one of these: operator-norm distance to
   a subspace (:func:`minimize_opnorm`) and, in other modules, the
   spanning-cone, Karn and domination programs.  Feasibility over an
-  affine set (:func:`solve_feasibility`) has no caller in the program; it
-  is kept as a public entry point, which acceptance criterion 10 and the
-  benchmark's traced layers use.
+  affine set (:func:`solve_feasibility`, on a :class:`ConicProgram`) has
+  no caller in the program; it is kept as a public entry point, which
+  acceptance criterion 10 and the benchmark's traced layers use.
 
 * The scaling program behind the complete-contractivity oracle
   (:func:`_hkm_max_scale`): maximize s >= 0 over Choi matrices C =
@@ -65,7 +63,8 @@ from functools import cached_property
 import numpy as np
 
 from ncshilov import matcore
-from ncshilov.errors import BadProgram, InconclusiveAtTolerance, NonFinite, ShapeMismatch
+from ncshilov.errors import (BadProgram, DependentFamily, InconclusiveAtTolerance, NonFinite,
+                             ShapeMismatch)
 from ncshilov.matcore import (
     amplify,
     herm_to_rvec,
@@ -89,14 +88,15 @@ ROUTE_DUAL_WITNESS = "dual witness"
 
 
 # ---------------------------------------------------------------------------
-# Program containers
+# Feasibility programs and their rows
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ConicProgram:
     """Feasibility data over Hermitian PSD blocks, in the real coordinates
-    of :func:`matcore.herm_to_rvec`.
+    of :func:`matcore.herm_to_rvec`: the validated input of
+    :func:`solve_feasibility`.
 
     ``block_dims``: sizes of the PSD variable blocks; x is their
     vectorizations concatenated, so block v owns the next n_v^2 columns.
@@ -121,65 +121,30 @@ class ConicProgram:
         if not (np.isfinite(self.rows).all() and np.isfinite(self.rhs).all()):
             raise NonFinite("conic program data has NaN or Inf entries")
 
-    def prepare(self):
-        return _DensePrepared(self.block_dims, self.rows, self.rhs)
+
+def _blocks_of(x, dims):
+    """Hermitian blocks of sizes ``dims`` of a vector whose block v owns
+    the next n_v^2 coordinates, or stacks of them for a stack."""
+    ends = np.cumsum([n * n for n in dims])
+    return [rvec_to_herm(x[..., end - n * n : end], n) for end, n in zip(ends, dims)]
 
 
-class _DensePrepared:
-    """Orthonormalized dense form of a ConicProgram: ``f`` holds the
-    orthonormal constraint rows as one stack of Hermitian matrices per
-    block, ``rhs`` their right-hand sides and ``x_particular`` the
-    least-norm affine point.
-    ``row_lift`` = U_r S_r^-1 from the SVD A = U_r S_r V_r^T that gives the
-    orthonormal rows V_r^T: it takes multipliers y of those rows to the
-    multipliers of the given rows with the same combination A^T y.
-
-    When the affine system itself is inconsistent the program is infeasible
-    outright; the certificate ``inconsistent_y`` = (y, <b, y>, ||A^T y||)
-    holds the unit component y of the right-hand side orthogonal to the
-    constraint range (a combination of constraints whose coefficient
-    matrix vanishes while its rhs does not)."""
-
-    def __init__(self, dims, a, b):
-        self.dims = dims
-        self.offsets = list(np.cumsum([0] + [n * n for n in dims]))
-        self.inconsistent_y = None
-        if a.shape[0]:
-            u, s, vh = np.linalg.svd(a, full_matrices=False)
-            top = s[0] if s.size and s[0] > 0 else 1.0
-            keep = s > 1e-12 * top
-            rank = int(np.sum(keep))
-            self.rows = vh[:rank]
-            self.row_lift = u[:, :rank] / s[:rank]
-            self.rhs = (u[:, :rank].T @ b) / s[:rank]
-            gap = a @ (self.rows.T @ self.rhs) - b
-            if np.linalg.norm(gap) > 1e-7 * (1.0 + np.linalg.norm(b)):
-                y = -gap / np.linalg.norm(gap)  # A^T y ~ 0 and <b, y> = ||gap|| > 0
-                self.inconsistent_y = (y, float(b @ y),
-                                       float(np.linalg.norm(a.T @ y)))
-        else:
-            self.rows = np.zeros((0, self.offsets[-1]))
-            self.row_lift = np.zeros((0, 0))
-            self.rhs = np.zeros(0)
-        self.f = self.blocks_of(self.rows)
-        self.x_particular = self.blocks_of(self.rows.T @ self.rhs)
-
-    def blocks_of(self, x):
-        """Hermitian blocks of a vector, or stacks of them for a stack."""
-        return [rvec_to_herm(x[..., self.offsets[v] : self.offsets[v + 1]], n)
-                for v, n in enumerate(self.dims)]
-
-    def polish(self, blocks):
-        """Correct a point onto the affine set, then project it onto the
-        cone; returns the exactly-PSD blocks and their affine residual."""
-        x = np.concatenate([herm_to_rvec(h) for h in blocks])
-        x = x - self.rows.T @ (self.rows @ x - self.rhs)
-        out = []
-        for h in self.blocks_of(x):
-            w, u = np.linalg.eigh(h)
-            out.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
-        x = np.concatenate([herm_to_rvec(h) for h in out])
-        return out, float(np.abs(self.rows @ x - self.rhs).max(initial=0.0))
+def _orthonormal_rows(a, b):
+    """``(rows, row_lift, rhs, ray)`` for the affine set ``a x = b`` from
+    its thin SVD A = U_r S_r V_r^T, cut at 1e-12 s_max: the orthonormal
+    rows V_r^T with right-hand sides S_r^-1 U_r^T b, and U_r S_r^-1, which
+    takes multipliers y of those rows to the multipliers of the given rows
+    with the same combination A^T y.  ``ray`` is None for a consistent
+    system, else the unit component y of b orthogonal to the range of A: a
+    combination of the constraints with A^T y ~ 0 and <b, y> > 0."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = matcore.numerical_rank(s, 1e-12)
+    rows = vh[:rank]
+    rhs = (u[:, :rank].T @ b) / s[:rank]
+    gap = a @ (rows.T @ rhs) - b
+    miss = np.linalg.norm(gap)
+    ray = -gap / miss if miss > 1e-7 * (1.0 + np.linalg.norm(b)) else None
+    return rows, u[:, :rank] / s[:rank], rhs, ray
 
 
 @dataclass
@@ -418,32 +383,44 @@ def solve_feasibility(program: ConicProgram, tol: float = 1e-7) -> SolveOutcome:
     must pass :func:`_separating`.  Anything razor-thin comes back Marginal
     for the caller to treat as inconclusive."""
     check_tol(tol)
-    prepared = program.prepare()
-    if prepared.inconsistent_y is not None:
-        y, margin, cone_res = prepared.inconsistent_y
+    dims = program.block_dims
+    rows, _, rhs, ray = _orthonormal_rows(program.rows, program.rhs)
+    if ray is not None:
         return SolveOutcome(
             status=INFEASIBLE,
-            affine_multiplier=y,
-            witness_margin=margin,
-            witness_cone_residual=cone_res,
+            affine_multiplier=ray,
+            witness_margin=float(program.rhs @ ray),
+            witness_cone_residual=float(np.linalg.norm(program.rows.T @ ray)),
             diagnostics="affine constraints are inconsistent",
         )
-    scale = max(1.0, float(np.abs(prepared.rhs).max(initial=0.0)))
-    free = prepared.blocks_of(matcore.null_space(prepared.rows))
+    x_particular = _blocks_of(rows.T @ rhs, dims)
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    free = _blocks_of(matcore.null_space(rows), dims)
+
+    def polish(blocks):
+        # correct a point onto the affine set, then project it onto the cone
+        x = np.concatenate([herm_to_rvec(h) for h in blocks])
+        x = x - rows.T @ (rows @ x - rhs)
+        out = []
+        for h in _blocks_of(x, dims):
+            w, u = np.linalg.eigh(h)
+            out.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
+        x = np.concatenate([herm_to_rvec(h) for h in out])
+        return out, float(np.abs(rows @ x - rhs).max(initial=0.0))
 
     def stop(u, lam, x):
         if lam > 0:
-            point, residual = prepared.polish(
-                [x0 + np.tensordot(u, fv, axes=1) for x0, fv in zip(prepared.x_particular, free)])
+            point, residual = polish(
+                [x0 + np.tensordot(u, fv, axes=1) for x0, fv in zip(x_particular, free)])
             if residual <= tol:
                 return SolveOutcome(status=FEASIBLE, primal_point=point, residual=residual)
         if x is None:
             return None
         xv = np.concatenate([herm_to_rvec(h) for h in x])
-        phi = prepared.blocks_of(-prepared.rows.T @ (prepared.rows @ xv))
-        return _separating(phi, prepared.x_particular, tol, scale)
+        phi = _blocks_of(-rows.T @ (rows @ xv), dims)
+        return _separating(phi, x_particular, tol, scale)
 
-    sol = solve_dual_margin(prepared.x_particular, free, stop)
+    sol = solve_dual_margin(x_particular, free, stop)
     if sol.stopped is not None:
         sol.stopped.iterations = sol.iterations
         return sol.stopped
@@ -492,15 +469,20 @@ class MarginRows:
     that depend on the F_i alone, while F0 enters only as the engine's
     objective.  A caller that poses many programs on one family (the Karn
     program of :mod:`ncshilov.unitize`, one per envelope and level) keeps
-    the rows and pays only for each :func:`_hkm` solve."""
+    the rows and pays only for each :func:`_hkm` solve.  ``rows`` holds
+    the orthonormal rows as one stack per block (:func:`_orthonormal_rows`
+    of [F_i; I]); a family with NaN or Inf entries is refused (NonFinite)."""
 
     def __init__(self, fs):
-        dims = [fv.shape[1] for fv in fs]
+        self.dims = [fv.shape[1] for fv in fs]
         a = np.concatenate([np.concatenate([herm_to_rvec(fv) for fv in fs], axis=1),
-                            np.concatenate([herm_to_rvec(np.eye(n)) for n in dims])[None]])
+                            np.concatenate([herm_to_rvec(np.eye(n)) for n in self.dims])[None]])
+        if not np.isfinite(a).all():
+            raise NonFinite("conic program data has NaN or Inf entries")
         b = np.zeros(a.shape[0])
         b[-1] = 1.0
-        self.prepared = ConicProgram(dims, a, b).prepare()
+        rows, self.row_lift, self.rhs, self.ray = _orthonormal_rows(a, b)
+        self.rows = _blocks_of(rows, self.dims)
 
     def solve(self, f0, stop) -> IpmSolve:
         """Solve the program for the Hermitian blocks ``f0``.
@@ -515,12 +497,11 @@ class MarginRows:
         lambda unbounded: stop is then called once, with X None, on the
         point of that ray where lambda = 1, and the returned solve has no
         iterates."""
-        prepared = self.prepared
         cvec = np.concatenate([herm_to_rvec(h) for h in f0])
         if not np.isfinite(cvec).all():
             raise NonFinite("conic program data has NaN or Inf entries")
-        if prepared.inconsistent_y is not None:
-            y = prepared.inconsistent_y[0]  # A^T y = 0 with y_lambda = <b, y> > 0
+        if self.ray is not None:
+            y = self.ray  # A^T y = 0 with y_lambda = <b, y> > 0
             t = 1.0 + max(op_norm(h) for h in f0)
             stopped = stop(-t * y[:-1] / y[-1], 1.0, None)
             return IpmSolve(x=[], z=[],
@@ -529,10 +510,10 @@ class MarginRows:
                             dual_infeasibility=0.0, stopped=stopped)
 
         def dual_stop(x, y, _z, _worst):
-            y = prepared.row_lift @ y
+            y = self.row_lift @ y
             return stop(-y[:-1], float(y[-1]), x)
 
-        return _hkm(prepared.f, prepared.rhs, prepared.blocks_of(cvec), stop=dual_stop)
+        return _hkm(self.rows, self.rhs, _blocks_of(cvec, self.dims), stop=dual_stop)
 
 
 def solve_dual_margin(f0, fs, stop) -> IpmSolve:
@@ -608,7 +589,7 @@ def minimize_opnorm(target, subspace_basis, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
-# (rtol, floor) of matcore.numerical_rank for a map's domain family, also
+# (rtol, floor) of matcore.numerical_rank for a map's domain family, and so
 # the kernel test of envelope._completion_map: s > 1e-9 max(s_max, 1) counts
 DOMAIN_RANK_CUT = (1e-9, 1.0)
 
@@ -622,7 +603,9 @@ class LinearMapSpec:
     V* is the orthonormal domain, and column i of ``family_coeffs`` =
     conj(U) S^-1 holds the coefficients of ``on_domain[i]`` over the
     family, which carry the images along.  A dependent family, or one with
-    more members than M_p has dimensions, is refused (ShapeMismatch).
+    more members than M_p has dimensions (then U is full), is refused with
+    DependentFamily, whose certificate c = conj(U[:, r]), r the rank, has
+    ||c|| = 1 and ||sum_t c_t D_t|| = s_r below the cut.
     """
 
     def __init__(self, domain_basis, images):
@@ -634,9 +617,11 @@ class LinearMapSpec:
             raise ShapeMismatch("empty map")
         if dom.shape[1] != dom.shape[2] or img.shape[1] != img.shape[2]:
             raise ShapeMismatch("domain and target must consist of square matrices")
-        u, sv, vh = np.linalg.svd(dom.reshape(len(dom), -1), full_matrices=False)
-        if matcore.numerical_rank(sv, *DOMAIN_RANK_CUT) < len(dom):
-            raise ShapeMismatch("domain family is numerically dependent")
+        flat = dom.reshape(len(dom), -1)
+        u, sv, vh = np.linalg.svd(flat, full_matrices=flat.shape[0] > flat.shape[1])
+        rank = matcore.numerical_rank(sv, *DOMAIN_RANK_CUT)
+        if rank < len(dom):
+            raise DependentFamily("domain family is numerically dependent", u[:, rank].conj())
         self.family_coeffs = u.conj() / sv
         self.on_domain = vh.reshape(dom.shape)
         self.on_images = np.einsum("ti,tab->iab", self.family_coeffs, img)

@@ -43,6 +43,7 @@ import numpy as np
 from ncshilov import blockdecomp, conesolver, matcore, stargen
 from ncshilov.conesolver import CC_NO, CC_YES, LinearMapSpec
 from ncshilov.errors import (
+    DependentFamily,
     InconclusiveAtTolerance,
     NumericallyAmbiguous,
     RankAmbiguous,
@@ -181,17 +182,17 @@ def _completion_map(space_basis, keep_proj, block: blockdecomp.BlockInfo):
     """The completion map X(e - p) -> stripped block copy.
 
     Returns (LinearMapSpec | None, kernel_coeffs); when the compression
-    x -> x(e - p) is not injective on the space, the map is not built and a
-    unit kernel coefficient vector is returned instead.  The kernel test is
-    :class:`LinearMapSpec`'s rule, :data:`conesolver.DOMAIN_RANK_CUT`."""
+    x -> x(e - p) is not injective on the space, :class:`LinearMapSpec`
+    refuses the compressed family, and its certificate, a unit kernel
+    coefficient vector, is returned instead.  One SVD, cut by
+    :data:`conesolver.DOMAIN_RANK_CUT`, decides both."""
     kept = matcore.support_isometry(keep_proj)
     compressed = np.einsum("ia,tab,bj->tij", kept.conj().T, space_basis, kept)
-    flat = compressed.reshape(space_basis.shape[0], -1)
-    kernel = matcore.null_space(flat.T, *conesolver.DOMAIN_RANK_CUT)
-    if kernel.shape[0]:
-        return None, kernel[0]
     images = np.stack([block.strip(b) for b in space_basis])
-    return LinearMapSpec(list(compressed), list(images)), None
+    try:
+        return LinearMapSpec(compressed, images), None
+    except DependentFamily as exc:
+        return None, exc.certificate
 
 
 def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
@@ -201,8 +202,8 @@ def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
     block's projection p (the sum of the blocks not yet removed).
 
     Loose requires the compression x -> x(unit - p) injective on X unit
-    (by the rank rule :data:`conesolver.DOMAIN_RANK_CUT`, which
-    :func:`_completion_map` and :class:`LinearMapSpec` share) and the
+    (by the rank rule :data:`conesolver.DOMAIN_RANK_CUT`, on the one SVD
+    of :class:`LinearMapSpec` that :func:`_completion_map` builds) and the
     completion map back onto the block completely contractive.
     Essential verdicts carry either a kernel witness or a level-q element,
     q the stripped block size, read from the dual point of the Choi solve,

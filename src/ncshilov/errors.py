@@ -13,6 +13,15 @@ class ShapeMismatch(NcShilovError):
     """Operands have incompatible shapes."""
 
 
+class DependentFamily(ShapeMismatch):
+    """A matrix family is numerically dependent: ``certificate`` is a unit
+    c with ||sum_t c_t D_t|| below the rank cut that found it."""
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
+
+
 class ZeroSpace(NcShilovError):
     """All generators are numerically zero."""
 

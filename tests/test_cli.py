@@ -99,6 +99,52 @@ def test_element_dimension_check():
         parse_element_file(json.dumps(elem), space_dim=2)
 
 
+def _walked(value):
+    """The reference serialization: a walk that turns every value into a
+    Python one before json sees it."""
+    if isinstance(value, dict):
+        return {str(k): _walked(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_walked(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            return _walked(value.item())
+        return [_walked(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (np.complexfloating, complex)):
+        return [float(np.real(value)), float(np.imag(value))]
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, str) or value is None:
+        return value
+    return repr(value)
+
+
+def test_canonical_json_writes_every_value_kind_as_the_reference_walk():
+    rng = np.random.default_rng(3)
+    cpx = matcore.random_complex(rng, (2, 3))
+    payload = {
+        "floats": rng.standard_normal((2, 2)), "complex": cpx,
+        "complex64": cpx.astype(np.complex64),
+        "float32": rng.standard_normal(3).astype(np.float32), "ints": np.arange(4),
+        "bools": np.array([True, False]), "empty": np.zeros((0, 3)),
+        "zero_d": np.array(0.1), "zero_d_complex": np.array(1 - 2j),
+        "scalars": [np.float64(1 / 3), np.float32(0.1), np.int64(-7), np.int32(3), np.bool_(True),
+                    np.complex128(0.5 - 1e-300j), np.complex64(2j), 1 / 7, -0.0, 3, True, False,
+                    None, "text", 2 + 3j, float("nan"), float("inf"), -float("inf")],
+        "nested": {"tuple": (1, np.float64(2.5), (np.int8(1),)), "z": {"deep": [cpx[0, 0]]}},
+        "other": range(3),
+    }
+    reference = json.dumps(_walked(payload), sort_keys=True, indent=1,
+                           separators=(",", ": "), ensure_ascii=True) + "\n"
+    assert canonical_json(payload) == reference
+    echo = {"kind": "matrix", "generators": cpx, "_matrices": [object()]}
+    assert cli.content_hash(echo) == cli.content_hash({k: echo[k] for k in ("kind", "generators")})
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncshilov import conesolver, envelope, matcore
+from ncshilov import blockdecomp, conesolver, envelope, matcore
 from ncshilov.conesolver import (
     CC_NO,
     CC_YES,
@@ -24,7 +24,7 @@ from ncshilov.conesolver import (
     sampled_cb_lower_bound,
     solve_feasibility,
 )
-from ncshilov.errors import BadProgram, NonFinite, ShapeMismatch
+from ncshilov.errors import BadProgram, DependentFamily, NonFinite, ShapeMismatch
 from ncshilov.matcore import herm_to_rvec
 from ncshilov.selftest import loose_instance
 from ncshilov.stargen import validate_space
@@ -100,6 +100,18 @@ def test_program_rejects_nonfinite_data():
     for bad_rows, rhs in ((np.where(rows > 0, np.nan, rows), [1.0]), (rows, [np.inf])):
         with pytest.raises(NonFinite):
             ConicProgram([2], bad_rows, rhs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_margin_rows_reject_nonfinite_families(bad):
+    # the margin program writes its own rows, so it checks them itself
+    fs = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
+    conesolver.MarginRows([fs])
+    fs[1, 0, 1] = fs[1, 1, 0] = bad
+    with pytest.raises(NonFinite):
+        conesolver.MarginRows([fs])
+    with pytest.raises(NonFinite):
+        conesolver.solve_dual_margin([np.eye(2)], [fs], lambda *_: None)
 
 
 def test_inconsistent_program_carries_its_unit_multiplier():
@@ -195,15 +207,36 @@ def test_minimize_opnorm_never_exceeds_target_norm():
 # ---------------------------------------------------------------------------
 
 
+def _dependency(dom):
+    """The certificate LinearMapSpec refuses ``dom`` with: a unit c, and the
+    norm of sum_t c_t D_t."""
+    with pytest.raises(DependentFamily, match="dependent") as refused:
+        LinearMapSpec(dom, dom)
+    c = refused.value.certificate
+    return c, np.linalg.norm(np.tensordot(c, np.asarray(dom), axes=1))
+
+
 def test_map_spec_refuses_a_dependent_family():
     a, b, c, _ = _m2_basis()
-    with pytest.raises(ShapeMismatch, match="dependent"):
-        LinearMapSpec([a, b, a + 2 * b], [a, b, c])
-    # five members in the four dimensions of M_2
+    coeffs, residual = _dependency([a, b, a + 2 * b])
+    assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-14)
+    assert residual <= 1e-14
+    # five members in the four dimensions of M_2: the dependency comes from
+    # the full U, and the completion map's kernel verdict is that refusal
     rng = np.random.default_rng(4)
-    dom = [matcore.random_complex(rng, (2, 2)) for _ in range(5)]
-    with pytest.raises(ShapeMismatch, match="dependent"):
-        LinearMapSpec(dom, dom)
+    dom = np.stack([matcore.random_complex(rng, (2, 2)) for _ in range(5)])
+    coeffs, residual = _dependency(dom)
+    assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-14)
+    assert residual <= 1e-14 * np.linalg.norm(dom)
+    spec, kernel = envelope._completion_map(dom, np.eye(2), _identity_block(2))
+    assert spec is None
+    assert np.linalg.norm(kernel) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(np.tensordot(kernel, dom, axes=1)) <= 1e-14 * np.linalg.norm(dom)
+
+
+def _identity_block(p):
+    """The one block of M_p, whose strip is the identity."""
+    return blockdecomp.BlockInfo(projection=np.eye(p), k=p, m=1, copy=np.eye(p))
 
 
 def _family_with_singular_values(rng, sv, p):
@@ -218,17 +251,20 @@ def _family_with_singular_values(rng, sv, p):
 @pytest.mark.parametrize("s_max", [0.5, 1.0, 30.0])
 def test_map_spec_takes_the_completion_maps_rank_rule(s_max):
     # the cut is 1e-9 max(s_max, 1): a family just above it makes a map,
-    # one just below it is refused, and the completion map's kernel test
-    # (null_space of the transposed family, by the same rule) agrees
+    # one just below it is refused with the dependency at its smallest
+    # singular value, and the completion map's kernel verdict is that one
+    # refusal, so the two cannot disagree
     rng = np.random.default_rng(8)
     cut = conesolver.DOMAIN_RANK_CUT[0] * max(s_max, 1.0)
     for factor, accepted in ((1.01, True), (0.99, False)):
         dom = _family_with_singular_values(rng, [s_max, 0.3, factor * cut], 3)
-        kernel = matcore.null_space(dom.reshape(3, -1).T, *conesolver.DOMAIN_RANK_CUT)
-        assert kernel.shape[0] == (0 if accepted else 1)
+        lam, kernel = envelope._completion_map(dom, np.eye(3), _identity_block(3))
+        assert (lam is not None) == accepted and (kernel is None) == accepted
         if not accepted:
-            with pytest.raises(ShapeMismatch, match="dependent"):
-                LinearMapSpec(dom, dom)
+            coeffs, residual = _dependency(dom)
+            assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-14)
+            assert residual == pytest.approx(factor * cut, rel=1e-5)
+            assert np.linalg.norm(np.tensordot(kernel, dom, axes=1)) <= cut
             continue
         spec = LinearMapSpec(dom, dom)
         flat = dom.reshape(3, -1)

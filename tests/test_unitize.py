@@ -403,14 +403,14 @@ def test_each_solve_has_one_row_per_coordinate(monkeypatch):
     # however many queries, Yes or No, follow; each Karn solve has k^2 d + 1
     # rows and records its iterations; the domination and distance programs
     # have d + 1 and the spanning-cone program d (its d - 1 trace-zero
-    # coordinates and the trace row), before and after prepare (none of
-    # them is dependent)
+    # coordinates and the trace row), as written and after orthonormalizing
+    # (none of them is dependent)
     prepared, solved, iterations = [], [], []
-    real_prepare, real_hkm = conesolver.ConicProgram.prepare, conesolver._hkm
+    real_init, real_hkm = conesolver.MarginRows.__init__, conesolver._hkm
 
-    def prepare(self):
-        prepared.append(self.rows.shape[0])
-        return real_prepare(self)
+    def prepare(self, fs):
+        prepared.append(fs[0].shape[0] + 1)
+        real_init(self, fs)
 
     def hkm(f, b, c, stop=None):
         solved.append(b.size)
@@ -418,7 +418,7 @@ def test_each_solve_has_one_row_per_coordinate(monkeypatch):
         iterations.append(sol.iterations)
         return sol
 
-    monkeypatch.setattr(conesolver.ConicProgram, "prepare", prepare)
+    monkeypatch.setattr(conesolver.MarginRows, "__init__", prepare)
     monkeypatch.setattr(conesolver, "_hkm", hkm)
     _, env, g1, _ = _c3_env()
     d = env.source.dim
