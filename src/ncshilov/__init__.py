@@ -21,9 +21,9 @@ Core modules:
 - funcspace:   commutative specialization on finite point sets (LP oracle)
 - cli:         file formats, reports, and the command-line front end
 
-The matrix pipeline needs numpy alone.  scipy is needed only by the LP
-route of funcspace, which imports scipy.optimize, and with it HiGHS, at
-its first LP.
+The package needs numpy alone.  The LP route of funcspace solves its
+programs with its own dense simplex; scipy's HiGHS serves only the tests,
+as the reference those LPs are compared with.
 """
 
 from ncshilov.errors import (

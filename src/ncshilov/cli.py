@@ -265,6 +265,23 @@ def _cone_verdict_payload(verdict):
     }
 
 
+def _point_verdict_payload(verdict):
+    """A point verdict with the certificate that decided it; only the
+    fields its kind uses (see :class:`funcspace.PointVerdict`)."""
+    entry = {
+        "point_class": list(verdict.point_class),
+        "sup": verdict.sup_value,
+        "status": verdict.status,
+        "others": list(verdict.others),
+        "certificate": verdict.certificate,
+        "pivots": verdict.pivots,
+    }
+    for key in ("coefficients", "values", "residual"):
+        if getattr(verdict, key) is not None:
+            entry[key] = getattr(verdict, key)
+    return entry
+
+
 def build_report(echo, body, tol, seed):
     return {
         "format_version": FORMAT_VERSION,
@@ -438,9 +455,7 @@ def cmd_boundary(args) -> int:
             "kept_classes": result.kept,
             "boundary_points": [list(c) for c in result.boundary_points],
             "point_map": result.point_map,
-            "verdicts": [{"point_class": list(v.point_class),
-                          "sup": v.sup_value, "status": v.status}
-                         for v in result.verdicts],
+            "verdicts": [_point_verdict_payload(v) for v in result.verdicts],
             "diagonal_crosscheck": {
                 "matches": cross["matches"],
                 "matrix_retained_points": cross["matrix_retained_points"],

@@ -13,17 +13,19 @@ decided first by one LP whose primal and dual are the two certificates: a
 function in X positive on the support, or a probability measure
 orthogonal to X (:func:`_require_spanning_functions`).
 
-The LP route (scipy's HiGHS) is deliberately independent of the matrix
-SDP route; :func:`crosscheck_diagonal` embeds the space as diagonal
-matrices, runs the envelope pipeline, and compares the surviving blocks
-point by point.  The matrix pipeline needs numpy alone, so
-:mod:`scipy.optimize` is imported by the two LP functions, and HiGHS
-loads at the first LP, not with this module.
+Both LPs go to one dense two-phase simplex (:func:`_simplex`, Bland's
+rule), which reads the primal point and the row duals off one tableau.
+Every verdict is decided by re-checking a certificate built from them,
+never by the solver's objective.  The LP route is deliberately
+independent of the matrix SDP route; :func:`crosscheck_diagonal` embeds
+the space as diagonal matrices, runs the envelope pipeline, and compares
+the surviving blocks point by point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,8 @@ from ncshilov.timing import StageTimes
 
 DECISION_BAND = 1e-6
 CONE_TOL = 1e-9  # the spanning-cone verdict's tolerance
+LP_ROUNDING = 1e-9  # the equality residual an LP certificate may carry
+_PIVOT_TOL = 1e-11  # the least tableau entry taken as a pivot or a descent
 
 
 @dataclass
@@ -76,48 +80,123 @@ def validate_function_space(generators) -> FunctionSpace:
     return FunctionSpace(points=gens.shape[1], basis=basis, is_real=is_real)
 
 
-def _require_spanning_functions(fs: FunctionSpace):
-    """Raise ConeDoesNotSpan, with its measure and bound, unless the
-    pointwise-nonnegative cone spans the space at tolerance ``CONE_TOL``.
+class _LP(NamedTuple):
+    status: str  # "optimal" | "infeasible" | "unbounded" | "pivot limit"
+    x: np.ndarray | None  # the primal point, at "optimal"
+    y: np.ndarray | None  # the row duals, or a Farkas ray at "infeasible"
+    pivots: int
 
-    The commutative :func:`stargen.cone_spans`: one LP over the real part
-    X_r on the support S, maximize t subject to f >= t on S, sum f = 1,
-    f in X_r.  By Gordan's theorem either some f in X_r is positive on S
-    (an order unit), or a probability measure mu on S is orthogonal to X.
-    The optimum certifies the first when min_S f > CONE_TOL.  The dual
-    marginals give mu, checked afresh: with P the projection onto X_r,
-    nu = <mu, P1> / ||P1||^2 and rho = ||P mu - nu P1||, every nonnegative
-    f in X_r of sum one has min_S f <= <mu, f> <= nu + rho <= CONE_TOL.
-    An infeasible LP means nothing sums to one: the uniform measure on S is
-    orthogonal to X, the cone is {0}.  Otherwise InconclusiveAtTolerance."""
-    from scipy.optimize import linprog
 
-    rb = fs.real_basis()
+def _simplex(a, b, c) -> _LP:
+    """min c.x subject to a x = b, x >= 0, by a dense two-phase tableau.
+
+    Bland's rule picks the lowest-index improving column and, among the
+    rows tied in the ratio test, the one whose basic variable has the
+    lowest index; it cannot cycle (Bland 1977).  The rows are signed so
+    that b >= 0 and each gets an artificial variable.  Phase one
+    minimizes their sum; an optimum above ``LP_ROUNDING`` ends the solve
+    as "infeasible", with y a Farkas ray: a^T y <= 0 and b.y > 0.  Else
+    each artificial still basic is pivoted out on the largest entry of its
+    row (a row without a usable one is redundant), and phase two minimizes c.x
+    with the artificial columns barred from entering.  The artificial
+    columns hold the inverse basis, so their reduced costs give the row
+    duals: at an optimum a^T y <= c and b.y = c.x, up to rounding.
+    Callers re-check whatever they conclude from x or y."""
+    rows, n = a.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    t = np.zeros((rows + 1, n + rows + 1))
+    t[:rows, :n] = a * sign[:, None]
+    t[:rows, n:-1] = np.eye(rows)
+    t[:rows, -1] = b * sign
+    t[-1, :n] = -t[:rows, :n].sum(axis=0)
+    t[-1, -1] = -t[:rows, -1].sum()
+    basis = np.arange(n, n + rows)
+    pivots, limit = 0, 50 * (n + rows)
+
+    def pivot(r, j):
+        nonlocal pivots
+        t[r] /= t[r, j]
+        col = t[:, j].copy()
+        col[r] = 0.0
+        t[:] -= np.outer(col, t[r])
+        basis[r] = j
+        pivots += 1
+
+    def descend() -> str:
+        while pivots < limit:
+            improving = np.flatnonzero(t[-1, :n] < -_PIVOT_TOL)
+            if improving.size == 0:
+                return "optimal"
+            j = improving[0]
+            bounding = np.flatnonzero(t[:rows, j] > _PIVOT_TOL)
+            if bounding.size == 0:
+                return "unbounded"
+            ratios = np.maximum(t[bounding, -1], 0.0) / t[bounding, j]
+            tied = bounding[ratios <= ratios.min() * (1.0 + 1e-12)]
+            pivot(tied[np.argmin(basis[tied])], j)
+        return "pivot limit"
+
+    status = descend()
+    if status != "optimal":
+        return _LP(status, None, None, pivots)
+    if -t[-1, -1] > LP_ROUNDING:
+        return _LP("infeasible", None, sign * (1.0 - t[-1, n:-1]), pivots)
+    for r in np.flatnonzero(basis >= n):
+        j = np.argmax(np.abs(t[r, :n]))
+        if abs(t[r, j]) > _PIVOT_TOL:
+            pivot(r, j)
+    cost = np.concatenate([c, np.zeros(rows)])
+    t[-1, :-1] = cost - cost[basis] @ t[:rows, :-1]
+    t[-1, -1] = -cost[basis] @ t[:rows, -1]
+    status = descend()
+    if status != "optimal":
+        return _LP(status, None, None, pivots)
+    x = np.zeros(n + rows)
+    x[basis] = t[:rows, -1]
+    return _LP(status, x[:n], sign * -t[-1, n:-1], pivots)
+
+
+def _require_spanning_functions(fs: FunctionSpace, rb: np.ndarray) -> int:
+    """Return the pivot count of one LP that certifies that the
+    pointwise-nonnegative cone spans the space at tolerance ``CONE_TOL``;
+    raise ConeDoesNotSpan, with its measure and bound, when it does not.
+
+    The commutative :func:`stargen.cone_spans`.  ``rb`` is a real
+    orthonormal basis of the real part X_r, vals its values on the
+    support S and P1 the X_r-coordinates of the projection of 1.  The LP
+    is min beta subject to vals mu = beta P1, sum mu = 1, mu >= 0, which
+    the uniform measure satisfies.  Its row duals give a with a.P1 = -1,
+    and f = -a vals in X_r is at least the optimum on S with sum one; by
+    Gordan's theorem either some f in X_r is positive on S (an order
+    unit), or a probability measure mu on S is orthogonal to X.  The cone
+    spans when min_S f > CONE_TOL sum f.  The optimal mu is checked
+    afresh: with nu = <mu, P1> / ||P1||^2 and rho = ||P mu - nu P1||,
+    every nonnegative f in X_r of sum one has min_S f <= <mu, f> <=
+    nu + rho, so nu + rho <= CONE_TOL says it does not.  When P1 = 0
+    nothing sums to one: the uniform measure on S is orthogonal to X and
+    the cone is {0}.  Otherwise InconclusiveAtTolerance."""
     support = np.flatnonzero(np.abs(fs.basis).max(axis=0) >= 1e-10)
     vals = rb[:, support]
     ones = rb.sum(axis=1)  # X_r-coordinates of P 1
     d, s = vals.shape
-    res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=np.c_[-vals.T, np.ones(s)],
-                  b_ub=np.zeros(s), A_eq=np.r_[ones, 0.0][None], b_eq=[1.0],
-                  bounds=[(None, None)] * (d + 1), method="highs")
-    mu, bound = None, np.inf
-    if res.status == 0:
-        f = res.x[:d] @ vals
-        if f.min() > CONE_TOL * f.sum():
-            return
-        mu = np.clip(-res.ineqlin.marginals, 0.0, None)
-        if mu.sum() > 0:
-            mu = mu / mu.sum()
+    mu, bound = np.full(s, 1.0 / s), -np.inf
+    if np.linalg.norm(vals @ mu) > CONE_TOL:  # else P1 = 0
+        a = np.zeros((d + 1, s + 2))
+        a[:d, :s], a[:d, s], a[:d, s + 1], a[d, :s] = vals, -ones, ones, 1.0
+        lp = _simplex(a, np.r_[np.zeros(d), 1.0], np.r_[np.zeros(s), 1.0, -1.0])
+        bound = np.inf
+        if lp.status == "optimal":
+            f = -lp.y[:d] @ vals
+            if f.min() > CONE_TOL * f.sum():
+                return lp.pivots
+            mu = np.clip(lp.x[:s], 0.0, None)
+            mu /= mu.sum()
             mc = vals @ mu
             nu = float(mc @ ones) / float(ones @ ones)
             bound = nu + float(np.linalg.norm(mc - nu * ones))
-    elif res.status == 2:
-        mu = np.full(s, 1.0 / s)
-        if np.linalg.norm(vals @ mu) <= CONE_TOL:
-            bound = -np.inf
-    if not bound <= CONE_TOL:
-        raise InconclusiveAtTolerance(
-            f"spanning-cone LP without a certificate: {res.message}")
+        if not bound <= CONE_TOL:
+            raise InconclusiveAtTolerance(
+                f"spanning-cone LP without a certificate: {lp.status}, {lp.pivots} pivots")
     measure = np.zeros(fs.points)
     measure[support] = mu
     zero = " (the cone is {0})" if bound < 0 else ""
@@ -129,9 +208,30 @@ def _require_spanning_functions(fs: FunctionSpace):
 
 @dataclass
 class PointVerdict:
+    """One point test, with the certificate that decided it.
+
+    ``others`` are the class indices the test's LP ran over, and
+    ``pivots`` its simplex pivot count.  ``certificate`` names the kind:
+
+    - "combination" (loose): ev_idx = sum_o c_o ev_o on X, with c =
+      ``coefficients`` over ``others``, up to ``residual`` (the largest
+      entry of the equation's error on a real basis of X_r), and sum |c_o|
+      <= 1 + tol, so |f(idx)| <= max over others |f| on X.
+    - "function" (essential): g in X_r, its ``values`` on every class,
+      with |g| <= 1 on ``others`` and g(idx) > 1 + max(tol, DECISION_BAND).
+    - "kernel" (essential, sup = inf): g in X_r, its ``values`` on every
+      class, with g(idx) = 1 and |g| <= ``residual`` on ``others``.
+    - "" (inconclusive): neither certificate re-checked."""
+
     point_class: tuple
     sup_value: float
     status: str  # "loose" | "essential" | "inconclusive"
+    others: tuple = ()
+    certificate: str = ""
+    coefficients: np.ndarray | None = None
+    values: np.ndarray | None = None
+    residual: float | None = None
+    pivots: int = 0
 
 
 @dataclass
@@ -166,10 +266,15 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7,
     first loose class it meets and starts over.  A class found Essential is
     not tested again: removing a point only drops constraints from its LP,
     so its sup stays above 1 + tol.  ``stats``, when given, receives the
-    wall-clock time of the spanning-cone LP and of each point test."""
+    wall-clock time of the spanning-cone LP and of each point test, each
+    with its deciding certificate and pivot count."""
     stats = stats if stats is not None else StageTimes()
-    with stats.stage("spanning-cone LP"):
-        _require_spanning_functions(fs)
+    # both LPs run over the real part X_r; a real-valued basis is already a
+    # basis of X_r
+    rb = fs.basis.real if fs.is_real else fs.real_basis()
+    with stats.stage("spanning-cone LP") as timed:
+        pivots = _require_spanning_functions(fs, rb)
+        timed.detail = f"spans by an order unit, {pivots} pivots"
     values = fs.basis.T  # (m, d): the value vector of the basis at each point
     m = fs.points
     # drop points where every function vanishes, then merge unseparated ones
@@ -195,10 +300,7 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7,
     if not classes:
         raise ZeroSpace("space vanishes at every point")
 
-    # the point LPs run over the real part X_r, whose values at the classes
-    # they read; a real-valued basis is already a basis of X_r
-    rb = fs.basis if fs.is_real else fs.real_basis()
-    vals = rb[:, [c[0] for c in classes]].T.real  # (n_classes, dim X_r)
+    vals = rb[:, [c[0] for c in classes]].T  # (n_classes, dim X_r)
     active = list(range(len(classes)))
     essential: set[int] = set()
     verdicts: list[PointVerdict] = []
@@ -210,14 +312,14 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7,
                 continue
             others = [c for c in active if c != idx]
             with stats.stage(f"LP point test {classes[idx]}") as timed:
-                sup, status = _point_sup(vals, idx, others, tol)
-                timed.detail = status
-            verdicts.append(PointVerdict(point_class=classes[idx], sup_value=sup,
-                                         status=status))
-            if status == "inconclusive":
+                verdict = replace(_point_sup(vals, idx, others, tol), point_class=classes[idx])
+                timed.detail = (f"{verdict.status} by {verdict.certificate or 'no certificate'}, "
+                                f"{verdict.pivots} pivots")
+            verdicts.append(verdict)
+            if verdict.status == "inconclusive":
                 raise InconclusiveAtTolerance(
-                    f"point class {classes[idx]} marginal: sup = {sup:.9f}")
-            if status == "loose":
+                    f"point class {classes[idx]} marginal: sup = {verdict.sup_value:.9f}")
+            if verdict.status == "loose":
                 active.remove(idx)
                 changed = True
                 break
@@ -226,35 +328,45 @@ def boundary(fs: FunctionSpace, tol: float = 1e-7,
                           verdicts=verdicts)
 
 
-def _point_sup(vals, idx, others, tol):
-    """sup{|f(idx)| : f in X, max over others |f| <= 1}, by one exact LP.
+def _point_sup(vals, idx, others, tol) -> PointVerdict:
+    """sup{|f(idx)| : f in X, max over others |f| <= 1}, by one exact LP,
+    decided by the certificate it yields (see :class:`PointVerdict`).
 
     ``vals`` holds, for each class, the values of a real basis of the real
-    part X_r; the LP maximizes g(idx) over g in X_r with |g(o)| <= 1 (one
-    two-sided row -1 <= vals[o] g <= 1 per other class).  That is the sup
-    over X: X is conjugation-closed, so for f in X and theta = arg f(idx)
-    the function g = Re(e^(-i theta) f) lies in X_r, with |g| <= |f|
-    everywhere and g(idx) = |f(idx)|; and the ball is invariant under
-    g -> -g, so one objective serves both signs.  The LP goes to
-    :func:`scipy.optimize.milp` with no integer variables, which calls
-    HiGHS with far less per-call overhead than ``linprog``.  f = 0 is
-    feasible in every LP here, so an "infeasible" status (HiGHS reports
-    some unbounded LPs that way when presolve is on) is read as unbounded;
-    any other failed LP makes the verdict inconclusive."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    res = milp(c=-vals[idx], constraints=LinearConstraint(vals[others], -1.0, 1.0),
-               bounds=Bounds(-np.inf, np.inf))
-    if res.status in (2, 3):
-        return np.inf, "essential"
-    if not res.success:
-        return np.nan, "inconclusive"
-    sup = -res.fun
-    if sup <= 1.0 + tol:
-        return sup, "loose"
-    if sup > 1.0 + max(tol, DECISION_BAND):
-        return sup, "essential"
-    return sup, "inconclusive"
+    part X_r.  The sup over X equals the sup over X_r: X is
+    conjugation-closed, so for f in X and theta = arg f(idx) the function
+    g = Re(e^(-i theta) f) lies in X_r, with |g| <= |f| everywhere and
+    g(idx) = |f(idx)|.  With A the rows of ``others`` and e the row of
+    idx, the LP is min ||c||_1 subject to A^T c = e (c split as c+ - c-),
+    whose dual is max e.g subject to |A g| <= 1: the sup.  The optimal c is
+    the loose certificate; the duals y scaled to g = y / max(1, max |A y|)
+    are the essential one.  An infeasible LP (e outside the span of A's
+    rows) has sup = inf, and its Farkas ray is a g vanishing on the others
+    with e.g > 0.  The returned verdict's ``point_class`` is left empty."""
+    a, e = vals[others], vals[idx]
+    k = len(others)
+    lp = _simplex(np.concatenate([a.T, -a.T], axis=1), e, np.ones(2 * k))
+    verdict = PointVerdict(point_class=(), sup_value=np.nan, status="inconclusive",
+                           others=tuple(others), pivots=lp.pivots)
+    if lp.status == "infeasible" and e @ lp.y > 0:
+        g = lp.y / (e @ lp.y)
+        residual = float(np.abs(a @ g).max())
+        if residual <= LP_ROUNDING:
+            return replace(verdict, sup_value=np.inf, status="essential", certificate="kernel",
+                           values=vals @ g, residual=residual)
+    if lp.status != "optimal":
+        return verdict
+    coeffs = lp.x[:k] - lp.x[k:]
+    sup = float(np.abs(coeffs).sum())
+    residual = float(np.abs(a.T @ coeffs - e).max())
+    if residual <= LP_ROUNDING and sup <= 1.0 + tol:
+        return replace(verdict, sup_value=sup, status="loose", certificate="combination",
+                       coefficients=coeffs, residual=residual)
+    g = lp.y / max(1.0, float(np.abs(a @ lp.y).max()))
+    if e @ g > 1.0 + max(tol, DECISION_BAND):
+        return replace(verdict, sup_value=sup, status="essential", certificate="function",
+                       values=vals @ g)
+    return replace(verdict, sup_value=sup)
 
 
 def diagonal_embedding(fs: FunctionSpace) -> stargen.MatrixSpace:

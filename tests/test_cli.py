@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,6 +314,80 @@ def test_boundary_command(tmp_path):
     assert report["boundary"]["diagonal_crosscheck"]["matches"]
 
 
+LP_ALLOWANCE = 1e-8  # rounding allowance of the re-checks below, on generators of size <= 1
+
+
+def _recheck_point_verdicts(report, gens):
+    """What fails when every point verdict of a ``boundary`` report is
+    re-checked against the generators ``gens`` of its input file alone.
+
+    The real part X_r of the space is spanned by the real and imaginary
+    parts of the generators.  A combination c must give h(idx) = sum_o c_o
+    h(o) for every generator h, with sum |c_o| <= 1 + tol; a function g,
+    lifted from its values on the classes to the points, must lie in X_r,
+    with |g| <= 1 on the others and g(idx) > 1 + max(tol, 1e-6); a kernel
+    direction must lie in X_r with g(idx) = 1 and g ~ 0 on the others.
+    Each test's others must be the classes left at that point."""
+    rep, tol = report["boundary"], report["tolerance"]
+    reps = [c[0] for c in rep["classes"]]
+    span = np.concatenate([gens.real, gens.imag])
+    active, problems = list(range(len(reps))), []
+    for n, v in enumerate(rep["verdicts"]):
+        idx = rep["classes"].index(v["point_class"])
+        if v["others"] != [c for c in active if c != idx]:
+            problems.append(f"verdict {n}: others {v['others']}, active {active}")
+        if v["certificate"] == "combination":
+            c = np.asarray(v["coefficients"])
+            err = gens[:, reps[idx]] - gens[:, [reps[o] for o in v["others"]]] @ c
+            if np.abs(err).max() > LP_ALLOWANCE or np.abs(c).sum() > 1.0 + tol:
+                problems.append(f"verdict {n}: combination fails")
+        elif v["certificate"] in ("function", "kernel"):
+            g = np.array([0.0 if k is None else v["values"][k] for k in rep["point_map"]])
+            coef = np.linalg.lstsq(span.T, g, rcond=None)[0]
+            on_others = np.abs(np.asarray(v["values"])[v["others"]]).max()
+            value = v["values"][idx]
+            ok = (value > 1.0 + max(tol, 1e-6) and on_others <= 1.0 + LP_ALLOWANCE
+                  if v["certificate"] == "function"
+                  else abs(value - 1.0) <= LP_ALLOWANCE and on_others <= LP_ALLOWANCE)
+            if np.abs(span.T @ coef - g).max() > LP_ALLOWANCE or not ok:
+                problems.append(f"verdict {n}: {v['certificate']} fails")
+        else:
+            problems.append(f"verdict {n}: no certificate")
+        if v["status"] == "loose":
+            active.remove(idx)
+    if rep["kept_classes"] != active:
+        problems.append(f"kept {rep['kept_classes']}, left {active}")
+    return problems
+
+
+def test_boundary_certificates_recheck_from_the_input_file(tmp_path):
+    # criterion 5's first 20 spaces, as the draws of its generator
+    rng = np.random.default_rng(505)
+    kinds = set()
+    for i in range(20):
+        m = int(rng.integers(3, 9))
+        gens = rng.uniform(0.0, 1.0, size=(int(rng.integers(2, min(m, 5) + 1)), m))
+        inp = _write(tmp_path, "fn.json", {"format_version": "1", "kind": "function",
+                                           "points": m,
+                                           "generators": [[_cpx(v) for v in g] for g in gens]})
+        out = str(tmp_path / "r.json")
+        assert main(["boundary", "--input", inp, "--out", out, "--seed", str(i)]) == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        gens = np.array([[complex(*z) for z in g] for g in report["input"]["generators"]])
+        assert _recheck_point_verdicts(report, gens) == []
+        kinds.update(v["certificate"] for v in report["boundary"]["verdicts"])
+        for v in report["boundary"]["verdicts"]:
+            saved = json.dumps(v)
+            if v["certificate"] == "combination":
+                v["coefficients"][0] += 1e-3
+            else:
+                v["values"][v["others"][0]] = 1.5
+            assert _recheck_point_verdicts(report, gens) != [], v
+            v.clear()
+            v.update(json.loads(saved))
+    assert kinds == {"combination", "function", "kernel"}
+
+
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 1e-10])
 def test_nearly_dependent_compression_keeps_the_boundary(tmp_path, capsys, delta):
     # span{diag(1, 2, 0), diag(delta, 0, 1)}: point 0 is loose, and cutting
@@ -354,7 +429,11 @@ def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, ca
         # one point is cut, and the Cholesky test settles its complement
         stages.append(" ms  certify_embedding: complement by Cholesky at 4 of 4 levels")
     else:
-        stages += [" ms  spanning-cone LP", " ms  LP point test (2,): loose"]
+        # each LP stage names its deciding certificate and pivot count
+        stages += [" ms  spanning-cone LP: spans by an order unit, ",
+                   " ms  LP point test (0,): essential by function, ",
+                   " ms  LP point test (2,): loose by combination, "]
+        assert all(line.endswith(" pivots") for line in out.splitlines() if " LP" in line), out
     for stage in stages:
         assert stage in out, (stage, out)
 
@@ -386,6 +465,13 @@ def test_envelope_report_is_the_same_when_the_cholesky_test_never_decides(
     assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "eig.json").read_bytes()
 
 
+def test_no_module_imports_scipy():
+    pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    modules = sorted(Path(ncshilov.__file__).parent.rglob("*.py"))
+    assert modules
+    assert [p.name for p in modules if pattern.search(p.read_text())] == []
+
+
 # Runs each argv list of argv[1] through cli.main in a fresh interpreter and
 # prints, per command, its exit code and the scipy modules loaded so far.
 _MODULE_PROBE = """
@@ -399,7 +485,7 @@ print(json.dumps(out))
 """
 
 
-def test_matrix_commands_load_no_scipy_and_boundary_loads_its_lps(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     gens = selftest.loose_instance(np.random.default_rng(3), a=2, b=1)
     space = {"format_version": "1", "kind": "matrix", "ambient_dim": gens[0].shape[0],
              "generators": [[[[z.real, z.imag] for z in row] for row in g] for g in gens]}
@@ -424,9 +510,8 @@ def test_matrix_commands_load_no_scipy_and_boundary_loads_its_lps(tmp_path):
     results = json.loads(run.stdout.strip().splitlines()[-1])
     assert [(name, code) for name, code, _ in results] == \
         [(c[0], EXIT_OK) for c in commands]
-    for name, _, loaded in results[:-1]:
+    for name, _, loaded in results:
         assert loaded == [], (name, loaded)
-    assert "scipy.optimize" in results[-1][2]
 
 
 def test_boundary_rejects_matrix_kind(tmp_path):

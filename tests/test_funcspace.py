@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import linprog
 
 from ncshilov import funcspace
@@ -24,8 +23,17 @@ def test_boundary_half_example():
 
 
 def test_boundary_full_function_algebra():
+    # each point's evaluation lies outside the span of the others': the LP
+    # is infeasible, sup = inf, and a function vanishing on the others
+    # certifies it
     fs = validate_function_space(np.eye(3))
-    assert boundary(fs).boundary_points == [(0,), (1,), (2,)]
+    b = boundary(fs)
+    assert b.boundary_points == [(0,), (1,), (2,)]
+    for v in b.verdicts:
+        assert (v.status, v.certificate, v.sup_value) == ("essential", "kernel", np.inf)
+        idx = b.classes.index(v.point_class)
+        assert v.values[idx] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(v.values[list(v.others)]).max() <= v.residual <= funcspace.LP_ROUNDING
 
 
 def test_boundary_three_quarters_example():
@@ -37,17 +45,26 @@ def test_boundary_three_quarters_example():
 
 
 def test_boundary_requires_spanning_cone():
-    with pytest.raises(ConeDoesNotSpan):
+    # P1 = 0: nothing in the space sums to one, so the uniform measure is
+    # orthogonal to it and the cone is {0}
+    with pytest.raises(ConeDoesNotSpan) as info:
         boundary(validate_function_space([[1.0, -1.0]]))
+    assert info.value.bound == -np.inf
+    assert info.value.certificate == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+def _spy_simplex(monkeypatch):
+    """funcspace._simplex wrapped: the list of its results, in call order."""
+    calls = []
+    real = funcspace._simplex
+    monkeypatch.setattr(funcspace, "_simplex", lambda *a: calls.append(real(*a)) or calls[-1])
+    return calls
 
 
 def test_boundary_nonspanning_cone_carries_its_measure_from_one_lp(monkeypatch):
     # f = (1, 0, 0) is positive somewhere, but no element is positive on
     # all three points: the measure (0, 1/2, 1/2) is orthogonal to the space
-    calls = []
-    real = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = _spy_simplex(monkeypatch)
     fs = validate_function_space([[1, 0, 0], [0, 1, -1]])
     with pytest.raises(ConeDoesNotSpan) as info:
         boundary(fs)
@@ -66,16 +83,37 @@ def test_boundary_nonspanning_cone_carries_its_measure_from_one_lp(monkeypatch):
 
 
 def _sign_sup(vals, idx, others):
-    """max of the point LP over both signs of the objective."""
+    """max of the point LP over both signs of the objective, by HiGHS.
+    g = 0 is feasible, so a failed solve means an unbounded one: HiGHS
+    reports some unbounded LPs as infeasible (status 2)."""
     rows = np.stack([vals[o] for o in others])
     best = 0.0
     for sign in (1.0, -1.0):
         res = linprog(c=-sign * vals[idx], A_ub=np.concatenate([rows, -rows]),
                       b_ub=np.ones(2 * len(others)), bounds=[(None, None)] * vals.shape[1],
                       method="highs")
-        assert res.status == 0
-        best = max(best, -res.fun)
+        assert res.status in (0, 2, 3), res.message
+        best = max(best, -res.fun if res.status == 0 else np.inf)
     return best
+
+
+def _reference_status(sup, tol=1e-7):
+    if sup <= 1.0 + tol:
+        return "loose"
+    return "essential" if sup > 1.0 + max(tol, funcspace.DECISION_BAND) else "inconclusive"
+
+
+def _assert_matches_highs(fs):
+    """Every point verdict of the space's boundary has the status and, to
+    1e-9, the sup of the HiGHS reference on the same LP."""
+    b = boundary(fs)
+    rb = fs.basis.real if fs.is_real else fs.real_basis()
+    vals = rb[:, [c[0] for c in b.classes]].T
+    for v in b.verdicts:
+        ref = _sign_sup(vals, b.classes.index(v.point_class), v.others)
+        assert v.status == _reference_status(ref), (v, ref)
+        assert v.sup_value == (np.inf if ref == np.inf else pytest.approx(ref, abs=1e-9))
+    return b
 
 
 def _polygon_sup(fs, idx, others, phases=64):
@@ -103,23 +141,58 @@ def test_point_sup_is_one_lp(monkeypatch, gens, is_real):
     # f -> -f, and for complex spans Re(e^(-i theta) f) attains |f(idx)|
     fs = validate_function_space(gens)
     assert fs.is_real == is_real
-    calls = []
-    real = scipy.optimize.milp
-    monkeypatch.setattr(scipy.optimize, "milp",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = _spy_simplex(monkeypatch)
     vals = fs.basis.T.real if is_real else fs.real_basis().T
     statuses = set()
     for idx in range(fs.points):
         others = [o for o in range(fs.points) if o != idx]
         calls.clear()
-        sup, status = funcspace._point_sup(vals, idx, others, 1e-7)
-        assert len(calls) == 1
+        verdict = funcspace._point_sup(vals, idx, others, 1e-7)
+        assert len(calls) == 1 and calls[0].pivots == verdict.pivots
+        sup, status = verdict.sup_value, verdict.status
         statuses.add(status)
         assert sup == pytest.approx(_sign_sup(vals, idx, others), abs=1e-9)
         if not is_real:  # the sup over complex coefficients, by an outer polygon
             upper = _polygon_sup(fs, idx, others)
             assert upper * np.cos(np.pi / 64) - 1e-9 <= sup <= upper + 1e-9
     assert "loose" in statuses and "essential" in statuses
+
+
+def test_point_verdicts_match_highs_on_criterion5_and_complex_spaces():
+    # criterion 5's corpus, then seeded complex spaces, some with fewer
+    # functions than points and some with more
+    rng = np.random.default_rng(505)
+    spaces = [random_function_space(rng) for _ in range(100)]
+    rng = np.random.default_rng(27)
+    for _ in range(30):
+        m = int(rng.integers(3, 10))
+        d = int(rng.integers(1, min(m, 5) + 1))
+        spaces.append(validate_function_space(
+            rng.uniform(0.0, 1.0, (d, m)) + 1j * rng.uniform(-0.5, 0.5, (d, m))))
+    statuses = set()
+    for fs in spaces:
+        statuses.update(v.status for v in _assert_matches_highs(fs).verdicts)
+    assert statuses == {"loose", "essential"}
+
+
+def test_point_sup_with_repeated_and_parallel_rows_matches_highs():
+    # repeated and parallel rows among the others make the LP degenerate:
+    # ties in the ratio test, which Bland's rule breaks without cycling
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        base = rng.standard_normal((4, 3))
+        vals = np.concatenate([base, base[:2], -0.5 * base[1:3], 2.0 * base[:1]])
+        for idx in range(len(vals)):
+            others = [o for o in range(len(vals)) if o != idx]
+            verdict = funcspace._point_sup(vals, idx, others, 1e-7)
+            ref = _sign_sup(vals, idx, others)
+            assert verdict.status == _reference_status(ref)
+            assert verdict.sup_value == pytest.approx(ref, abs=1e-9)
+
+
+def test_fifty_point_space_matches_highs():
+    b = _assert_matches_highs(random_function_space(np.random.default_rng(50), m=50, d=20))
+    assert len(b.verdicts) >= 50
 
 
 def test_complex_space_verdicts_match_its_real_part_and_the_matrix_pipeline():
@@ -207,8 +280,9 @@ def test_crosscheck_single_point():
 
 
 def test_lp_reported_infeasible_is_read_as_unbounded():
-    # f = 0 is feasible in every point LP, yet HiGHS reports one of this
-    # space's unbounded LPs as infeasible; point 1 is essential
+    # the benchmark's fault space, where HiGHS reports one of the point
+    # LPs infeasible although g = 0 is feasible in each; point 1 is
+    # essential
     fs = validate_function_space(
         random_function_space(np.random.default_rng(2), m=4, d=3).basis.real)
     assert boundary(fs).boundary_points == [(0,), (1,), (2,)]
