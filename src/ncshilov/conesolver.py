@@ -40,8 +40,13 @@ domain: ``cb-norm(psi) <= 1/s`` iff the s-scaled system map admits a
 completely positive extension to the full matrix algebra, iff a Choi
 matrix of size (2p)(2q), which vanishes off its 2pq support, is PSD
 under the block constraints above.  We maximize the admissible scaling
-s, so 1/s* is the cb-norm.  The oracle needs a verdict, not the optimum,
-so the solve stops at the first iterate that proves either answer.  Neither rests on the solver's own status.
+s, so 1/s* is the cb-norm.  The oracle needs a verdict, not the optimum.
+Two certificates written in closed form come first and settle most maps
+without a solve: a level-q element built from the images
+(:func:`_gradient_witness`, No) and a PSD Choi point built from one SVD
+(:func:`_closed_form_choi_point`, Yes); each is checked as below.
+Otherwise the solve stops at the first iterate that proves either
+answer.  Neither rests on the solver's own status.
 Yes: the iterate's Choi matrix is shifted to be PSD, with a margin that
 covers the rounding error of its computed eigenvalues, and the block
 residuals are recomputed; from these and s follows an upper bound on the
@@ -85,6 +90,7 @@ CC_MARGINAL = "marginal"
 ROUTE_ZERO_MAP = "zero map"
 ROUTE_CHOI_BOUND = "choi bound"
 ROUTE_DUAL_WITNESS = "dual witness"
+ROUTE_GRADIENT_WITNESS = "gradient witness"
 
 
 # ---------------------------------------------------------------------------
@@ -742,19 +748,22 @@ def _choi_rows(map_spec: LinearMapSpec):
 @dataclass
 class CcResult:
     """A cc verdict with its certificate data; ``route`` says what decided
-    it: the zero map, the certified Choi bound (Yes) or the dual witness
-    (No); a Marginal, with neither certificate, carries the Choi bound's
-    route.  A Yes by the Choi bound carries its certificate:
-    ``choi_point``, the PSD Choi block on the program's support after the
-    shift of :func:`_certified_cb_bound`, and ``scale``, the s it was
-    certified at; ``cb_estimate`` is the bound they give, an upper bound
-    in [cb, 1 + tol].  A No carries its level-q witness
-    (``violating_coeffs``, with ||y|| = 1) and ``cb_estimate`` =
+    it: the zero map, the certified Choi bound (Yes, from the closed-form
+    point or an interior-point iterate), the gradient witness (No, in
+    closed form) or the dual witness (No, from an interior-point iterate);
+    a Marginal, with neither certificate, carries the Choi bound's route.
+    ``iterations`` counts the interior-point iterations, 0 for a verdict
+    settled in closed form.  A Yes by the Choi bound carries its
+    certificate: ``choi_point``, the PSD Choi block on the program's
+    support after the shift of :func:`_certified_cb_bound`, and
+    ``scale``, the s it was certified at; ``cb_estimate`` is the bound
+    they give, an upper bound in [cb, 1 + tol].  A No carries its level-q
+    witness (``violating_coeffs``, with ||y|| = 1) and ``cb_estimate`` =
     ``violation_norm`` = ||psi_q(y)||, a lower bound in (1 + tol, cb].
     ``residual`` is max(||Tr_1 C_ii - I_q|| / sqrt(p), ||K_t(C12) - s
-    psi(w_t)|| / sqrt(2)) over the blocks of the Choi iterate a Yes or
+    psi(w_t)|| / sqrt(2)) over the blocks of the Choi point a Yes or
     Marginal verdict was read at (:func:`_certified_cb_bound`); a No, whose
-    witness is checked without the Choi iterate, carries none."""
+    witness is checked without a Choi point, carries none."""
 
     verdict: str
     cb_estimate: float
@@ -772,63 +781,82 @@ class CcResult:
 def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
     """Decide whether the map is completely contractive.
 
-    The largest admissible scaling s of the CP-extension program over the
-    2x2 system is sought by an interior-point solve (maps into the scalars,
-    q = 1, included), and each iterate with s >= 1/(1 + tol) is checked
-    afresh: with the Choi matrix shifted to be PSD (its computed smallest
-    eigenvalue is lifted to a margin above eigvalsh's rounding error), and
-    the block residuals recomputed there, the cb-norm is at most
-    ``(1 + 2 eps) / s`` (see :func:`_certified_cb_bound`).
-    The bound is at least 1/s, so no iterate with a smaller s can pass.
-    An iterate whose bound is at most ``1 + tol`` ends the solve with
-    CompletelyContractive on that bound alone: it is a proof, so no
-    sampled lower bound is consulted.  The certified bound is the reported
-    ``cb_estimate``, so it lies anywhere in [cb, 1 + tol], and the
-    certifying point and s are carried in the result.  Failing that, the
-    same iterate's dual slack gives a level-q element y
-    (:func:`_dual_witness`, skipped at the start point, whose slack gives
-    none); when ||psi_q(y)|| > 1 + max(tol, 1e-9), with ||y|| = 1, both
-    recomputed directly, the solve ends with Not completely contractive,
-    and the witness ratio is the reported ``cb_estimate``: a lower bound
-    anywhere in (1 + tol, cb].  A proven cb <= 1 + tol and a witness above
-    it cannot both hold, so the Yes side is tested first without changing
-    any Yes.  The solve runs on toward the optimum only while neither
-    certificate holds; one that ends without either is Marginal, with the
-    solver's status in the diagnostics.
+    Two certificates written in closed form are tried first, the cheaper
+    one first, and each is checked by the code that checks the
+    interior-point stage's certificates:
+
+    * No: the level-q element with coefficients conj(psi(w_t))
+      (:func:`_gradient_witness`), scaled to ||y|| = 1, whose recomputed
+      ratio ||psi_q(y)|| exceeds 1 + max(tol, 1e-9).  The verdict's route
+      is ``ROUTE_GRADIENT_WITNESS`` and its ``cb_estimate`` the ratio, a
+      lower bound in (1 + tol, cb].
+    * Yes: the Choi point of :func:`_closed_form_choi_point` and its
+      scaling s, whose bound from :func:`_certified_cb_bound` is at most
+      1 + tol.  The verdict carries the point and s as an interior-point
+      Yes does, under the same route ``ROUTE_CHOI_BOUND``.
+
+    Both report ``iterations`` 0.  A proven cb <= 1 + tol and a witness
+    above it cannot both hold, so the order changes no verdict.  A map
+    that neither settles goes to the interior-point stage
+    (:func:`_cc_interior_point`) and gets its verdict; maps into the
+    scalars, q = 1, take the same path.
     """
     if all(np.abs(y).max(initial=0.0) < 1e-14 for y in map_spec.on_images):
         return CcResult(verdict=CC_YES, cb_estimate=0.0, diagnostics="zero map",
                         route=ROUTE_ZERO_MAP)
+    witness = _gradient_witness(map_spec)
+    if _proves_no(witness, tol):
+        return _cc_no(map_spec, witness, 0, ROUTE_GRADIENT_WITNESS)
+    point, s = _closed_form_choi_point(map_spec)
+    cert = _proves_yes(map_spec, point, s, tol)
+    if cert is not None:
+        return _cc_yes(cert, s, 0)
+    return _cc_interior_point(map_spec, tol)
 
+
+def _cc_interior_point(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
+    """The interior-point stage of :func:`cc_test`.
+
+    The largest admissible scaling s of the CP-extension program over the
+    2x2 system is sought by an interior-point solve, and each iterate with
+    s >= 1/(1 + tol) is checked afresh: with the Choi matrix shifted to be
+    PSD (its computed smallest eigenvalue is lifted to a margin above
+    eigvalsh's rounding error), and the block residuals recomputed there,
+    the cb-norm is at most ``(1 + 2 eps) / s`` (see
+    :func:`_certified_cb_bound`).  The bound is at least 1/s, so no
+    iterate with a smaller s can pass.  An iterate whose bound is at most
+    ``1 + tol`` ends the solve with CompletelyContractive on that bound
+    alone: it is a proof, so no sampled lower bound is consulted.  The
+    certified bound is the reported ``cb_estimate``, so it lies anywhere in
+    [cb, 1 + tol], and the certifying point and s are carried in the
+    result.  Failing that, the same iterate's dual slack gives a level-q
+    element y (:func:`_dual_witness`, skipped at the start point, whose
+    slack gives none); when ||psi_q(y)|| > 1 + max(tol, 1e-9), with ||y||
+    = 1, both recomputed directly, the solve ends with Not completely
+    contractive, and the witness ratio is the reported ``cb_estimate``: a
+    lower bound anywhere in (1 + tol, cb].  The Yes side is tested first
+    without changing any Yes.  The solve runs on toward the optimum only
+    while neither certificate holds; one that ends without either is
+    Marginal, with the solver's status in the diagnostics.
+    """
     pq = map_spec.p * map_spec.q
 
     def decide(x, s, z):
-        if s >= 1.0 / (1.0 + tol):
-            cert = _certified_cb_bound(map_spec, x, s)
-            if cert[0] <= 1.0 + tol:
-                return CC_YES, cert
+        cert = _proves_yes(map_spec, x, s, tol)
+        if cert is not None:
+            return CC_YES, cert
         # the start point z = I has Z12 = 0, hence T = 0 and no witness
         if z[:pq, pq:].any():
             witness = _dual_witness(map_spec, z)
-            if witness[1] > 1.0 + max(tol, 1e-9):
+            if _proves_no(witness, tol):
                 return CC_NO, witness
         return None
 
     sol = _hkm_max_scale(*_choi_rows(map_spec), stop=decide)
     if sol.stopped is not None and sol.stopped[0] == CC_YES:
-        bound, residual, point = sol.stopped[1]
-        return CcResult(verdict=CC_YES, cb_estimate=bound, residual=residual,
-                        iterations=sol.iterations, choi_point=point, scale=sol.s,
-                        diagnostics=f"CP extension certified, cb <= {bound:.9f}")
-
+        return _cc_yes(sol.stopped[1], sol.s, sol.iterations)
     if sol.stopped is not None:
-        coeffs, value = sol.stopped[1]
-        return CcResult(verdict=CC_NO, cb_estimate=value, level=map_spec.q,
-                        violating_coeffs=coeffs, violation_norm=value,
-                        residual=None, iterations=sol.iterations,
-                        diagnostics=f"dual witness at level {map_spec.q}, "
-                                    f"||psi(y)|| = {value:.9f}",
-                        route=ROUTE_DUAL_WITNESS)
+        return _cc_no(map_spec, sol.stopped[1], sol.iterations, ROUTE_DUAL_WITNESS)
     solver = (f"Choi solve {sol.status} after {sol.iterations} iterations "
               f"(gap {sol.gap:.1e}, infeasibility "
               f"{max(sol.primal_infeasibility, sol.dual_infeasibility):.1e})")
@@ -838,6 +866,98 @@ def cc_test(map_spec: LinearMapSpec, tol: float = 1e-7) -> CcResult:
                     iterations=sol.iterations,
                     diagnostics=f"{solver}; certified cb bound {bound:.9f} exceeds "
                                 f"1 + {tol:.0e}, dual witness reaches {value:.9f}")
+
+
+def _proves_yes(map_spec: LinearMapSpec, x, s, tol):
+    """The certificate ``(bound, residual, C)`` of
+    :func:`_certified_cb_bound` for the Choi point ``x`` at scaling ``s``
+    when its bound is at most 1 + tol, else None.  The bound is at least
+    1/s, so a point with s < 1/(1 + tol) is not tried."""
+    if s >= 1.0 / (1.0 + tol):
+        cert = _certified_cb_bound(map_spec, x, s)
+        if cert[0] <= 1.0 + tol:
+            return cert
+    return None
+
+
+def _proves_no(witness, tol) -> bool:
+    """Whether a witness ``(coeffs, ratio)`` with a recomputed ratio
+    (:func:`_unit_witness`) proves a No: ratio > 1 + max(tol, 1e-9)."""
+    return witness[1] > 1.0 + max(tol, 1e-9)
+
+
+def _cc_yes(cert, s, iterations) -> CcResult:
+    """The Yes of a certificate ``(bound, residual, C)`` of
+    :func:`_certified_cb_bound` at scaling ``s``."""
+    bound, residual, point = cert
+    return CcResult(verdict=CC_YES, cb_estimate=bound, residual=residual,
+                    iterations=iterations, choi_point=point, scale=s,
+                    diagnostics=f"CP extension certified, cb <= {bound:.9f}")
+
+
+def _cc_no(map_spec: LinearMapSpec, witness, iterations, route) -> CcResult:
+    """The No of a level-q witness ``(coeffs, ||psi_q(y)||)`` with ||y|| =
+    1, found by ``route``."""
+    coeffs, value = witness
+    return CcResult(verdict=CC_NO, cb_estimate=value, level=map_spec.q,
+                    violating_coeffs=coeffs, violation_norm=value,
+                    residual=None, iterations=iterations,
+                    diagnostics=f"{route} at level {map_spec.q}, ||psi(y)|| = {value:.9f}",
+                    route=route)
+
+
+def _unit_witness(map_spec: LinearMapSpec, coeffs):
+    """``(coeffs / ||y||, ||psi_k(y)|| / ||y||)`` for the level-k element y
+    of a coefficient tensor (k, k, dim), both norms recomputed here, so the
+    ratio is a true lower bound for the cb-norm; ``(coeffs, 0.0)`` when
+    ||y|| < 1e-14."""
+    nrm = op_norm(map_spec.element_level(coeffs))
+    if nrm < 1e-14:
+        return coeffs, 0.0
+    coeffs = coeffs / nrm
+    return coeffs, op_norm(map_spec.apply_level(coeffs))
+
+
+def _gradient_witness(map_spec: LinearMapSpec):
+    """The level-q element y = sum_t conj(psi(w_t)) ⊗ w_t, as
+    :func:`_unit_witness` scales and rates it.
+
+    Its image psi_q(y) = sum_t conj(psi(w_t)) ⊗ psi(w_t) is, up to a
+    permutation of indices, the off-diagonal block R of
+    :func:`_closed_form_choi_point`; at q = 1, y is the functional's HS
+    representer, the element that the dual slack of the interior-point
+    stage's first iterate gives."""
+    return _unit_witness(map_spec, map_spec.on_images.conj().transpose(1, 2, 0))
+
+
+def _closed_form_choi_point(map_spec: LinearMapSpec):
+    """A PSD point ``C`` of the scaling program's Choi block and its
+    scaling ``s``, in closed form (Paulsen's off-diagonal technique).
+
+    C12 = R = sum_t conj(w_t) ⊗ psi(w_t) has K_t(R) = psi(w_t), the w_t
+    being orthonormal.  With R = U S V*, [[|R*|, R], [R*, |R|]] =
+    [U; V] S [U; V]* is PSD, |R*| = U S U* and |R| = V S V*.  Padding the
+    diagonal blocks by I_p / p ⊗ (lam I - Tr_1 |R*|) and I_p / p ⊗
+    (lam I - Tr_1 |R|), PSD for lam = the larger of the largest
+    eigenvalues of Tr_1 |R*| and Tr_1 |R|, makes both partial traces
+    lam I_q; dividing by lam gives Tr_1 C_ii = I_q and K_t(C12) =
+    s psi(w_t) at s = 1 / lam.  So cb <= lam.  At q = 1, lam is the trace
+    norm of R, the functional's HS representer up to conjugation."""
+    p, q = map_spec.p, map_spec.q
+    pq = p * q
+    r = np.einsum("tkl,tbc->kblc", map_spec.on_domain.conj(),
+                  map_spec.on_images).reshape(pq, pq)
+    u, sv, vh = np.linalg.svd(r)
+    moduli = [(u * sv) @ u.conj().T, (vh.conj().T * sv) @ vh]
+    partial = [np.einsum("kbkc->bc", m.reshape(p, q, p, q)) for m in moduli]
+    lam = max(float(np.linalg.eigvalsh(t)[-1]) for t in partial)
+    c = np.empty((2 * pq, 2 * pq), dtype=np.complex128)
+    for i, (m, t) in enumerate(zip(moduli, partial)):
+        c[i * pq : (i + 1) * pq, i * pq : (i + 1) * pq] = m + np.kron(
+            np.eye(p) / p, lam * np.eye(q) - t)
+    c[:pq, pq:] = r
+    c[pq:, :pq] = r.conj().T
+    return 0.5 * (c + c.conj().T) / lam, 1.0 / lam
 
 
 def _dual_witness(map_spec: LinearMapSpec, z):
@@ -850,18 +970,15 @@ def _dual_witness(map_spec: LinearMapSpec, z):
     element of the domain, attains the cb-norm 1/s at the optimum only
     (Paulsen's off-diagonal argument run backwards; Smith's lemma makes
     level q enough); at an earlier iterate its ratio is some lower bound.
-    Both norms are recomputed from the returned coefficients, so the value
-    is a true lower bound for the cb-norm whatever the quality of z.
+    Both norms are recomputed from the returned coefficients
+    (:func:`_unit_witness`), so the value is a true lower bound for the
+    cb-norm whatever the quality of z.
     """
     p, q = map_spec.p, map_spec.q
     pq = p * q
     t = (_pinv_sqrt(z[:pq, :pq]) @ z[:pq, pq:] @ _pinv_sqrt(z[pq:, pq:])).reshape(p, q, p, q)
-    coeffs = np.einsum("tkl,kblc->bct", map_spec.on_domain.conj(), t.conj())
-    nrm = op_norm(map_spec.element_level(coeffs))
-    if nrm < 1e-14:
-        return coeffs, 0.0
-    coeffs /= nrm
-    return coeffs, op_norm(map_spec.apply_level(coeffs))
+    return _unit_witness(map_spec,
+                         np.einsum("tkl,kblc->bct", map_spec.on_domain.conj(), t.conj()))
 
 
 def _pinv_sqrt(h):

@@ -28,7 +28,10 @@ with orthogonal ranges, so its cb-norm is max(1, cb-norm of the completion
 map X(e - p) -> X p); only the completion is tested, against one
 irreducible copy of the block (its multiplicity stripped), which keeps
 Choi variables small.  A Loose verdict rests on the certified Choi bound
-of that test alone, an Essential one on its recomputed witness.  The
+of that test alone, an Essential one on its recomputed witness; the cc
+oracle writes either certificate in closed form when it can, and runs
+its interior-point solve only for the maps those leave open, so a step
+settled in closed form reports 0 iterations.  The
 inverse of the final embedding x -> x q is the composition of the
 per-step inverses, so the product of max(1, cb_i) over the removed blocks
 certifies it; no further solve is made.
@@ -71,12 +74,15 @@ class LoosenessVerdict:
 
     ``cb_estimate`` comes from the cc oracle: on a Loose verdict it is the
     certified upper bound on the completion map's cb-norm, in
-    [cb, 1 + tol]; on an Essential dual-witness verdict it is the witness
-    ratio, a lower bound in (1 + tol, cb]; on a Marginal one, the last
-    iterate's certified bound, above 1 + tol; None on a kernel verdict.
-    ``residual`` is the block residual of the Choi iterate behind a
-    Loose or Marginal verdict; None on an Essential one, whose certificate
-    (a kernel or a dual witness) does not use a Choi iterate.
+    [cb, 1 + tol]; on an Essential dual-witness or gradient-witness
+    verdict it is the witness ratio, a lower bound in (1 + tol, cb]; on a
+    Marginal one, the last iterate's certified bound, above 1 + tol; None
+    on a kernel verdict.  ``residual`` is the block residual of the Choi
+    point behind a Loose or Marginal verdict; None on an Essential one,
+    whose certificate (a kernel or a witness) does not use a Choi point.
+    ``iterations`` is the cc oracle's interior-point iteration count, 0
+    when a closed-form certificate settled the map; None on a kernel
+    verdict.
     """
 
     status: str
@@ -206,14 +212,15 @@ def is_block_loose(x: MatrixSpace, unit, block: blockdecomp.BlockInfo,
     of :class:`LinearMapSpec` that :func:`_completion_map` builds) and the
     completion map back onto the block completely contractive.
     Essential verdicts carry either a kernel witness or a level-q element,
-    q the stripped block size, read from the dual point of the Choi solve,
-    whose norm drops under the compression (gap re-verified numerically).
-    Witness coefficients are over ``x.basis``.  Every verdict records its
-    route (a kernel, or the cc oracle's route), and every one that rests on
-    the Choi solve its iteration count and ``cb_estimate``: the certified
+    q the stripped block size, from the cc oracle (the gradient witness or
+    the dual point of the Choi solve), whose norm drops under the
+    compression (gap re-verified numerically).  Witness coefficients are
+    over ``x.basis``.  Every verdict records its route (a kernel, or the
+    cc oracle's route), and every one that rests on the cc oracle its
+    iteration count (0 in closed form) and ``cb_estimate``: the certified
     upper bound on the completion map's cb-norm for Loose, the witness's
-    lower bound for Essential; Loose and Marginal also record the
-    block residual of the Choi iterate they were read at."""
+    lower bound for Essential; Loose and Marginal also record the block
+    residual of the Choi point they were read at."""
     p = block.projection
     keep = unit - p
     keep_rank = int(round(float(np.real(np.trace(keep)))))
@@ -296,8 +303,7 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
             block = split.blocks[bi]
             with stats.stage(f"is_block_loose block {bi}") as timed:
                 verdict = is_block_loose(x, unit, block, tol=tol)
-                timed.detail = f"{verdict.status} by {verdict.route}" + (
-                    f", {verdict.iterations} iterations" if verdict.iterations is not None else "")
+                timed.detail = f"{verdict.status} by {verdict.route}" + _solve_detail(verdict)
             if verdict.status == MARGINAL:
                 raise InconclusiveAtTolerance(
                     f"looseness of block {bi} (rank {block.rank}) is marginal: "
@@ -335,6 +341,17 @@ def compute_envelope(x: MatrixSpace, seed: int = 0, tol: float = 1e-7,
                                trace=trace, seed=seed, tol=tol)
     _check_generation(env)
     return env
+
+
+def _solve_detail(verdict: LoosenessVerdict) -> str:
+    """How the cc oracle's verdict was paid for, for the ``--stats``
+    line: its interior-point iteration count, or "closed form" when the
+    solve did not run; nothing for a kernel verdict."""
+    if verdict.iterations is None:
+        return ""
+    if verdict.iterations == 0:
+        return ", closed form"
+    return f", {verdict.iterations} iterations"
 
 
 def _compress(coords, m):

@@ -6,16 +6,20 @@ calibration.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 
-from ncshilov import matcore, stargen
+from ncshilov import conesolver, matcore, stargen
 from ncshilov.conesolver import (
     CC_NO,
     CC_YES,
     FEASIBLE,
     INFEASIBLE,
     MARGINAL,
+    ROUTE_CHOI_BOUND,
+    ROUTE_DUAL_WITNESS,
+    ROUTE_GRADIENT_WITNESS,
     ConicProgram,
     LinearMapSpec,
     cc_test,
@@ -337,3 +341,37 @@ def test_criterion_10_solver_soundness_and_oracle_agreement():
     _report(10, wrong == 0 and marginal < 10 and disagreements == 0,
             f"500 planted programs: {wrong} wrong certificates, {marginal} marginal "
             f"({100 * marginal / 500:.1f}%); cc vs sampler disagreements: {disagreements}")
+
+
+def test_cc_closed_forms_give_the_interior_point_verdicts(monkeypatch):
+    # every cc map that criteria 3, 4, 5 and 10 build, re-run through those
+    # criteria with cc_test wrapped: its verdict is the interior-point
+    # stage's alone, a closed-form Yes has a certified bound of at most
+    # 1 + tol, and a gradient No a recomputed ratio above 1 + tol and at
+    # most the cb-norm that stage attains at its optimum
+    real = conesolver.cc_test
+    settled = Counter()
+
+    def checked(spec, tol=1e-7):
+        res = real(spec, tol=tol)
+        assert res.verdict == conesolver._cc_interior_point(spec, tol=tol).verdict
+        if res.iterations == 0 and res.route == ROUTE_CHOI_BOUND:
+            assert res.verdict == CC_YES and res.cb_estimate <= 1.0 + tol
+        if res.route == ROUTE_GRADIENT_WITNESS:
+            c = res.violating_coeffs
+            ratio = op_norm(spec.apply_level(c)) / op_norm(spec.element_level(c))
+            sol = conesolver._hkm_max_scale(*conesolver._choi_rows(spec))
+            assert 1.0 + tol < ratio <= conesolver._dual_witness(spec, sol.z)[1] + 1e-8
+        settled[res.route, res.iterations == 0] += 1
+        return res
+
+    monkeypatch.setattr(conesolver, "cc_test", checked)
+    monkeypatch.setitem(globals(), "cc_test", checked)
+    for criterion in (test_criterion_03_embedding_certification,
+                      test_criterion_04_uniqueness_up_to_isomorphism,
+                      test_criterion_05_commutative_cross_validation,
+                      test_criterion_10_solver_soundness_and_oracle_agreement):
+        criterion()
+    # both closed forms settle maps, and the rest reach the solve
+    assert settled[ROUTE_CHOI_BOUND, True] and settled[ROUTE_GRADIENT_WITNESS, True]
+    assert settled[ROUTE_CHOI_BOUND, False] and settled[ROUTE_DUAL_WITNESS, False]

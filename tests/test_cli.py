@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ncshilov
-from ncshilov import cli, matcore, selftest, stargen
+from ncshilov import cli, conesolver, matcore, selftest, stargen
 from ncshilov.cli import (
     EXIT_CONE,
     EXIT_INCONCLUSIVE,
@@ -151,7 +151,25 @@ def test_canonical_json_writes_every_value_kind_as_the_reference_walk():
 # ---------------------------------------------------------------------------
 
 
-def test_envelope_command_and_determinism(tmp_path):
+def _check_envelope_trace(report, solved):
+    """Every step of an envelope report carries a certificate or witness;
+    ``solved``: the cc oracle's removed steps come from the interior-point
+    stage (iterations >= 1), else from a closed form (iterations 0)."""
+    for step in report["envelope"]["trace"]:
+        assert step["status"] in ("loose", "essential")
+        assert step["route"] in ("kernel", "zero map", "choi bound", "gradient witness",
+                                 "dual witness")
+        if step["status"] == "loose":
+            assert "cb_estimate" in step
+        else:
+            assert "residual" not in step
+        if step["removed"]:
+            assert isinstance(step["iterations"], int)
+            assert step["iterations"] >= 1 if solved else step["iterations"] == 0
+            assert step["residual"] <= 1e-8
+
+
+def test_envelope_command_and_determinism(tmp_path, monkeypatch):
     inp = _write(tmp_path, "space.json", DIAG_HALF)
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["envelope", "--input", inp, "--out", out1]) == EXIT_OK
@@ -161,17 +179,16 @@ def test_envelope_command_and_determinism(tmp_path):
     assert report["envelope"]["abstract_blocks"] == [1, 1]
     assert report["envelope"]["eliminations"] == 1
     assert report["input"]["kind"] == "matrix"
-    # every eliminated step carries a certificate or witness
-    for step in report["envelope"]["trace"]:
-        assert step["status"] in ("loose", "essential")
-        assert step["route"] in ("kernel", "zero map", "choi bound", "dual witness")
-        if step["status"] == "loose":
-            assert "cb_estimate" in step
-        else:
-            assert "residual" not in step
-        if step["removed"]:
-            assert isinstance(step["iterations"], int) and step["iterations"] >= 1
-            assert step["residual"] <= 1e-8
+    _check_envelope_trace(report, solved=False)
+    # the interior-point stage alone gives the same envelope, every removed
+    # step with its iteration count
+    monkeypatch.setattr(conesolver, "cc_test", conesolver._cc_interior_point)
+    out3 = str(tmp_path / "r3.json")
+    assert main(["envelope", "--input", inp, "--out", out3]) == EXIT_OK
+    engine = json.loads((tmp_path / "r3.json").read_text())
+    assert engine["envelope"]["abstract_blocks"] == [1, 1]
+    assert engine["envelope"]["eliminations"] == 1
+    _check_envelope_trace(engine, solved=True)
 
 
 def test_envelope_exit_code_inconclusive_cone(tmp_path, monkeypatch):
@@ -414,7 +431,8 @@ def test_nearly_dependent_compression_keeps_the_boundary(tmp_path, capsys, delta
 
 @pytest.mark.parametrize("command, payload", [("envelope", DIAG_HALF), ("boundary", FN_HALF)])
 def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, capsys,
-                                                                    command, payload):
+                                                                    monkeypatch, command,
+                                                                    payload):
     inp = _write(tmp_path, "space.json", payload)
     plain, timed = str(tmp_path / "plain.json"), str(tmp_path / "timed.json")
     assert main([command, "--input", inp, "--out", plain]) == EXIT_OK
@@ -422,9 +440,10 @@ def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, ca
     assert main([command, "--input", inp, "--out", timed, "--stats"]) == EXIT_OK
     out = capsys.readouterr().out
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "timed.json").read_bytes()
-    # the cc oracle's stages name their route and iteration count
+    # the cc oracle's stages name their route and how the verdict was paid
+    # for: in closed form here, in iterations by the interior-point stage
     stages = ["stage timings (wall clock):", " ms  cone_spans", " ms  C*(X) generation and split",
-              " by choi bound, "]
+              " by choi bound, closed form"]
     if command == "envelope":
         # one point is cut, and the Cholesky test settles its complement
         stages.append(" ms  certify_embedding: complement by Cholesky at 4 of 4 levels")
@@ -436,6 +455,11 @@ def test_stats_prints_stage_timings_and_leaves_the_report_unchanged(tmp_path, ca
         assert all(line.endswith(" pivots") for line in out.splitlines() if " LP" in line), out
     for stage in stages:
         assert stage in out, (stage, out)
+    monkeypatch.setattr(conesolver, "cc_test", conesolver._cc_interior_point)
+    assert main([command, "--input", inp, "--out", timed, "--stats"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r" by choi bound, \d+ iterations\n", out), out
+    assert "closed form" not in out
 
 
 @pytest.mark.parametrize("space", ["planted loose", "uncut"])
@@ -444,7 +468,9 @@ def test_envelope_report_is_the_same_when_the_cholesky_test_never_decides(
     # the Cholesky test stands in for eigenvalues only where it proves what
     # they would decide (certify_embedding's complement norms, the shift of
     # the certified Choi bound); forced to fail, it leaves every eigenvalue
-    # to be computed, and the report bytes stay the same
+    # to be computed, and the report bytes stay the same.  The loose step is
+    # settled by the closed-form Choi point, which is singular by
+    # construction, so its shift takes the eigenvalue path either way
     rng = np.random.default_rng(3)
     if space == "planted loose":
         gens = selftest.loose_instance(rng, a=2, b=1)
@@ -459,7 +485,9 @@ def test_envelope_report_is_the_same_when_the_cholesky_test_never_decides(
     assert f" ms  certify_embedding: {detail}" in capsys.readouterr().out
     report = json.loads((tmp_path / "fast.json").read_text())["envelope"]
     assert (report["eliminations"] == 0) == (space == "uncut")
-    assert all(cholesky_answers) and bool(cholesky_answers) == (space == "planted loose")
+    assert [s["iterations"] for s in report["trace"] if s["removed"]] == (
+        [0] if space == "planted loose" else [])
+    assert cholesky_answers == ([False] + [True] * 4 if space == "planted loose" else [])
     monkeypatch.setattr(matcore, "certified_above", lambda a, floor: False)
     assert main(["envelope", "--input", inp, "--out", str(tmp_path / "eig.json")]) == EXIT_OK
     assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "eig.json").read_bytes()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,14 @@ from ncshilov.conesolver import (
     MARGINAL,
     ConicProgram,
     LinearMapSpec,
+    ROUTE_CHOI_BOUND,
+    ROUTE_DUAL_WITNESS,
+    ROUTE_GRADIENT_WITNESS,
+    _cc_interior_point,
     _certified_cb_bound,
     _choi_rows,
+    _closed_form_choi_point,
+    _gradient_witness,
     _scale_rows,
     _dual_witness,
     _haar_coeffs,
@@ -427,7 +435,8 @@ def test_cc_decides_a_map_whose_cb_norm_is_one_without_stalling():
     # the third of three random (3, 2, 3) maps, scaled to cb-norm 1 and just
     # above it: with unequal primal and dual step lengths these solves lost
     # centrality and ran into the iteration cap (Marginal at cb 1 and
-    # 1 + 1e-6); each must now be decided, every solve within 30 iterations
+    # 1 + 1e-6); the interior-point stage must now decide each, every solve
+    # within 30 iterations, and cc_test gives the same verdicts
     dom, img = _stall_map()
     stall = LinearMapSpec(dom, img)
     sol = _hkm_max_scale(*_choi_rows(stall))
@@ -435,8 +444,9 @@ def test_cc_decides_a_map_whose_cb_norm_is_one_without_stalling():
     bound, _, _ = _certified_cb_bound(stall, sol.x, sol.s)
     for target in (1.0, 1.0 + 1e-5, 1.0 + 1e-6, 1.01):
         spec = LinearMapSpec(dom, [target / bound * y for y in img])
-        res = cc_test(spec, tol=1e-7)
-        assert res.iterations <= 30
+        res = _cc_interior_point(spec, tol=1e-7)
+        assert 1 <= res.iterations <= 30
+        assert cc_test(spec, tol=1e-7).verdict == res.verdict
         if target == 1.0:
             assert res.verdict == CC_YES
         else:
@@ -550,13 +560,14 @@ def test_choi_solve_bounds_known_cb_norms():
 @pytest.mark.parametrize("singular", [False, True])
 def test_certified_cb_bound_shifts_as_the_eigenvalue_path_does(monkeypatch, cholesky_answers,
                                                                 singular):
-    # the certified Yes point of half the identity on M_2, which is
-    # positive definite, and the same point with its smallest eigenvalue
-    # set to 0, which needs the shift: the Cholesky test decides the first
-    # alone, and (bound, residual, C) equals the eigenvalue path's either way
+    # the interior-point stage's certified Yes point of half the identity on
+    # M_2, which is positive definite, and the same point with its smallest
+    # eigenvalue set to 0, which needs the shift: the Cholesky test decides
+    # the first alone, and (bound, residual, C) equals the eigenvalue path's
+    # either way
     basis = _m2_basis()
     spec = LinearMapSpec(basis, [0.5 * b for b in basis])
-    res = cc_test(spec, tol=1e-7)
+    res = _cc_interior_point(spec, tol=1e-7)
     x, s = res.choi_point, res.scale
     if singular:
         w, u = np.linalg.eigh(x)
@@ -567,7 +578,7 @@ def test_certified_cb_bound_shifts_as_the_eigenvalue_path_does(monkeypatch, chol
     delta = n * np.finfo(float).eps * np.abs(w).max()
     assert (w[0] < delta) == singular
     shifted = x + (delta - w[0]) * np.eye(n) if singular else x
-    cholesky_answers.clear()  # the answers cc_test asked for above
+    cholesky_answers.clear()  # the answers the solve asked for above
     bound, residual, c = _certified_cb_bound(spec, x, s)
     assert cholesky_answers == [not singular]
     assert np.array_equal(c, shifted)
@@ -593,18 +604,20 @@ def _completion_maps_of_criterion_4_instance_0(monkeypatch):
 
 def test_cc_yes_stops_at_its_first_certified_iterate(monkeypatch):
     # the identity on M_2 (cb-norm exactly 1), half of it, and the
-    # completion maps of criterion 4's first instance: each Yes comes from
-    # an iterate before the optimum and carries a Choi point and s from
-    # which the bound is re-derived here
+    # completion maps of criterion 4's first instance: each interior-point
+    # Yes comes from an iterate before the optimum, and each Yes of cc_test
+    # from that stage or the closed-form point; both carry a Choi point and
+    # s from which the bound is re-derived here
     basis = _m2_basis()
     specs = [LinearMapSpec(basis, basis), LinearMapSpec(basis, [0.5 * b for b in basis])]
     specs += _completion_maps_of_criterion_4_instance_0(monkeypatch)
     assert len(specs) == 4
     tol = 1e-7
-    for spec in specs:
-        res = cc_test(spec, tol=tol)
-        assert res.verdict == CC_YES
-        assert res.iterations < _hkm_max_scale(*_choi_rows(spec)).iterations
+    for spec, stage in itertools.product(specs, (_cc_interior_point, cc_test)):
+        res = stage(spec, tol=tol)
+        assert res.verdict == CC_YES and res.route == ROUTE_CHOI_BOUND
+        if stage is _cc_interior_point:
+            assert 1 <= res.iterations < _hkm_max_scale(*_choi_rows(spec)).iterations
         # the bound of _certified_cb_bound, written out from the carried
         # point's blocks [[C11, C12], [C12*, C22]]
         c, s = res.choi_point, res.scale
@@ -631,16 +644,18 @@ def test_cc_yes_stops_at_its_first_certified_iterate(monkeypatch):
 
 def test_cc_no_stops_at_its_first_dual_witness():
     # 0.9 times the transpose on M_2, the doubling map and three planted
-    # (4, 3, 4) maps: each No comes from the first iterate whose dual slack
-    # gives a witness above 1 + tol, found here by rerunning the solve
-    # without a stop, and reports that witness's ratio as its cb_estimate
+    # (4, 3, 4) maps: each No of the interior-point stage comes from the
+    # first iterate whose dual slack gives a witness above 1 + tol, found
+    # here by rerunning the solve without a stop, and reports that
+    # witness's ratio as its cb_estimate
     basis = _m2_basis()
     specs = [LinearMapSpec(basis, [0.9 * b.T.copy() for b in basis]),
              LinearMapSpec(basis, [2 * b for b in basis])]
     specs += [_planted_excess_map(seed, 1.0 + 1e-5) for seed in (0, 1, 2)]
     tol = 1e-7
     for spec in specs:
-        res = cc_test(spec, tol=tol)
+        res = _cc_interior_point(spec, tol=tol)
+        assert res.route == ROUTE_DUAL_WITNESS
         slacks = []
         sol = _hkm_max_scale(*_choi_rows(spec), stop=lambda x, s, z: slacks.append(z))
         assert res.iterations < sol.iterations
@@ -655,8 +670,8 @@ def test_cc_no_stops_at_its_first_dual_witness():
 
 def test_cc_no_stop_never_preempts_a_yes(monkeypatch):
     # with the No side disabled (every witness ratio 0) each Yes map of this
-    # file and of criterion 4's first instance stops at the same iterate
-    # with the same certificate, bit for bit
+    # file and of criterion 4's first instance stops the interior-point
+    # stage at the same iterate with the same certificate, bit for bit
     basis = _m2_basis()
     rng = np.random.default_rng(3)
     v = np.linalg.qr(matcore.random_complex(rng, (4, 4)))[0][:, :2]
@@ -667,10 +682,10 @@ def test_cc_no_stop_never_preempts_a_yes(monkeypatch):
              _scaled_map(*_stall_map(), 1.0)]
     specs += _completion_maps_of_criterion_4_instance_0(monkeypatch)
     tol = 1e-7
-    results = [cc_test(spec, tol=tol) for spec in specs]
+    results = [_cc_interior_point(spec, tol=tol) for spec in specs]
     monkeypatch.setattr(conesolver, "_dual_witness", lambda spec, z: (None, 0.0))
     for spec, res in zip(specs, results):
-        alone = cc_test(spec, tol=tol)
+        alone = _cc_interior_point(spec, tol=tol)
         assert res.verdict == alone.verdict == CC_YES
         assert (res.iterations, res.cb_estimate, res.residual, res.scale) == \
             (alone.iterations, alone.cb_estimate, alone.residual, alone.scale)
@@ -779,3 +794,99 @@ def test_stop_test_never_sees_a_nonfinite_iterate(rhs):
     assert sol.status == IPM_NUMERICAL_FAILURE
     assert sol.stopped is None
     assert len(seen) == sol.iterations
+
+
+# ---------------------------------------------------------------------------
+# closed-form certificates of cc_test
+# ---------------------------------------------------------------------------
+
+
+def _random_map(seed, p, q, d):
+    rng = np.random.default_rng(seed)
+    return LinearMapSpec([matcore.random_complex(rng, (p, p)) for _ in range(d)],
+                         [matcore.random_complex(rng, (q, q)) for _ in range(d)])
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 2), (4, 3)])
+def test_closed_form_point_of_a_functional_is_the_representers_trace_norm(p, d):
+    # at q = 1, lam = 1/s is ||h||_1 for the HS representer
+    # h = sum_t conj(phi(w_t)) w_t of the functional phi on the domain
+    spec = _random_map(p + 10 * d, p, 1, d)
+    _, s = _closed_form_choi_point(spec)
+    h = np.einsum("t,tab->ab", spec.on_images[:, 0, 0].conj(), spec.on_domain)
+    trace_norm = np.linalg.svd(h, compute_uv=False).sum()
+    assert abs(1.0 / s - trace_norm) <= 1e-12 * trace_norm
+
+
+def _partial_traces(c, p, q):
+    """Tr_1 of the two diagonal pq x pq blocks of a 2pq Choi point."""
+    return np.einsum("ikbikc->ibc", c.reshape(2, p, q, 2, p, q))
+
+
+@pytest.mark.parametrize("p, q, d", [(3, 2, 3), (2, 3, 2), (4, 3, 4)])
+def test_closed_form_point_meets_the_scaling_program(p, q, d):
+    # a Hermitian PSD point with Tr_1 C_ii = I_q and K_t(C12) = s psi(w_t)
+    # to rounding; without its diagonal pads the same point gets a larger
+    # certified bound or residual
+    spec = _random_map(p + 10 * q + 100 * d, p, q, d)
+    c, s = _closed_form_choi_point(spec)
+    pq = p * q
+    assert np.array_equal(c, c.conj().T)
+    assert np.linalg.eigvalsh(c)[0] >= -1e-14 * np.linalg.norm(c)
+    assert np.abs(_partial_traces(c, p, q) - np.eye(q)).max() <= 1e-13
+    k12 = np.einsum("tkl,kblc->tbc", spec.on_domain, c[:pq, pq:].reshape(p, q, p, q))
+    assert np.abs(k12 - s * spec.on_images).max() <= 1e-13 * np.abs(spec.on_images).max()
+    u, sv, vh = np.linalg.svd(c[:pq, pq:])
+    bare = np.block([[(u * sv) @ u.conj().T, c[:pq, pq:]],
+                     [c[pq:, :pq], (vh.conj().T * sv) @ vh]])
+    assert np.abs(_partial_traces(bare, p, q) - np.eye(q)).max() > 1e-3
+    bound, residual, _ = _certified_cb_bound(spec, c, s)
+    bare_bound, bare_residual, _ = _certified_cb_bound(spec, bare, s)
+    assert bare_bound > bound or bare_residual > residual
+
+
+def _count_solves(monkeypatch):
+    """The interior-point solves of the scaling program, counted."""
+    solves = []
+    real = conesolver._hkm_max_scale
+    monkeypatch.setattr(conesolver, "_hkm_max_scale",
+                        lambda *a, **k: solves.append(1) or real(*a, **k))
+    return solves
+
+
+def test_closed_forms_settle_the_transpose_and_the_identity(monkeypatch):
+    # 0.9 times the transpose on M_2 (cb-norm 1.8) gets its No from the
+    # gradient witness, the identity (cb-norm 1) its Yes from the
+    # closed-form point, both without a solve
+    basis = _m2_basis()
+    solves = _count_solves(monkeypatch)
+    transpose = LinearMapSpec(basis, [0.9 * b.T.copy() for b in basis])
+    res = cc_test(transpose, tol=1e-7)
+    assert (res.verdict, res.route, res.iterations, res.level) == \
+        (CC_NO, ROUTE_GRADIENT_WITNESS, 0, 2)
+    assert _witness_ratio(transpose, res) == pytest.approx(1.8, abs=1e-12)
+    assert res.cb_estimate == _gradient_witness(transpose)[1]
+    identity = LinearMapSpec(basis, basis)
+    res = cc_test(identity, tol=1e-7)
+    assert (res.verdict, res.route, res.iterations) == (CC_YES, ROUTE_CHOI_BOUND, 0)
+    assert res.cb_estimate <= 1.0 + 1e-7 and res.residual <= 1e-12
+    assert solves == []
+
+
+@pytest.mark.parametrize("case", ["cb 1", "planted excess"])
+def test_a_map_both_closed_forms_leave_open_gets_the_solves_verdict(monkeypatch, case):
+    # a random (3, 2, 3) map at cb-norm 1 and a planted (4, 3, 4) map at
+    # 1 + 1e-5: the gradient ratio is at most 1 and the closed-form bound
+    # above 1.3, so cc_test runs the one solve and returns its verdict
+    spec = _scaled_map(*_stall_map(), 1.0) if case == "cb 1" else \
+        _planted_excess_map(0, 1.0 + 1e-5)
+    assert _gradient_witness(spec)[1] <= 1.0
+    assert 1.0 / _closed_form_choi_point(spec)[1] > 1.3
+    solves = _count_solves(monkeypatch)
+    res = cc_test(spec, tol=1e-7)
+    assert len(solves) == 1
+    alone = _cc_interior_point(spec, tol=1e-7)
+    assert res.verdict == (CC_YES if case == "cb 1" else CC_NO)
+    assert res.iterations >= 1
+    assert (res.verdict, res.route, res.iterations, res.cb_estimate, res.residual) == \
+        (alone.verdict, alone.route, alone.iterations, alone.cb_estimate, alone.residual)

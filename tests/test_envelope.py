@@ -5,9 +5,11 @@ import pytest
 
 from ncshilov import blockdecomp, conesolver, envelope, matcore, stargen
 from ncshilov.conesolver import (
+    CC_NO,
     CC_YES,
     ROUTE_CHOI_BOUND,
     ROUTE_DUAL_WITNESS,
+    ROUTE_GRADIENT_WITNESS,
     LinearMapSpec,
     cc_test,
     sampled_cb_lower_bound,
@@ -222,7 +224,7 @@ def _attained_cb_norm(spec):
 
 
 def test_block_with_multiplicity_gets_the_verdict_of_its_single_copy_twin():
-    verdicts, attained = {}, {}
+    verdicts, attained, solved = {}, {}, {}
     for m in (1, 2):
         x = _two_copy_space(m)
         alg = stargen.generate_star_algebra(x)
@@ -233,11 +235,16 @@ def test_block_with_multiplicity_gets_the_verdict_of_its_single_copy_twin():
         m3 = next(b for b in dec.blocks if b.k == 3)
         spec, _ = _completion_map(x.basis, alg.unit - m3.projection, m3)
         attained[m] = _attained_cb_norm(spec)
+        solved[m] = conesolver._cc_interior_point(spec)
     for k, twin in verdicts[1].items():
         v = verdicts[2][k]
         assert (v.status, v.route) == (twin.status, twin.route)
     assert verdicts[2][2].status == LOOSE and verdicts[2][2].route == ROUTE_CHOI_BOUND
-    assert verdicts[2][3].route == ROUTE_DUAL_WITNESS
+    # the M_3 block's No is settled in closed form; the interior-point stage
+    # alone reaches it by its dual witness
+    assert verdicts[2][3].route == ROUTE_GRADIENT_WITNESS and verdicts[2][3].iterations == 0
+    assert all(solved[m].verdict == CC_NO and solved[m].route == ROUTE_DUAL_WITNESS
+               for m in (1, 2))
     # an Essential step rests on its witness, not on a Choi iterate
     assert verdicts[2][3].residual is None and verdicts[2][2].residual is not None
     assert attained[2] == pytest.approx(attained[1], rel=1e-6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ncshilov import funcspace
+from ncshilov import conesolver, funcspace
 from ncshilov.errors import ConeDoesNotSpan, ZeroSpace
 from ncshilov.funcspace import (
     boundary,
@@ -316,3 +316,19 @@ def test_boundary_tests_each_essential_class_once():
         assert set(essential) <= set(b.boundary_points)
         if len(b.kept) > 1:
             assert sorted(essential) == sorted(b.boundary_points)
+
+
+def test_crosscheck_solve_count_on_criterion_5(monkeypatch):
+    # solve counts are deterministic: the first 20 spaces of criterion 5
+    # (rng 505) made 118 interior-point solves through the diagonal
+    # cross-check (98 of them the cc oracle's) before the oracle's
+    # closed-form certificates, and make 36 with them (16 of them the
+    # oracle's, one spanning-cone solve per space); a change that brings
+    # solves back shows here
+    solves = []
+    real = conesolver._hkm
+    monkeypatch.setattr(conesolver, "_hkm", lambda *a, **k: solves.append(1) or real(*a, **k))
+    rng = np.random.default_rng(505)
+    for i in range(20):
+        assert crosscheck_diagonal(random_function_space(rng), seed=i)["matches"]
+    assert len(solves) <= 36
